@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -281,8 +280,13 @@ def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
             raise DataError(f"{long_path} line {rows[k][2]} column time: "
                             f"times for subject {sid!r} are not ascending")
         merged = dict(covs)
-        for r in rows:
-            merged.update(r[3])
+        for _, _, ln, extras in rows:
+            for name, value in extras.items():
+                if not np.array_equal(merged.setdefault(name, value), value, equal_nan=True):
+                    raise DataError(
+                        f"{long_path} line {ln} column {name}: covariate of subject "
+                        f"{sid!r} changes from {merged[name]} to {value}; covariates "
+                        f"must be constant within a subject")
         subjects.append(md.Subject(id=sid, times=times, y=values,
                                    event_time=t_obs, event=ind, covariates=merged))
     return md.Dataset(tuple(subjects))
@@ -325,7 +329,10 @@ def _truth_parameters(cfg, spec: md.JointModelSpec) -> md.Parameters:
         gamma_h0 = np.zeros(q_coef)
         gamma_h0[0] = _get_float(cfg, "truth.log_baseline")
     d_lower = _get_floats(cfg, "truth.D")
-    q = (math.isqrt(8 * len(d_lower) + 1) - 1) // 2
+    q = spec.longitudinal.n_random
+    if len(d_lower) != q * (q + 1) // 2:
+        raise ConfigError(f"truth.D needs {q * (q + 1) // 2} values (the lower triangle "
+                          f"of the {q}x{q} random-effect covariance), got {len(d_lower)}")
     D = np.zeros((q, q))
     k = 0
     for i in range(q):
@@ -346,10 +353,13 @@ def _sim_covariates(cfg) -> dict:
     raw = cfg.get("sim.covariates", "")
     out = {}
     for item in filter(None, (s.strip() for s in raw.split(";"))):
-        parts = item.split(":")
-        name, kind = parts[0], parts[1]
-        params = tuple(float(v) for v in parts[2:])
-        out[name] = (kind, *params)
+        name, *kind = item.split(":")
+        if not name or not kind:
+            raise ConfigError(f"sim.covariates item {item!r}: expected name:kind[:parameters]")
+        try:
+            out[name] = (kind[0], *(float(v) for v in kind[1:]))
+        except ValueError:
+            raise ConfigError(f"sim.covariates item {item!r}: parameters must be numbers") from None
     return out
 
 

@@ -9,9 +9,11 @@ elementwise in one vectorized sweep).  Adaptation runs during burn-in only.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -248,10 +250,10 @@ class _DesignBundle:
                  cov_long: np.ndarray, times: np.ndarray, hazard: bool,
                  weights: np.ndarray = None):
         lspec = spec.longitudinal
+        self.spec = spec
         self.times = np.asarray(times, float)
         self.weights = weights
         self.need_eta = assoc.variant != "shared_random_effects"
-        self.H = spec.baseline_matrix(self.times) if hazard else None
         self.X = lspec.fixed_matrix(self.times, cov_long)
         self.Z = lspec.random_matrix(self.times)
         self.dX = self.dZ = self.iX = self.iZ = None
@@ -261,6 +263,11 @@ class _DesignBundle:
         if hazard and assoc.needs_integral:
             self.iX = lspec.fixed_integral_matrix(self.times, cov_long)
             self.iZ = lspec.random_integral_matrix(self.times)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Baseline-hazard design rows, built on first use."""
+        return self.spec.baseline_matrix(self.times)
 
 
 def _log_hazard_batch(bundle: _DesignBundle, assoc: md.AssociationForm,
@@ -425,7 +432,7 @@ class ReProposal:
     fallback: bool = False
     iterations: int = 0
 
-    @property
+    @cached_property
     def chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.cov)
 
@@ -554,6 +561,26 @@ def sample_random_effects(history, condition: ReCondition, theta: md.Parameters,
 # Fitting machinery
 # ---------------------------------------------------------------------------
 
+_LOGLIK_INPUTS = ("beta", "gamma", "alpha", "gamma_h0", "phi", "b")
+
+
+class _LoglikTerms:
+    """The pieces of the fit log likelihood at one parameter state.
+
+    ``xb`` and ``zb`` map (site, feature) to X.beta and Z.b, where the site is
+    "m" (measurements), "n" (hazard quadrature nodes) or "T" (event times)
+    and the feature is "eta", "slope" or "integral"; ``hazard`` and ``assoc``
+    map a hazard site to H.gamma_h0 + W.gamma and to the association term;
+    ``long``, ``surv``, ``bad`` (log-hazard guard tripped) and ``value`` are
+    per subject.  No piece is changed in place once computed, so the terms
+    of a later state may share any of them.
+    """
+
+    def __init__(self, beta, gamma, alpha, gamma_h0, phi, b):
+        self.beta, self.gamma, self.alpha = beta, gamma, alpha
+        self.gamma_h0, self.phi, self.b = gamma_h0, phi, b
+
+
 class _FitData:
     """Precomputed designs and segment indices for the whole dataset."""
 
@@ -581,104 +608,135 @@ class _FitData:
         self.T = np.array([s.event_time for s in dataset.subjects])
 
         midx, y_all = [], []
-        node_idx, node_w = [], []
-        ev_bundles, node_bundles = [], []
+        node_idx, node_t, node_w = [], [], []
+        meas, nodes, events = [], [], []
         for i, s in enumerate(dataset.subjects):
             midx += [i] * s.n_obs
             y_all.append(s.y)
             cov_long = s.covariate_row(lspec.covariates)
-            meas = _DesignBundle(spec, assoc, cov_long, s.times, hazard=False)
-            ev = _DesignBundle(spec, assoc, cov_long, np.array([s.event_time]), hazard=True)
             sn, wn = span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)
-            nodes = _DesignBundle(spec, assoc, cov_long, sn, hazard=True, weights=wn)
             node_idx += [i] * sn.size
+            node_t.append(sn)
             node_w.append(wn)
-            ev_bundles.append(ev)
-            node_bundles.append((meas, nodes))
+            meas.append(_DesignBundle(spec, assoc, cov_long, s.times, hazard=False))
+            nodes.append(_DesignBundle(spec, assoc, cov_long, sn, hazard=True))
+            events.append(_DesignBundle(spec, assoc, cov_long, self.T[i: i + 1], hazard=True))
 
         self.midx = np.array(midx, dtype=int)
-        self.y = np.concatenate(y_all) if y_all else np.empty(0)
+        self.y = np.concatenate(y_all)
         self.family.check_response(self.y)
         self.nidx = np.array(node_idx, dtype=int)
-        self.node_w = np.concatenate(node_w) if node_w else np.empty(0)
+        self.node_w = np.concatenate(node_w)
+        self.rows = {"m": self.midx, "n": self.nidx, "T": np.arange(self.n)}
 
-        meas_bundles = [mb for mb, _ in node_bundles]
-        node_only = [nb for _, nb in node_bundles]
-        self.Xm = np.concatenate([b.X for b in meas_bundles]) if self.midx.size else np.zeros((0, self.p))
-        self.Zm = np.concatenate([b.Z for b in meas_bundles]) if self.midx.size else np.zeros((0, self.q))
-        self.Hn = np.concatenate([b.H for b in node_only])
-        self.Xn = np.concatenate([b.X for b in node_only])
-        self.Zn = np.concatenate([b.Z for b in node_only])
-        self.dXn = np.concatenate([b.dX for b in node_only]) if assoc.needs_slope else None
-        self.dZn = np.concatenate([b.dZ for b in node_only]) if assoc.needs_slope else None
-        self.iXn = np.concatenate([b.iX for b in node_only]) if assoc.needs_integral else None
-        self.iZn = np.concatenate([b.iZ for b in node_only]) if assoc.needs_integral else None
-        self.HT = np.concatenate([b.H for b in ev_bundles])
-        self.XT = np.concatenate([b.X for b in ev_bundles])
-        self.ZT = np.concatenate([b.Z for b in ev_bundles])
-        self.dXT = np.concatenate([b.dX for b in ev_bundles]) if assoc.needs_slope else None
-        self.dZT = np.concatenate([b.dZ for b in ev_bundles]) if assoc.needs_slope else None
-        self.iXT = np.concatenate([b.iX for b in ev_bundles]) if assoc.needs_integral else None
-        self.iZT = np.concatenate([b.iZ for b in ev_bundles]) if assoc.needs_integral else None
+        H = spec.baseline_matrix(np.concatenate(node_t + [self.T]))
+        self.Hn, self.HT = H[: self.nidx.size], H[self.nidx.size:]
+
+        self.need_eta = assoc.variant != "shared_random_effects"
+        self.features = tuple(f for f, used in (("eta", self.need_eta),
+                                                ("slope", assoc.needs_slope),
+                                                ("integral", assoc.needs_integral)) if used)
+        designs = {"eta": ("X", "Z"), "slope": ("dX", "dZ"), "integral": ("iX", "iZ")}
+        self.X, self.Z = {}, {}
+        for site, bundles, feats in (("m", meas, ("eta",)), ("n", nodes, self.features),
+                                     ("T", events, self.features)):
+            for f in feats:
+                fixed, rand = designs[f]
+                self.X[site, f] = np.concatenate([getattr(bd, fixed) for bd in bundles])
+                self.Z[site, f] = np.concatenate([getattr(bd, rand) for bd in bundles])
+        # the shared-random-effects association reads b itself, not beta
+        self.assoc_inputs = ("alpha", "beta", "b") if self.need_eta else ("alpha", "b")
 
         self.K = spec.penalty_K()
         self.rho = spec.penalty.rank
-        self.need_eta = assoc.variant != "shared_random_effects"
 
-    def _features(self, X, Z, dX, dZ, iX, iZ, idx, beta, b):
-        eta = slope = integral = None
-        if self.need_eta:
-            eta = X @ beta + np.sum(Z * b[idx], axis=1)
-        if dX is not None:
-            slope = dX @ beta + np.sum(dZ * b[idx], axis=1)
-        if iX is not None:
-            integral = iX @ beta + np.sum(iZ * b[idx], axis=1)
-        return eta, slope, integral
-
-    def per_subject_loglik(self, beta, gamma, alpha, gamma_h0, phi, b, strict=True):
-        """Longitudinal + survival log likelihood per subject.
+    def per_subject_loglik(self, beta, gamma, alpha, gamma_h0, phi, b, strict=True,
+                           base: _LoglikTerms = None) -> _LoglikTerms:
+        """Longitudinal + survival log likelihood per subject, as ``.value``.
 
         In strict mode a subject whose log hazard exceeds the guard bound gets
         -inf (so MH proposals that diverge are rejected, never saturated); the
         non-strict mode clamps instead and is used for summaries of accepted
-        states.
+        states.  With ``base``, the terms of an earlier call, each piece whose
+        inputs are the very objects ``base`` was computed from is reused, not
+        recomputed; so an input array must never be changed in place.
         """
-        long_i = np.zeros(self.n)
-        if self.midx.size:
-            eta_m = self.Xm @ beta + np.sum(self.Zm * b[self.midx], axis=1)
+        t = _LoglikTerms(beta, gamma, alpha, gamma_h0, phi, b)
+
+        def changed(*names):
+            return base is None or any(getattr(t, k) is not getattr(base, k) for k in names)
+
+        if changed("beta"):
+            t.xb = {key: X @ beta for key, X in self.X.items()}
+        else:
+            t.xb = base.xb
+        if changed("b"):
+            b_at = {site: b[self.rows[site]] for site, _ in self.Z}
+            t.zb = {key: np.sum(Z * b_at[key[0]], axis=1) for key, Z in self.Z.items()}
+        else:
+            t.zb = base.zb
+
+        if changed("beta", "b", "phi"):
+            eta_m = t.xb["m", "eta"] + t.zb["m", "eta"]
             if self.family.name == "gaussian":
                 terms = -0.5 * math.log(2.0 * math.pi * phi) - (self.y - eta_m) ** 2 / (2.0 * phi)
             else:
                 terms = self.y * eta_m - np.logaddexp(0.0, eta_m)
-            long_i = np.bincount(self.midx, weights=terms, minlength=self.n)
+            t.long = np.bincount(self.midx, weights=terms, minlength=self.n)
+        else:
+            t.long = base.long
 
-        w_gamma = self.W @ gamma if self.pw else np.zeros(self.n)
-        eta, slope, integral = self._features(
-            self.Xn, self.Zn, self.dXn, self.dZn, self.iXn, self.iZn, self.nidx, beta, b)
-        lh_n = self.Hn @ gamma_h0 + w_gamma[self.nidx]
-        lh_n = lh_n + self.assoc.value(alpha, eta=eta, slope=slope, integral=integral, b=b[self.nidx])
-        etaT, slopeT, integralT = self._features(
-            self.XT, self.ZT, self.dXT, self.dZT, self.iXT, self.iZT, np.arange(self.n), beta, b)
-        lh_T = self.HT @ gamma_h0 + w_gamma
-        lh_T = lh_T + self.assoc.value(alpha, eta=etaT, slope=slopeT, integral=integralT, b=b)
-        bad_n = np.bincount(self.nidx, weights=(lh_n > md.LOG_HAZARD_BOUND).astype(float),
-                            minlength=self.n) > 0
-        bad = bad_n | (lh_T > md.LOG_HAZARD_BOUND)
-        lh_n = np.clip(lh_n, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
-        lh_T = np.clip(lh_T, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
-        cum_i = np.bincount(self.nidx, weights=self.node_w * np.exp(lh_n), minlength=self.n)
-        surv_i = self.delta * lh_T - cum_i
-        out = long_i + surv_i
-        if strict and np.any(bad):
-            out = out.copy()
-            out[bad] = -np.inf
-        return out
+        if changed("gamma", "gamma_h0"):
+            w_gamma = self.W @ gamma if self.pw else np.zeros(self.n)
+            t.hazard = {"n": self.Hn @ gamma_h0 + w_gamma[self.nidx],
+                        "T": self.HT @ gamma_h0 + w_gamma}
+        else:
+            t.hazard = base.hazard
+        if changed(*self.assoc_inputs):
+            t.assoc = {}
+            for site in ("n", "T"):
+                feats = {f: t.xb[site, f] + t.zb[site, f] for f in self.features}
+                b_site = None if self.need_eta else b[self.rows[site]]
+                t.assoc[site] = self.assoc.value(alpha, **feats, b=b_site)
+        else:
+            t.assoc = base.assoc
 
-    def re_log_prior(self, b, D):
-        chol = np.linalg.cholesky(D)
-        u = solve_triangular(chol, b.T, lower=True)
+        if changed("beta", "gamma", "alpha", "gamma_h0", "b"):
+            lh_n = t.hazard["n"] + t.assoc["n"]
+            lh_T = t.hazard["T"] + t.assoc["T"]
+            t.bad = lh_T > md.LOG_HAZARD_BOUND
+            t.bad[self.nidx[lh_n > md.LOG_HAZARD_BOUND]] = True
+            lh_n = np.clip(lh_n, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+            lh_T = np.clip(lh_T, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+            cum_i = np.bincount(self.nidx, weights=self.node_w * np.exp(lh_n), minlength=self.n)
+            t.surv = self.delta * lh_T - cum_i
+        else:
+            t.surv, t.bad = base.surv, base.bad
+
+        t.value = t.long + t.surv
+        if strict:
+            t.value[t.bad] = -np.inf
+        return t
+
+    def merge_rows(self, cur: _LoglikTerms, cand: _LoglikTerms, rows) -> _LoglikTerms:
+        """Terms of the state with ``cand``'s random effects for the subjects
+        where ``rows`` is true and ``cur``'s elsewhere; ``cand`` must differ
+        from ``cur`` in ``b`` alone (``per_subject_loglik(..., base=cur)``)."""
+        assert all(getattr(cand, k) is getattr(cur, k) for k in _LOGLIK_INPUTS if k != "b")
+        t = copy.copy(cur)
+        t.b = np.where(rows[:, None], cand.b, cur.b)
+        at = {site: rows[idx] for site, idx in self.rows.items()}
+        t.zb = {key: np.where(at[key[0]], cand.zb[key], z) for key, z in cur.zb.items()}
+        t.assoc = {site: np.where(at[site], cand.assoc[site], a) for site, a in cur.assoc.items()}
+        for name in ("long", "surv", "bad", "value"):
+            setattr(t, name, np.where(rows, getattr(cand, name), getattr(cur, name)))
+        return t
+
+    def re_log_prior(self, b, chol_D):
+        """log N(b_i; 0, D) per subject, from the Cholesky factor of D."""
+        u = solve_triangular(chol_D, b.T, lower=True, check_finite=False)
         quad = np.sum(u * u, axis=0)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol_D))))
         return -0.5 * (self.q * math.log(2.0 * math.pi) + logdet + quad)
 
 
@@ -758,8 +816,9 @@ class _AdaptiveVector:
 def _initial_state(fd: _FitData, priors: PriorSet, rng, freeze):
     state = {}
     if fd.family.name == "gaussian" and fd.midx.size:
-        coef, *_ = np.linalg.lstsq(fd.Xm, fd.y, rcond=None)
-        resid = fd.y - fd.Xm @ coef
+        X_m = fd.X["m", "eta"]
+        coef, *_ = np.linalg.lstsq(X_m, fd.y, rcond=None)
+        resid = fd.y - X_m @ coef
         state["beta"] = coef
         state["phi"] = float(max(np.var(resid), 0.05))
     else:
@@ -802,31 +861,32 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             blocks[name] = _AdaptiveBlock(dim, config.adapt_window)
     b_prop = _AdaptiveVector(fd.n, fd.q) if "ranef" not in frozen else None
 
-    def data_loglik(**over):
+    # ``cur`` holds the likelihood terms of the current state, so a move
+    # recomputes only the terms that depend on the blocks it proposes.  State
+    # arrays are replaced, never changed in place: the terms recognize their
+    # inputs by identity.
+    cur = None
+
+    def loglik(**over):
         return fd.per_subject_loglik(
-            over.get("beta", state["beta"]), over.get("gamma", state["gamma"]),
-            over.get("alpha", state["alpha"]), over.get("gamma_h0", state["gamma_h0"]),
-            over.get("phi", state["phi"]), over.get("b", state["b"]), strict=True)
+            **{name: over.get(name, state[name]) for name in _LOGLIK_INPUTS}, base=cur)
 
-    def theta_prior(**over):
-        out = 0.0
-        for name in ("beta", "gamma", "alpha"):
-            val = over.get(name, state[name])
-            if val.size:
-                out += _theta_block_prior(name, val, priors)
-        out += _theta_block_prior("gamma_h0", over.get("gamma_h0", state["gamma_h0"]),
-                                  priors, K=fd.K, rho=fd.rho, tau_h=state["tau_h"])
-        return out
+    prior_names = [n for n in ("beta", "gamma", "alpha") if state[n].size] + ["gamma_h0"]
 
-    per_subj = data_loglik()
+    def block_prior(name, value):
+        return _theta_block_prior(name, value, priors, K=fd.K, rho=fd.rho,
+                                  tau_h=state["tau_h"])
+
+    cur = loglik()
+    per_subj = cur.value
     if not np.all(np.isfinite(per_subj)):
         raise NumericError(
             "log-hazard guard tripped at the initial state; the model diverges "
             "on this dataset")
-    re_i = fd.re_log_prior(state["b"], state["D"])
+    chol_D = np.linalg.cholesky(state["D"])
+    re_i = fd.re_log_prior(state["b"], chol_D)
     kept = {name: [] for name in
             ("beta", "gamma", "alpha", "gamma_h0", "phi", "tau_h", "tau_hdelta", "D", "b", "iteration")}
-    chol_D = np.linalg.cholesky(state["D"])
 
     # joint move over every regression block: single-block updates cannot
     # follow the ridge between the association and the baseline intercept
@@ -864,50 +924,55 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     def gh_prior(g, tau):
         return 0.5 * fd.rho * math.log(tau) - 0.5 * tau * float(g @ fd.K @ g)
 
+    def metropolis(over):
+        """Random-walk Metropolis step on the regression blocks in ``over``.
+
+        ``cur_prior`` holds the log prior of each block at the current state.
+        It is rebuilt every iteration, because the rescale move, the location
+        sweeps and the tau_h update change its inputs without a Metropolis step.
+        """
+        nonlocal cur, per_subj, cur_data, cur_prior
+        cand = loglik(**over)
+        cand_data = float(cand.value.sum())
+        cand_prior = {**cur_prior, **{n: block_prior(n, v) for n, v in over.items()}}
+        delta = (cand_data + sum(cand_prior.values())) - (cur_data + sum(cur_prior.values()))
+        acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
+        if rng.random() < acc_prob:
+            state.update(over)
+            cur, per_subj, cur_data, cur_prior = cand, cand.value, cand_data, cand_prior
+        return acc_prob
+
     for it in range(config.iterations):
         # --- random effects, one vectorized sweep over subjects
         if b_prop is not None:
+            if cur.b is not state["b"]:
+                cur = loglik()  # an accepted location sweep moved beta and b
             z = rng.standard_normal((fd.n, fd.q))
             step = b_prop.scales[:, None] * (z @ chol_D.T)
-            cand = state["b"] + step
-            cand_subj = data_loglik(b=cand)
-            cand_re = fd.re_log_prior(cand, state["D"])
-            ratio = (cand_subj + cand_re) - (per_subj + re_i)
+            cand_b = state["b"] + step
+            cand = loglik(b=cand_b)
+            cand_re = fd.re_log_prior(cand_b, chol_D)
+            ratio = (cand.value + cand_re) - (per_subj + re_i)
             accept = np.log(rng.random(fd.n)) < ratio
-            state["b"][accept] = cand[accept]
-            per_subj = np.where(accept, cand_subj, per_subj)
+            cur = fd.merge_rows(cur, cand, accept)
+            state["b"] = cur.b
+            per_subj = np.where(accept, cand.value, per_subj)
             re_i = np.where(accept, cand_re, re_i)
             b_prop.record(np.exp(np.minimum(ratio, 0.0)))
 
         # --- regression blocks (adaptive random-walk Metropolis); the spline
         # block gets extra sweeps, its ridge-shaped posterior mixes slowest
         cur_data = float(per_subj.sum())
+        cur_prior = {n: block_prior(n, state[n]) for n in prior_names}
         for name, block in blocks.items():
             for _ in range(3 if name == "gamma_h0" else 1):
-                cand_val = state[name] + block.draw(rng)
-                cand_subj = data_loglik(**{name: cand_val})
-                delta = (float(cand_subj.sum()) + theta_prior(**{name: cand_val})) \
-                    - (cur_data + theta_prior())
-                acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
-                if rng.random() < acc_prob:
-                    state[name] = cand_val
-                    per_subj = cand_subj
-                    cur_data = float(cand_subj.sum())
+                acc_prob = metropolis({name: state[name] + block.draw(rng)})
                 block.record(acc_prob, state[name])
 
         # --- one joint proposal across all regression blocks
         if joint is not None:
             current = np.concatenate([state[n] for n in block_names])
-            cand_parts = split_joint(current + joint.draw(rng))
-            cand_subj = data_loglik(**cand_parts)
-            delta = (float(cand_subj.sum()) + theta_prior(**cand_parts)) \
-                - (cur_data + theta_prior())
-            acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
-            if rng.random() < acc_prob:
-                for n in block_names:
-                    state[n] = cand_parts[n]
-                per_subj = cand_subj
-                cur_data = float(cand_subj.sum())
+            acc_prob = metropolis(split_joint(current + joint.draw(rng)))
             joint.record(acc_prob, np.concatenate([state[n] for n in block_names]))
 
         # --- joint rescale of the smoothing parameter and the spline wiggle
@@ -918,8 +983,9 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             g_pen = v_range @ (v_range.T @ g)
             g_cand = (g - g_pen) + g_pen / math.sqrt(c)
             tau_cand = c * state["tau_h"]
-            cand_subj = data_loglik(gamma_h0=g_cand)
-            delta = (float(cand_subj.sum()) - cur_data
+            cand = loglik(gamma_h0=g_cand)
+            cand_data = float(cand.value.sum())
+            delta = (cand_data - cur_data
                      + gh_prior(g_cand, tau_cand) - gh_prior(g, state["tau_h"])
                      - state["tau_hdelta"] * (tau_cand - state["tau_h"])
                      + (1.0 - 0.5 * v_range.shape[1]) * log_c)
@@ -927,16 +993,17 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             if rng.random() < acc_prob:
                 state["gamma_h0"] = g_cand
                 state["tau_h"] = tau_cand
-                per_subj = cand_subj
-                cur_data = float(cand_subj.sum())
+                cur, per_subj, cur_data = cand, cand.value, cand_data
             rescale_prop.record(np.array([acc_prob]))
 
-        # --- location sweeps beta[k] <-> b[:, k]
+        # --- location sweeps beta[k] <-> b[:, k]; an accepted sweep keeps the
+        # old per_subj values and leaves ``cur`` at the old beta and b, which
+        # the next evaluation recomputes from the shifted state
         for k, prop in enumerate(sweep_props):
             delta_k = float(prop.scales[0] * rng.standard_normal())
             b_cand = state["b"].copy()
             b_cand[:, k] -= delta_k
-            cand_re = fd.re_log_prior(b_cand, state["D"])
+            cand_re = fd.re_log_prior(b_cand, chol_D)
             beta_k = state["beta"][k]
             dprior = -((beta_k + delta_k) ** 2 - beta_k**2) / (2.0 * priors.beta_variance)
             ratio = float(cand_re.sum() - re_i.sum()) + dprior
@@ -950,18 +1017,20 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
 
         # --- conjugate updates
         if gaussian and "phi" not in frozen and fd.midx.size:
-            eta_m = fd.Xm @ state["beta"] + np.sum(fd.Zm * state["b"][fd.midx], axis=1)
+            eta_m = fd.X["m", "eta"] @ state["beta"] + np.sum(
+                fd.Z["m", "eta"] * state["b"][fd.midx], axis=1)
             ssr = float(np.sum((fd.y - eta_m) ** 2))
             shape = priors.phi_shape + 0.5 * fd.midx.size
             rate = priors.phi_rate + 0.5 * ssr
             state["phi"] = float(rate / rng.gamma(shape))
-            per_subj = data_loglik()
+            cur = loglik()
+            per_subj = cur.value
         if "D" not in frozen:
             scale = np.eye(fd.q) + state["b"].T @ state["b"]
             df = fd.q + priors.d_df_extra + fd.n
             state["D"] = invwishart.rvs(df=df, scale=scale, random_state=rng).reshape(fd.q, fd.q)
             chol_D = np.linalg.cholesky(state["D"])
-            re_i = fd.re_log_prior(state["b"], state["D"])
+            re_i = fd.re_log_prior(state["b"], chol_D)
         if "tau_h" not in frozen:
             g = state["gamma_h0"]
             rate = state["tau_hdelta"] + 0.5 * float(g @ fd.K @ g)
@@ -1059,13 +1128,13 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
     for g in range(samples.n_draws):
         ll = fd.per_subject_loglik(samples.beta[g], samples.gamma[g], samples.alpha[g],
                                    samples.gamma_h0[g], float(samples.phi[g]),
-                                   samples.ranef[g], strict=False)
+                                   samples.ranef[g], strict=False).value
         devs[g] = -2.0 * float(ll.sum())
     dbar = float(devs.mean())
     ll_hat = fd.per_subject_loglik(samples.beta.mean(0), samples.gamma.mean(0),
                                    samples.alpha.mean(0), samples.gamma_h0.mean(0),
                                    float(samples.phi.mean()), samples.ranef.mean(0),
-                                   strict=False)
+                                   strict=False).value
     d_hat = -2.0 * float(ll_hat.sum())
     p_d = dbar - d_hat
     return dbar + p_d

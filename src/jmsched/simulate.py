@@ -15,7 +15,8 @@ from . import model as md
 from .dynpred import simulate_event_time, simulate_future_measurement
 from .errors import ConfigError, DataError
 
-COVARIATE_KINDS = ("bernoulli", "normal", "uniform", "constant")
+# covariate kind -> number of parameters it takes
+COVARIATE_KINDS = {"bernoulli": 1, "normal": 2, "uniform": 2, "constant": 1}
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,16 @@ class SimulationDesign:
                 raise ConfigError(
                     f"covariate {name!r} has unknown kind {kind[0]!r}; "
                     f"valid: {', '.join(COVARIATE_KINDS)}")
+            if len(kind) - 1 != COVARIATE_KINDS[kind[0]]:
+                raise ConfigError(
+                    f"covariate {name!r} of kind {kind[0]!r} takes "
+                    f"{COVARIATE_KINDS[kind[0]]} parameter(s), got {len(kind) - 1}")
+        theta, lspec = self.parameters, self.spec.longitudinal
+        for block, got, want in (("beta", theta.beta.size, lspec.n_fixed),
+                                 ("gamma", theta.gamma.size, len(self.spec.hazard_covariates)),
+                                 ("D", theta.n_random, lspec.n_random)):
+            if got != want:
+                raise ConfigError(f"the model needs {want} {block} value(s), got {got}")
         object.__setattr__(self, "visit_times", tuple(float(v) for v in self.visit_times))
 
 

@@ -317,7 +317,53 @@ def test_parse_accepts_empty_longitudinal(tmp_path):
     assert dataset.subjects[0].covariates == {"w": 1.0}
 
 
+def test_parse_rejects_covariate_varying_within_subject(tmp_path):
+    sp = tmp_path / "s.csv"
+    lp = tmp_path / "l.csv"
+    sp.write_text("subject_id,event_time,event_indicator\na,9.0,1\n")
+    lp.write_text("subject_id,time,value,x\na,0.0,3.0,0\na,1.0,3.1,0\na,4.0,3.2,9\n")
+    with pytest.raises(DataError) as err:
+        parse_dataset(lp, sp)
+    msg = str(err.value)
+    assert "l.csv" in msg and "line 4" in msg and "column x" in msg
+
+
+def test_parse_rejects_longitudinal_covariate_contradicting_survival_table(tmp_path):
+    sp = tmp_path / "s.csv"
+    lp = tmp_path / "l.csv"
+    sp.write_text("subject_id,event_time,event_indicator,w\na,9.0,1,1.0\n")
+    lp.write_text("subject_id,time,value,w\na,0.0,3.0,1.0\na,1.0,3.1,0.0\n")
+    with pytest.raises(DataError) as err:
+        parse_dataset(lp, sp)
+    assert "l.csv" in str(err.value) and "line 3" in str(err.value)
+
+
 # --- config and exit-code contracts ------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("sim.covariates", "w"),
+    ("sim.covariates", "w:bernoulli"),
+    ("sim.covariates", "w:normal:0,x"),
+    ("truth.D", "0.3,0.02"),
+    ("truth.beta", "3.5"),
+    ("truth.gamma", "0.4,0.1"),
+])
+def test_malformed_simulate_config_is_an_error(tmp_path, capsys, key, value):
+    text = f"""
+seed=1
+out.prefix={tmp_path}/x
+{MODEL_BLOCK}
+{TRUTH_BLOCK}
+sim.n_subjects=2
+sim.visits=0,1
+sim.covariates=w:bernoulli:0.5
+"""
+    assert main(["simulate", write_config(tmp_path / "ok.cfg", text)]) == 0
+    lines = [line for line in text.splitlines() if not line.startswith(key + "=")]
+    cfg = write_config(tmp_path / "c.cfg", "\n".join(lines + [f"{key}={value}"]))
+    assert main(["simulate", cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+
 
 def test_missing_seed_is_an_error(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", f"""

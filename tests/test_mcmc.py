@@ -12,6 +12,7 @@ from jmsched.mcmc import (
     PriorSet,
     ReCondition,
     _AdaptiveBlock,
+    _FitData,
     dic,
     effective_sample_size,
     fit,
@@ -25,7 +26,9 @@ from jmsched.mcmc import (
     write_ranef_csv,
 )
 from jmsched.model import (
+    BERNOULLI,
     GAUSSIAN,
+    ASSOCIATION_VARIANTS,
     AssociationForm,
     Dataset,
     JointModelSpec,
@@ -36,6 +39,8 @@ from jmsched.model import (
     SubjectHistory,
 )
 from jmsched.numerics import BSplineBasis
+
+from jmsched.simulate import SimulationDesign, generate_dataset
 
 from conftest import gaussian_joint_model, true_parameters
 
@@ -337,6 +342,137 @@ def test_fit_alpha_frozen_matches_mixed_model(tiny_data):
         ess = samples.diagnostics[f"beta[{k}]"][1]
         tol = max(4.0 * sd / math.sqrt(max(ess, 4.0)), 0.02)
         assert samples.beta[:, k].mean() == pytest.approx(beta_gls[k], abs=tol)
+
+
+# --- incremental likelihood terms ------------------------------------------------
+
+FAMILIES = {"gaussian": GAUSSIAN, "bernoulli": BERNOULLI}
+
+
+@pytest.fixture(scope="module")
+def family_cohorts():
+    """A 30-subject cohort per family, with a hazard covariate and q = 2."""
+    out = {}
+    for name, family in FAMILIES.items():
+        lspec = LongitudinalSpec(family=family, time_effect=LinearTime())
+        basis = BSplineBasis(degree=3, interior_knots=(3.0, 6.0), boundary_knots=(0.0, 10.0))
+        spec = JointModelSpec(longitudinal=lspec, baseline_basis=basis,
+                              hazard_covariates=("w",))
+        theta = true_parameters(spec, lam=0.1)
+        if name == "bernoulli":
+            theta = Parameters(beta=np.array([-0.5, 0.2]), phi=1.0, D=theta.D,
+                               gamma=theta.gamma, alpha=theta.alpha, baseline=theta.baseline)
+        design = SimulationDesign(
+            n_subjects=30, parameters=theta, spec=spec, assoc=AssociationForm("current_value"),
+            visit_times=(0.0, 1.0, 2.0, 4.0, 6.0), seed=31, censor_admin=9.0,
+            covariates={"w": ("bernoulli", 0.5)})
+        out[name] = spec, generate_dataset(design)
+    return out
+
+
+def _association(variant, spec):
+    q = spec.longitudinal.n_random
+    return AssociationForm(variant, q if variant == "shared_random_effects" else None)
+
+
+def _assert_terms_equal(terms, fd, params):
+    """Every piece of ``terms`` equals a from-scratch evaluation at ``params``."""
+    full = fd.per_subject_loglik(**params)
+    for name in ("value", "long", "surv", "bad", "b"):
+        assert np.array_equal(getattr(terms, name), getattr(full, name)), name
+    for name in ("xb", "zb", "hazard", "assoc"):
+        mine, ref = getattr(terms, name), getattr(full, name)
+        assert mine.keys() == ref.keys(), name
+        for key in ref:
+            assert np.array_equal(mine[key], ref[key]), (name, key)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_incremental_loglik_matches_full_evaluation(family_cohorts, family, variant):
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    fd = _FitData(dataset, spec, assoc)
+    rng = np.random.default_rng(5)
+    params = {
+        "beta": np.array([3.6, 0.25]) if family == "gaussian" else np.array([-0.5, 0.2]),
+        "gamma": np.array([0.5]), "alpha": np.full(assoc.n_params, 0.2),
+        "gamma_h0": np.r_[math.log(0.1), np.zeros(fd.Q - 1)], "phi": 0.25,
+        "b": rng.normal(size=(fd.n, fd.q)) * [0.5, 0.1],
+    }
+    cur = fd.per_subject_loglik(**params)
+    _assert_terms_equal(cur, fd, params)
+
+    def propose(**over):
+        cand_params = {**params, **over}
+        cand = fd.per_subject_loglik(**cand_params, base=cur)
+        _assert_terms_equal(cand, fd, cand_params)
+        return cand, cand_params
+
+    def jitter(name, scale=0.05):
+        return params[name] + scale * rng.standard_normal(params[name].shape)
+
+    # accepted single-block moves
+    for name in ("beta", "gamma", "alpha", "gamma_h0"):
+        cur, params = propose(**{name: jitter(name)})
+    # a rejected move leaves the current terms intact for the next one
+    propose(alpha=jitter("alpha"))
+    cur, params = propose(gamma_h0=jitter("gamma_h0"))
+    # the joint move, then the rescale (gamma_h0 alone)
+    cur, params = propose(**{n: jitter(n) for n in ("beta", "gamma", "alpha", "gamma_h0")})
+    cur, params = propose(gamma_h0=params["gamma_h0"] * np.r_[1.0, np.full(fd.Q - 1, 0.8)])
+
+    # a b-sweep accepting every other subject: terms merged by row
+    cand, cand_params = propose(b=jitter("b", 0.2))
+    rows = np.arange(fd.n) % 2 == 0
+    cur = fd.merge_rows(cur, cand, rows)
+    params = {**params, "b": np.where(rows[:, None], cand_params["b"], params["b"])}
+    _assert_terms_equal(cur, fd, params)
+
+    # the phi refresh
+    cur, params = propose(phi=0.3)
+
+    # candidates that trip the log-hazard guard: a few subjects, then all
+    b_wild = params["b"].copy()
+    b_wild[:3] += 1e4
+    cand, _ = propose(b=b_wild)
+    assert np.all(np.isneginf(cand.value[:3])) and np.all(np.isfinite(cand.value[3:]))
+    cur = fd.merge_rows(cur, cand, ~cand.bad)
+    params = {**params, "b": np.where(cand.bad[:, None], params["b"], b_wild)}
+    _assert_terms_equal(cur, fd, params)
+    cand, _ = propose(gamma_h0=params["gamma_h0"] + np.r_[800.0, np.zeros(fd.Q - 1)])
+    assert np.all(np.isneginf(cand.value))
+
+    # an accepted location sweep beta[k] <-> b[:, k] moves beta and b without
+    # an evaluation; the next one must see the shifted state
+    for k in range(fd.q):
+        beta = params["beta"].copy()
+        beta[k] += 0.3
+        b = params["b"].copy()
+        b[:, k] -= 0.3
+        params = {**params, "beta": beta, "b": b}
+    cand, _ = propose(gamma=jitter("gamma"))
+    cur, params = propose()
+    cand, cand_params = propose(b=jitter("b", 0.2))
+    _assert_terms_equal(fd.merge_rows(cur, cand, ~rows), fd,
+                        {**params, "b": np.where(rows[:, None], params["b"], cand_params["b"])})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_fit_draws_match_full_evaluation(family_cohorts, monkeypatch, family, variant):
+    """The chain's incremental terms give the draws of full re-evaluation."""
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    config = McmcConfig(seed=4, chains=1, iterations=60, burn_in=20)
+    incremental = fit(dataset, spec, assoc, PriorSet(), config)
+    full = _FitData.per_subject_loglik
+    monkeypatch.setattr(_FitData, "per_subject_loglik",
+                        lambda self, *args, base=None, **kw: full(self, *args, **kw))
+    reference = fit(dataset, spec, assoc, PriorSet(), config)
+    assert (scalar_matrix(incremental, spec.longitudinal.family).tobytes()
+            == scalar_matrix(reference, spec.longitudinal.family).tobytes())
+    assert incremental.ranef.tobytes() == reference.ranef.tobytes()
 
 
 # --- DIC ---------------------------------------------------------------------------
