@@ -6,6 +6,7 @@ import pytest
 from jmsched.errors import DataError, DomainError, SpecError
 from jmsched.mcmc import PriorSet
 from jmsched.model import (
+    ASSOCIATION_VARIANTS,
     BERNOULLI,
     GAUSSIAN,
     AssociationForm,
@@ -14,6 +15,7 @@ from jmsched.model import (
     LinearTime,
     LongitudinalSpec,
     Parameters,
+    PolynomialTime,
     SplineTime,
     Subject,
     linear_predictor,
@@ -412,3 +414,95 @@ def test_default_baseline_basis_quantile_knots():
     # knots sit at equally spaced quantiles of the observed times
     expected = np.quantile(times, np.arange(1, 11) / 11)
     assert np.allclose(knots, expected, atol=1e-8)
+
+
+# --- one subject's hazard and density through every evaluation path ---------------
+
+CROSS_TIME_EFFECTS = {
+    "linear": LinearTime(),
+    "poly2": PolynomialTime(2),
+    "ncs": SplineTime(NaturalCubicBasis((0.0, 10.0), (3.0, 6.5))),
+}
+CROSS_SUBJECT_Y = {"gaussian": [3.4, 3.9, 4.4, 4.1], "bernoulli": [1.0, 0.0, 1.0, 1.0]}
+
+
+def cross_path_case(variant, family, time_key):
+    lspec = LongitudinalSpec(family=family, time_effect=CROSS_TIME_EFFECTS[time_key],
+                             covariates=("age",))
+    basis = BSplineBasis(degree=3, interior_knots=(2.0, 5.0), boundary_knots=(0.0, 10.0))
+    spec = JointModelSpec(longitudinal=lspec, baseline_basis=basis,
+                          hazard_covariates=("female",))
+    q = lspec.n_random
+    assoc = AssociationForm(variant, q if variant == "shared_random_effects" else None)
+    rng = np.random.default_rng(31)
+    gh = np.concatenate([[-2.0], 0.2 * rng.standard_normal(spec.n_baseline - 1)])
+    theta = Parameters(
+        beta=np.concatenate([[0.8, 0.15], 0.05 * rng.standard_normal(lspec.n_fixed - 3),
+                             [0.01]]),
+        phi=0.3 if family.has_dispersion else 1.0,
+        D=np.eye(q), gamma=np.array([0.4]),
+        alpha=0.1 + 0.2 * rng.random(assoc.n_params),
+        baseline=spec.make_baseline(gh, 1.0))
+    b = 0.2 * rng.standard_normal(q)
+    subject = Subject(id="x", times=[0.0, 1.0, 2.5, 4.2], y=CROSS_SUBJECT_Y[family.name],
+                      event_time=6.0, event=1, covariates={"age": 40.0, "female": 1.0})
+    return spec, assoc, theta, b, subject
+
+
+@pytest.mark.parametrize("time_key", sorted(CROSS_TIME_EFFECTS))
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_key):
+    from jmsched.mcmc import ReCondition, ThetaBatch, _ConditionData, _FitData
+    from jmsched.model import cumulative_hazard
+
+    spec, assoc, theta, b, subject = cross_path_case(variant, family, time_key)
+    close = dict(rtol=1e-10, atol=0.0)
+    T = subject.event_time
+    ts = np.array([0.7, 2.2, 4.5, T])
+    b1 = b[None, :]
+    th1 = ThetaBatch.from_parameters(theta, 1)
+    cond = ReCondition(survival_until=T, times=subject.times, y=subject.y)
+    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+
+    # log hazard: scalar API, per-time batch, rowwise batch
+    lh = np.array([log_hazard(theta, spec, assoc, subject, b, t) for t in ts])
+    np.testing.assert_allclose([cdata.log_hazard_at(t, b1, th1)[0] for t in ts], lh, **close)
+    th_rows = ThetaBatch.from_parameters(theta, ts.size)
+    b_rows = np.repeat(b1, ts.size, axis=0)
+    np.testing.assert_allclose(cdata.log_hazard_rowwise(ts, b_rows, th_rows), lh, **close)
+
+    # cumulative hazard: scalar API, node batch, rowwise intervals inside one knot span
+    cum = cumulative_hazard(theta, spec, assoc, subject, b, T)
+    np.testing.assert_allclose(cdata.cum_hazard(b1, th1, T)[0], cum, **close)
+    lower, upper = np.array([0.3, 2.1, 5.2]), np.array([1.8, 2.9, 6.0])
+    assert all(not lo < c < hi for lo, hi in zip(lower, upper)
+               for c in spec.hazard_breakpoints)
+    pieces = [cumulative_hazard(theta, spec, assoc, subject, b, hi, lower=lo)
+              for lo, hi in zip(lower, upper)]
+    th3 = ThetaBatch.from_parameters(theta, 3)
+    np.testing.assert_allclose(
+        cdata.cum_hazard_rowwise(np.repeat(b1, 3, axis=0), th3, lower, upper), pieces, **close)
+
+    # survival and longitudinal terms of the fit likelihood
+    fd = _FitData(Dataset((subject,)), spec, assoc)
+    terms = fd.per_subject_loglik(theta.beta, theta.gamma, theta.alpha, theta.gamma_h0,
+                                  theta.phi, b1)
+    np.testing.assert_allclose(terms.surv[0], surv_log_density(theta, spec, assoc, subject, b),
+                               **close)
+    long_scalar = math.fsum(
+        long_log_density(family, y, linear_predictor(spec.longitudinal, subject, b,
+                                                     theta.beta, t), theta.phi)
+        for t, y in zip(subject.times, subject.y))
+    np.testing.assert_allclose(terms.long[0], long_scalar, **close)
+
+    # the conditional target minus its prior and survival parts
+    long_target = (cdata.log_target(b1, th1)[0] - th1.re_log_prior(b1)[0]
+                   + cdata.cum_hazard(b1, th1, T)[0])
+    np.testing.assert_allclose(long_target, long_scalar, **close)
+
+    # a hypothetical measurement at u adds its own log density
+    u, y_u = 5.3, subject.y[1]
+    eta_u = linear_predictor(spec.longitudinal, subject, b, theta.beta, u)
+    extra = cdata.log_target(b1, th1, extra=(u, y_u))[0] - cdata.log_target(b1, th1)[0]
+    np.testing.assert_allclose(extra, long_log_density(family, y_u, eta_u, theta.phi), **close)
