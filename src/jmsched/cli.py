@@ -156,7 +156,11 @@ def _baseline_basis(cfg, observed_times=None) -> BSplineBasis:
                             boundary_knots=tuple(boundary))
     n_coefs = _get_int(cfg, "model.baseline_coefficients", 15)
     if "model.baseline_boundary" in cfg:
-        lo, hi = _get_floats(cfg, "model.baseline_boundary")
+        boundary = _get_floats(cfg, "model.baseline_boundary")
+        if len(boundary) != 2:
+            raise ConfigError(f"model.baseline_boundary needs 2 values (lo,hi), "
+                              f"got {len(boundary)}")
+        lo, hi = boundary
         n_interior = n_coefs - 1 - degree - 1
         if n_interior < 0:
             raise ConfigError("model.baseline_coefficients too small for the degree")
@@ -333,20 +337,13 @@ def _truth_parameters(cfg, spec: md.JointModelSpec) -> md.Parameters:
     if len(d_lower) != q * (q + 1) // 2:
         raise ConfigError(f"truth.D needs {q * (q + 1) // 2} values (the lower triangle "
                           f"of the {q}x{q} random-effect covariance), got {len(d_lower)}")
-    D = np.zeros((q, q))
-    k = 0
-    for i in range(q):
-        for j in range(i + 1):
-            D[i, j] = D[j, i] = d_lower[k]
-            k += 1
-    return md.Parameters(
-        beta=np.array(_get_floats(cfg, "truth.beta")),
-        phi=_get_float(cfg, "truth.sigma2", 1.0),
-        D=D,
-        gamma=np.array(_get_floats(cfg, "truth.gamma", default=())),
-        alpha=np.array(_get_floats(cfg, "truth.alpha")),
-        baseline=spec.make_baseline(gamma_h0, _get_float(cfg, "truth.tau_h", 1.0)),
-    )
+    blocks = [_get_floats(cfg, "truth.beta"), _get_floats(cfg, "truth.gamma", default=()),
+              _get_floats(cfg, "truth.alpha"), tuple(gamma_h0)]
+    sigma2, tau_h = _get_float(cfg, "truth.sigma2", 1.0), _get_float(cfg, "truth.tau_h", 1.0)
+    # the config's blocks, laid out in the order of the flat parameter vector
+    values = [v for block in blocks for v in block] + [sigma2, *d_lower, tau_h]
+    names = md.flat_names([len(block) for block in blocks], q)
+    return md.parameters_from_flat(dict(zip(names, values)), spec)
 
 
 def _sim_covariates(cfg) -> dict:
@@ -466,10 +463,11 @@ def _history_for(cfg, dataset, subject_key, landmark_key):
     sid = _req(cfg, subject_key)
     t = _get_float(cfg, landmark_key)
     subject = dataset.get(sid)
-    if subject.event and subject.event_time <= t:
+    if not subject.event_time > t:
+        what = "had an event" if subject.event else "was censored"
         raise DataError(
-            f"subject {sid!r} had an event at {subject.event_time}, before the "
-            f"landmark {t}; conditional prediction is undefined")
+            f"subject {sid!r} {what} at {subject.event_time}, not after the landmark "
+            f"{t}; it is not known to be event-free at {t}")
     return md.SubjectHistory.from_subject(subject, t)
 
 

@@ -315,7 +315,7 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
 
     # current random effects and a hypothetical measurement at u
     b_a = _re_mh_draws(cdata_t, th_a, proposal, rng, config.re_warmup)
-    eta_u = cdata_t.eta_at(u, b_a, th_a)
+    eta_u = md.trajectory_features(cdata_t.point(u, ("eta",)), th_a.beta, b_a)["eta"][0]
     if family.name == "gaussian":
         y_u = eta_u + np.sqrt(th_a.phi) * rng.standard_normal(n_outer)
     else:
@@ -352,11 +352,14 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
 
 def ekl(history, u, samples, spec, assoc, config: ScheduleConfig,
         proposal=None, rng=None) -> EklResult:
-    """Expected information gain from measuring at u, with a 95% interval.
+    """Expected information gain from measuring at u.
 
-    Only the numerator term of the information-gain ratio is computed, so
-    values are comparable across candidate times for one subject and landmark
-    but may be negative.
+    ``lower`` and ``upper`` are the 2.5th and 97.5th percentiles of the
+    per-replication values: their spread, not an interval for the estimate
+    (a mean).  Replications whose simulated event comes before u count as 0,
+    so ``upper`` is often exactly 0.0.  Only the numerator term of the
+    information-gain ratio is computed, so values are comparable across
+    candidate times for one subject and landmark but may be negative.
     """
     values = _ekl_draws(history, u, samples, spec, assoc, config,
                         proposal=proposal, rng=rng)

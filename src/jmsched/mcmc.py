@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import invwishart
@@ -167,31 +167,6 @@ class PosteriorSamples:
         )
 
 
-def scalar_names(samples: PosteriorSamples, family: md.ExponentialFamily) -> list:
-    names = [f"beta[{i}]" for i in range(samples.beta.shape[1])]
-    names += [f"gamma[{i}]" for i in range(samples.gamma.shape[1])]
-    names += [f"alpha[{i}]" for i in range(samples.alpha.shape[1])]
-    names += [f"gamma_h0[{i}]" for i in range(samples.gamma_h0.shape[1])]
-    if family.has_dispersion:
-        names += ["sigma2"]
-    q = samples.n_random
-    names += [f"D[{i},{j}]" for i in range(q) for j in range(i + 1)]
-    names += ["tau_h"]
-    return names
-
-
-def scalar_matrix(samples: PosteriorSamples, family: md.ExponentialFamily) -> np.ndarray:
-    cols = [samples.beta, samples.gamma, samples.alpha, samples.gamma_h0]
-    if family.has_dispersion:
-        cols.append(samples.phi[:, None])
-    q = samples.n_random
-    tril = np.column_stack(
-        [samples.D[:, i, j] for i in range(q) for j in range(i + 1)]
-    )
-    cols += [tril, samples.tau_h[:, None]]
-    return np.column_stack(cols)
-
-
 # ---------------------------------------------------------------------------
 # Theta batches (posterior draws stacked for vectorized prediction)
 # ---------------------------------------------------------------------------
@@ -240,61 +215,8 @@ class ThetaBatch:
 
 
 # ---------------------------------------------------------------------------
-# Design bundles
+# Conditional random-effect target
 # ---------------------------------------------------------------------------
-
-class _DesignBundle:
-    """Design matrices at a set of time points for one covariate profile."""
-
-    def __init__(self, spec: md.JointModelSpec, assoc: md.AssociationForm,
-                 cov_long: np.ndarray, times: np.ndarray, hazard: bool,
-                 weights: np.ndarray = None):
-        lspec = spec.longitudinal
-        self.spec = spec
-        self.times = np.asarray(times, float)
-        self.weights = weights
-        self.need_eta = assoc.variant != "shared_random_effects"
-        self.X = lspec.fixed_matrix(self.times, cov_long)
-        self.Z = lspec.random_matrix(self.times)
-        self.dX = self.dZ = self.iX = self.iZ = None
-        if hazard and assoc.needs_slope:
-            self.dX = lspec.fixed_deriv_matrix(self.times)
-            self.dZ = lspec.random_deriv_matrix(self.times)
-        if hazard and assoc.needs_integral:
-            self.iX = lspec.fixed_integral_matrix(self.times, cov_long)
-            self.iZ = lspec.random_integral_matrix(self.times)
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """Baseline-hazard design rows, built on first use."""
-        return self.spec.baseline_matrix(self.times)
-
-
-def _log_hazard_batch(bundle: _DesignBundle, assoc: md.AssociationForm,
-                      th: ThetaBatch, b: np.ndarray, w_gamma: np.ndarray,
-                      clamp: bool) -> np.ndarray:
-    """log hazard at bundle.times for every draw; shape (n_times, B)."""
-    lh = bundle.H @ th.gamma_h0.T + w_gamma[None, :]
-    eta = slope = integral = None
-    if bundle.need_eta:
-        eta = bundle.X @ th.beta.T + bundle.Z @ b.T
-    if bundle.dX is not None:
-        slope = bundle.dX @ th.beta.T + bundle.dZ @ b.T
-    if bundle.iX is not None:
-        integral = bundle.iX @ th.beta.T + bundle.iZ @ b.T
-    lh = lh + assoc.value(th.alpha, eta=eta, slope=slope, integral=integral, b=b)
-    if clamp:
-        return np.clip(lh, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
-    return lh
-
-
-def _long_terms_batch(family: md.ExponentialFamily, y: np.ndarray,
-                      eta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Measurement log densities; y (m,), eta (m, B), phi (B,) -> (m, B)."""
-    if family.name == "gaussian":
-        return -0.5 * np.log(2.0 * np.pi * phi)[None, :] - (y[:, None] - eta) ** 2 / (2.0 * phi)[None, :]
-    return y[:, None] * eta - np.logaddexp(0.0, eta)
-
 
 class _ConditionData:
     """Vectorized evaluator of p(b | survival past s, measurements, theta)."""
@@ -303,70 +225,47 @@ class _ConditionData:
         self.spec = spec
         self.assoc = assoc
         self.family = spec.longitudinal.family
-        self.cov_long = md._covariate_row(covariates, spec.longitudinal.covariates)
-        self.w = md._covariate_row(covariates, spec.hazard_covariates)
+        self.family.check_response(condition.y)
+        self.covariates = covariates
         self.condition = condition
-        self.meas = _DesignBundle(spec, assoc, self.cov_long, condition.times, hazard=False)
+        self.meas = md.Design(spec, ("eta",), covariates, condition.times)
         self._node_cache = {}
         self._point_cache = {}
 
-    def w_gamma(self, th: ThetaBatch) -> np.ndarray:
-        if self.w.size == 0:
-            return np.zeros(th.size)
-        return th.gamma @ self.w
-
-    def _nodes(self, lower: float, upper: float) -> _DesignBundle:
+    def _nodes(self, lower: float, upper: float) -> md.Design:
         key = (float(lower), float(upper))
         if key not in self._node_cache:
             s, wq = span_nodes(lower, upper, self.spec.hazard_breakpoints, GK15)
-            self._node_cache[key] = _DesignBundle(
-                self.spec, self.assoc, self.cov_long, s, hazard=True, weights=wq)
+            self._node_cache[key] = md.Design(self.spec, self.assoc.features,
+                                              self.covariates, s, weights=wq)
         return self._node_cache[key]
 
-    def _point(self, t: float) -> _DesignBundle:
-        if t not in self._point_cache:
-            self._point_cache[t] = _DesignBundle(
-                self.spec, self.assoc, self.cov_long, np.array([t]), hazard=True)
-        return self._point_cache[t]
+    def point(self, t: float, features) -> md.Design:
+        """The design of the given trajectory features at the single time t."""
+        key = (t, features)
+        if key not in self._point_cache:
+            self._point_cache[key] = md.Design(self.spec, features, self.covariates,
+                                               np.array([t]))
+        return self._point_cache[key]
+
+    def _log_hazard(self, design: md.Design, b, th, rows=None) -> np.ndarray:
+        lh = md.log_hazard_rows(design, self.assoc, th.gamma_h0, th.gamma, th.beta,
+                                th.alpha, b, rows)
+        return np.clip(lh, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
 
     def cum_hazard(self, b, th, upper, lower=0.0) -> np.ndarray:
         if upper <= lower:
             return np.zeros(th.size)
-        bundle = self._nodes(lower, upper)
-        lh = _log_hazard_batch(bundle, self.assoc, th, b, self.w_gamma(th), clamp=True)
-        return bundle.weights @ np.exp(lh)
+        design = self._nodes(lower, upper)
+        return design.weights @ np.exp(self._log_hazard(design, b, th))
 
     def log_hazard_at(self, t, b, th) -> np.ndarray:
-        bundle = self._point(t)
-        return _log_hazard_batch(bundle, self.assoc, th, b, self.w_gamma(th), clamp=True)[0]
-
-    def _rowwise_log_hazard(self, times_flat, rows, b, th) -> np.ndarray:
-        """log hazard where evaluation point k belongs to draw rows[k]."""
-        spec, lspec = self.spec, self.spec.longitudinal
-        lh = np.einsum("kq,kq->k", spec.baseline_matrix(times_flat), th.gamma_h0[rows])
-        if self.w.size:
-            lh = lh + (th.gamma @ self.w)[rows]
-        eta = slope = integral = None
-        if self.assoc.variant != "shared_random_effects":
-            X = lspec.fixed_matrix(times_flat, self.cov_long)
-            Z = lspec.random_matrix(times_flat)
-            eta = np.einsum("kp,kp->k", X, th.beta[rows]) + np.einsum("kq,kq->k", Z, b[rows])
-        if self.assoc.needs_slope:
-            dX = lspec.fixed_deriv_matrix(times_flat)
-            dZ = lspec.random_deriv_matrix(times_flat)
-            slope = np.einsum("kp,kp->k", dX, th.beta[rows]) + np.einsum("kq,kq->k", dZ, b[rows])
-        if self.assoc.needs_integral:
-            iX = lspec.fixed_integral_matrix(times_flat, self.cov_long)
-            iZ = lspec.random_integral_matrix(times_flat)
-            integral = np.einsum("kp,kp->k", iX, th.beta[rows]) + np.einsum("kq,kq->k", iZ, b[rows])
-        lh = lh + self.assoc.value(th.alpha[rows], eta=eta, slope=slope, integral=integral,
-                                   b=b[rows])
-        return np.clip(lh, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+        return self._log_hazard(self.point(t, self.assoc.features), b, th)[0]
 
     def log_hazard_rowwise(self, times, b, th) -> np.ndarray:
         """log hazard at a per-draw time; times, b rows, and draws align."""
-        times = np.asarray(times, float)
-        return self._rowwise_log_hazard(times, np.arange(times.size), b, th)
+        design = md.Design(self.spec, self.assoc.features, self.covariates, times)
+        return self._log_hazard(design, b, th, rows=np.arange(design.times.size))
 
     def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
         """Hazard integral over per-draw intervals [lower_r, upper_r].
@@ -383,15 +282,10 @@ class _ConditionData:
         s = (center[:, None] + half[:, None] * GK15.nodes[None, :]).ravel()
         w = (half[:, None] * GK15.weights[None, :]).ravel()
         rows = np.repeat(np.arange(size), k)
-        lh = self._rowwise_log_hazard(s, rows, b, th)
+        design = md.Design(self.spec, self.assoc.features, self.covariates, s)
+        lh = self._log_hazard(design, b, th, rows)
         vals = np.where(w != 0.0, w * np.exp(lh), 0.0)
         return np.bincount(rows, weights=vals, minlength=size)
-
-    def eta_at(self, t, b, th) -> np.ndarray:
-        lspec = self.spec.longitudinal
-        x = lspec.fixed_row(t, self.cov_long)
-        z = lspec.random_row(t)
-        return th.beta @ x + b @ z
 
     def log_target(self, b, th, extra=None) -> np.ndarray:
         """Unnormalized log p(b | measurements, survival past condition time).
@@ -401,20 +295,16 @@ class _ConditionData:
         """
         out = th.re_log_prior(b)
         if self.meas.times.size:
-            eta = self.meas.X @ th.beta.T + self.meas.Z @ b.T
-            out = out + _long_terms_batch(self.family, self.condition.y, eta, th.phi).sum(0)
+            eta = md.trajectory_features(self.meas, th.beta, b)["eta"]
+            out = out + md.long_log_terms(self.family, self.condition.y[:, None], eta,
+                                          th.phi).sum(0)
         if extra is not None:
             u, y_u = extra
-            eta_u = self.eta_at(u, b, th)
+            eta_u = md.trajectory_features(self.point(u, ("eta",)), th.beta, b)["eta"][0]
             y_u = np.broadcast_to(np.asarray(y_u, float), eta_u.shape)
-            out = out + self._extra_terms(y_u, eta_u, th)
+            out = out + md.long_log_terms(self.family, y_u, eta_u, th.phi)
         out = out - self.cum_hazard(b, th, self.condition.survival_until)
         return out
-
-    def _extra_terms(self, y_u, eta_u, th):
-        if self.family.name == "gaussian":
-            return -0.5 * np.log(2.0 * np.pi * th.phi) - (y_u - eta_u) ** 2 / (2.0 * th.phi)
-        return y_u * eta_u - np.logaddexp(0.0, eta_u)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +327,20 @@ class ReProposal:
         return np.linalg.cholesky(self.cov)
 
 
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """chol^-1 rhs for a C-ordered lower-triangular chol, by one LAPACK call.
+
+    chol.T is the Fortran-ordered upper factor U, so this solves U^T x = rhs:
+    the call ``scipy.linalg.solve_triangular`` makes for such a chol, without
+    its checks.  The literal lower-triangular call rounds differently for a
+    single right-hand side.
+    """
+    x, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise NumericError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
 def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
     q = proposal.mean.size
     z = rng.standard_normal((size, q))
@@ -449,7 +353,7 @@ def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
     df = proposal.df
     chol = proposal.chol
     dev = np.atleast_2d(x) - proposal.mean
-    u = solve_triangular(chol, dev.T, lower=True)
+    u = _solve_lower(chol, dev.T)
     maha = np.sum(u * u, axis=0)
     const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0)
              - 0.5 * q * math.log(df * math.pi) - np.sum(np.log(np.diag(chol))))
@@ -607,20 +511,20 @@ class _FitData:
         self.delta = np.array([s.event for s in dataset.subjects], dtype=float)
         self.T = np.array([s.event_time for s in dataset.subjects])
 
+        self.features = assoc.features
         midx, y_all = [], []
         node_idx, node_t, node_w = [], [], []
         meas, nodes, events = [], [], []
         for i, s in enumerate(dataset.subjects):
             midx += [i] * s.n_obs
             y_all.append(s.y)
-            cov_long = s.covariate_row(lspec.covariates)
             sn, wn = span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)
             node_idx += [i] * sn.size
             node_t.append(sn)
             node_w.append(wn)
-            meas.append(_DesignBundle(spec, assoc, cov_long, s.times, hazard=False))
-            nodes.append(_DesignBundle(spec, assoc, cov_long, sn, hazard=True))
-            events.append(_DesignBundle(spec, assoc, cov_long, self.T[i: i + 1], hazard=True))
+            meas.append(md.Design(spec, ("eta",), s.covariates, s.times))
+            nodes.append(md.Design(spec, self.features, s.covariates, sn))
+            events.append(md.Design(spec, self.features, s.covariates, self.T[i: i + 1]))
 
         self.midx = np.array(midx, dtype=int)
         self.y = np.concatenate(y_all)
@@ -632,20 +536,13 @@ class _FitData:
         H = spec.baseline_matrix(np.concatenate(node_t + [self.T]))
         self.Hn, self.HT = H[: self.nidx.size], H[self.nidx.size:]
 
-        self.need_eta = assoc.variant != "shared_random_effects"
-        self.features = tuple(f for f, used in (("eta", self.need_eta),
-                                                ("slope", assoc.needs_slope),
-                                                ("integral", assoc.needs_integral)) if used)
-        designs = {"eta": ("X", "Z"), "slope": ("dX", "dZ"), "integral": ("iX", "iZ")}
         self.X, self.Z = {}, {}
-        for site, bundles, feats in (("m", meas, ("eta",)), ("n", nodes, self.features),
-                                     ("T", events, self.features)):
-            for f in feats:
-                fixed, rand = designs[f]
-                self.X[site, f] = np.concatenate([getattr(bd, fixed) for bd in bundles])
-                self.Z[site, f] = np.concatenate([getattr(bd, rand) for bd in bundles])
+        for site, designs in (("m", meas), ("n", nodes), ("T", events)):
+            for f in designs[0].pairs:
+                self.X[site, f] = np.concatenate([d.pairs[f][0] for d in designs])
+                self.Z[site, f] = np.concatenate([d.pairs[f][1] for d in designs])
         # the shared-random-effects association reads b itself, not beta
-        self.assoc_inputs = ("alpha", "beta", "b") if self.need_eta else ("alpha", "b")
+        self.assoc_inputs = ("alpha", "beta", "b") if self.features else ("alpha", "b")
 
         self.K = spec.penalty_K()
         self.rho = spec.penalty.rank
@@ -678,10 +575,7 @@ class _FitData:
 
         if changed("beta", "b", "phi"):
             eta_m = t.xb["m", "eta"] + t.zb["m", "eta"]
-            if self.family.name == "gaussian":
-                terms = -0.5 * math.log(2.0 * math.pi * phi) - (self.y - eta_m) ** 2 / (2.0 * phi)
-            else:
-                terms = self.y * eta_m - np.logaddexp(0.0, eta_m)
+            terms = md.long_log_terms(self.family, self.y, eta_m, phi)
             t.long = np.bincount(self.midx, weights=terms, minlength=self.n)
         else:
             t.long = base.long
@@ -696,7 +590,7 @@ class _FitData:
             t.assoc = {}
             for site in ("n", "T"):
                 feats = {f: t.xb[site, f] + t.zb[site, f] for f in self.features}
-                b_site = None if self.need_eta else b[self.rows[site]]
+                b_site = None if self.features else b[self.rows[site]]
                 t.assoc[site] = self.assoc.value(alpha, **feats, b=b_site)
         else:
             t.assoc = base.assoc
@@ -734,7 +628,7 @@ class _FitData:
 
     def re_log_prior(self, b, chol_D):
         """log N(b_i; 0, D) per subject, from the Cholesky factor of D."""
-        u = solve_triangular(chol_D, b.T, lower=True, check_finite=False)
+        u = _solve_lower(chol_D, b.T)
         quad = np.sum(u * u, axis=0)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol_D))))
         return -0.5 * (self.q * math.log(2.0 * math.pi) + logdet + quad)
@@ -1096,8 +990,7 @@ def fit(dataset: md.Dataset, spec: md.JointModelSpec, assoc: md.AssociationForm,
         flags=flags,
     )
 
-    names = scalar_names(samples, fd.family)
-    mat = scalar_matrix(samples, fd.family)
+    names, mat = md.flatten(samples, fd.family.has_dispersion)
     by_chain = mat.reshape(config.chains, per_chain, -1)
     diagnostics = {}
     for j, name in enumerate(names):
@@ -1200,8 +1093,7 @@ def effective_sample_size(seqs: np.ndarray) -> float:
 
 def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) -> None:
     """One row per draw; header names every scalar parameter."""
-    names = scalar_names(samples, spec.longitudinal.family)
-    mat = scalar_matrix(samples, spec.longitudinal.family)
+    names, mat = md.flatten(samples, spec.longitudinal.family.has_dispersion)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "iteration", *names])
@@ -1215,33 +1107,14 @@ def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [r for r in reader]
-    cols = {name: j for j, name in enumerate(header)}
     G = len(rows)
     data = np.array([[float(v) for v in r] for r in rows]) if G else np.zeros((0, len(header)))
-
-    def block(prefix):
-        idx = []
-        k = 0
-        while f"{prefix}[{k}]" in cols:
-            idx.append(cols[f"{prefix}[{k}]"])
-            k += 1
-        return data[:, idx] if idx else np.zeros((G, 0))
-
-    q = 0
-    while f"D[{q},{q}]" in cols:
-        q += 1
-    D = np.zeros((G, q, q))
-    for i in range(q):
-        for j in range(i + 1):
-            D[:, i, j] = data[:, cols[f"D[{i},{j}]"]]
-            D[:, j, i] = D[:, i, j]
-    phi = data[:, cols["sigma2"]] if "sigma2" in cols else np.ones(G)
+    cols = {name: data[:, j] for j, name in enumerate(header)}
+    v = md.unflatten(cols)
     return PosteriorSamples(
-        beta=block("beta"), gamma=block("gamma"), alpha=block("alpha"),
-        gamma_h0=block("gamma_h0"), phi=phi, tau_h=data[:, cols["tau_h"]],
-        tau_hdelta=np.ones(G), D=D,
-        chain=data[:, cols["chain"]].astype(int),
-        iteration=data[:, cols["iteration"]].astype(int),
+        beta=v["beta"], gamma=v["gamma"], alpha=v["alpha"], gamma_h0=v["gamma_h0"],
+        phi=v["sigma2"], tau_h=v["tau_h"], tau_hdelta=np.ones(G), D=v["D"],
+        chain=cols["chain"].astype(int), iteration=cols["iteration"].astype(int),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,9 +26,7 @@ from .numerics import (
     bspline_eval,
     bspline_matrix,
     mapped_nodes,
-    ncs_deriv,
     ncs_deriv_matrix,
-    ncs_eval,
     ncs_matrix,
     penalty_matrix,
     span_nodes,
@@ -86,15 +85,25 @@ GAUSSIAN = ExponentialFamily("gaussian")
 BERNOULLI = ExponentialFamily("bernoulli")
 
 
+def long_log_terms(family: ExponentialFamily, y, eta, phi):
+    """Log densities of measurements y given their linear predictors eta.
+
+    Broadcasts y, eta and phi; the responses are not checked (they are
+    checked once, where data enter).  A scalar phi goes through ``math.log``
+    and per-draw phi through ``np.log``: the two can differ in the last bit,
+    and the fit's draws are pinned to the former.
+    """
+    if family.name == "gaussian":
+        log_norm = (math.log(2.0 * math.pi * phi) if np.ndim(phi) == 0
+                    else np.log(2.0 * np.pi * phi))
+        return -0.5 * log_norm - (y - eta) ** 2 / (2.0 * phi)
+    return y * eta - np.logaddexp(0.0, eta)
+
+
 def long_log_density(family: ExponentialFamily, y, eta, phi: float = 1.0):
     """Log density of one longitudinal measurement given its linear predictor."""
     family.check_response(y)
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if family.name == "gaussian":
-        out = -0.5 * np.log(2.0 * np.pi * phi) - (y - eta) ** 2 / (2.0 * phi)
-    else:
-        out = y * eta - np.logaddexp(0.0, eta)
+    out = long_log_terms(family, np.asarray(y, dtype=float), np.asarray(eta, dtype=float), phi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -108,12 +117,6 @@ class LinearTime:
 
     n_terms = 1
     breakpoints = ()
-
-    def terms(self, t):
-        return np.array([t], dtype=float)
-
-    def derivs(self, t):
-        return np.array([1.0])
 
     def terms_matrix(self, ts):
         return np.asarray(ts, dtype=float)[:, None]
@@ -138,12 +141,6 @@ class PolynomialTime:
 
     breakpoints = ()
 
-    def terms(self, t):
-        return np.array([t ** k for k in range(1, self.degree + 1)])
-
-    def derivs(self, t):
-        return np.array([k * t ** (k - 1) for k in range(1, self.degree + 1)])
-
     def terms_matrix(self, ts):
         ts = np.asarray(ts, dtype=float)
         return np.column_stack([ts ** k for k in range(1, self.degree + 1)])
@@ -167,12 +164,6 @@ class SplineTime:
     def breakpoints(self):
         return self.basis.interior_knots
 
-    def terms(self, t):
-        return ncs_eval(self.basis, t)
-
-    def derivs(self, t):
-        return ncs_deriv(self.basis, t)
-
     def terms_matrix(self, ts):
         return ncs_matrix(self.basis, ts)
 
@@ -186,11 +177,13 @@ class SplineTime:
 
 @dataclass(frozen=True)
 class LongitudinalSpec:
-    """Design builders for the mixed model.
+    """Design builders for the mixed model, one row per time.
 
     The fixed row is [1, time features, covariates]; the random row is
     [1, first `random_time_terms` time features], so the random design is a
     sub-feature-set of the fixed one and supports derivative evaluation.
+    Every fixed builder takes (times, covariate values) and every random
+    builder takes times (see ``FEATURE_BUILDERS``).
     """
 
     family: ExponentialFamily
@@ -225,48 +218,6 @@ class LongitudinalSpec:
     @property
     def time_breakpoints(self):
         return self.time_effect.breakpoints if self.time_effect is not None else ()
-
-    def _time_terms(self, t):
-        if self.time_effect is None:
-            return np.empty(0)
-        return np.asarray(self.time_effect.terms(t), dtype=float)
-
-    def _time_derivs(self, t):
-        if self.time_effect is None:
-            return np.empty(0)
-        return np.asarray(self.time_effect.derivs(t), dtype=float)
-
-    def fixed_row(self, t, cov_values) -> np.ndarray:
-        cov_values = np.asarray(cov_values, dtype=float)
-        if cov_values.shape != (len(self.covariates),):
-            raise SpecError(
-                f"expected {len(self.covariates)} longitudinal covariates, "
-                f"got {cov_values.shape}"
-            )
-        return np.concatenate([[1.0], self._time_terms(t), cov_values])
-
-    def fixed_deriv_row(self, t, cov_values=None) -> np.ndarray:
-        return np.concatenate(
-            [[0.0], self._time_derivs(t), np.zeros(len(self.covariates))]
-        )
-
-    def random_row(self, t) -> np.ndarray:
-        return np.concatenate([[1.0], self._time_terms(t)[: self.random_time_terms]])
-
-    def random_deriv_row(self, t) -> np.ndarray:
-        return np.concatenate([[0.0], self._time_derivs(t)[: self.random_time_terms]])
-
-    def fixed_integral_row(self, t, cov_values) -> np.ndarray:
-        """Componentwise integral of the fixed row over [0, t]."""
-        cov_values = np.asarray(cov_values, dtype=float)
-        terms = self._time_integrals(np.array([t]))[0]
-        return np.concatenate([[t], terms, cov_values * t])
-
-    def random_integral_row(self, t) -> np.ndarray:
-        terms = self._time_integrals(np.array([t]))[0, : self.random_time_terms]
-        return np.concatenate([[t], terms])
-
-    # --- vectorized builders -------------------------------------------------
 
     def _time_terms_matrix(self, ts):
         if self.time_effect is None:
@@ -318,10 +269,10 @@ class LongitudinalSpec:
         return np.column_stack([np.ones((ts.size, 1)),
                                 self._time_terms_matrix(ts)[:, : self.random_time_terms]])
 
-    def fixed_deriv_matrix(self, ts) -> np.ndarray:
+    def fixed_deriv_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.column_stack([np.zeros((ts.size, 1)), self._time_derivs_matrix(ts),
-                                np.zeros((ts.size, len(self.covariates)))])
+                                np.zeros((ts.size, np.size(cov_values)))])
 
     def random_deriv_matrix(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -375,12 +326,11 @@ class AssociationForm:
         object.__setattr__(self, "n_params", int(n))
 
     @property
-    def needs_slope(self) -> bool:
-        return self.variant in ("slope", "value_and_slope")
-
-    @property
-    def needs_integral(self) -> bool:
-        return self.variant == "cumulative"
+    def features(self) -> tuple:
+        """The trajectory features f reads; shared random effects read b itself."""
+        return {"current_value": ("eta",), "slope": ("slope",),
+                "value_and_slope": ("eta", "slope"), "cumulative": ("integral",),
+                "shared_random_effects": ()}[self.variant]
 
     def value(self, alpha, eta=None, slope=None, integral=None, b=None):
         """f(features; alpha); broadcasts over leading axes of the features."""
@@ -506,9 +456,6 @@ class JointModelSpec:
         return BaselineHazard(self.baseline_basis, np.asarray(coefficients, float),
                               self.penalty, float(smoothing))
 
-    def baseline_row(self, t) -> np.ndarray:
-        return self.baseline_matrix(np.array([t]))[0]
-
     def baseline_matrix(self, ts) -> np.ndarray:
         # clamped evaluation: the log baseline is held at its boundary value
         # outside the spline support
@@ -563,6 +510,75 @@ class Parameters:
     @property
     def n_random(self) -> int:
         return self.D.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter vector: one name per scalar
+# ---------------------------------------------------------------------------
+
+FLAT_BLOCKS = ("beta", "gamma", "alpha", "gamma_h0")
+
+
+def flat_names(sizes, q: int, dispersion: bool = True) -> list:
+    """Names of the flat parameter vector, in its order: beta[k], gamma[k],
+    alpha[k] and gamma_h0[k] (``sizes`` gives the four lengths), sigma2 when
+    ``dispersion``, D[i,j] over the lower triangle of the q x q covariance,
+    then tau_h."""
+    names = [f"{block}[{k}]" for block, n in zip(FLAT_BLOCKS, sizes) for k in range(n)]
+    names += ["sigma2"] if dispersion else []
+    names += [f"D[{i},{j}]" for i in range(q) for j in range(i + 1)]
+    return names + ["tau_h"]
+
+
+def flatten(params, dispersion: bool = True):
+    """(names, values) of the flat vector of ``params`` (Parameters, or
+    stacked draws whose leading axis carries through)."""
+    blocks = [np.asarray(getattr(params, block), dtype=float) for block in FLAT_BLOCKS]
+    D = np.asarray(params.D, dtype=float)
+    q = D.shape[-1]
+    scalar = lambda v: np.asarray(v, dtype=float)[..., None]
+    cols = blocks + ([scalar(params.phi)] if dispersion else [])
+    cols += [D[..., i, j, None] for i in range(q) for j in range(i + 1)]
+    cols.append(scalar(params.tau_h))
+    names = flat_names([blk.shape[-1] for blk in blocks], q, dispersion)
+    return names, np.concatenate(cols, axis=-1)
+
+
+def unflatten(columns) -> dict:
+    """The blocks named by ``flatten``, from a mapping of name to value (or to
+    per-draw values).  Other names are ignored; a missing sigma2 or tau_h
+    reads as 1."""
+    lead = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
+
+    def size(pattern):
+        n = 0
+        while pattern.format(n) in columns:
+            n += 1
+        return n
+
+    out = {}
+    for block in FLAT_BLOCKS:
+        stacked = np.zeros((size(block + "[{}]"),) + lead)
+        for k in range(stacked.shape[0]):
+            stacked[k] = columns[f"{block}[{k}]"]
+        # each scalar's draws stay contiguous, so means over draws sum pairwise
+        out[block] = np.moveaxis(stacked, 0, -1)
+    q = size("D[{0},{0}]")
+    out["D"] = np.zeros(lead + (q, q))
+    for i in range(q):
+        for j in range(i + 1):
+            out["D"][..., i, j] = out["D"][..., j, i] = columns[f"D[{i},{j}]"]
+    for name in ("sigma2", "tau_h"):
+        out[name] = np.full(lead, columns.get(name, 1.0), dtype=float)
+    return out
+
+
+def parameters_from_flat(columns, spec: JointModelSpec) -> Parameters:
+    """Parameters from the named scalars of one flat vector."""
+    v = unflatten(columns)
+    return Parameters(beta=v["beta"], phi=float(v["sigma2"]), D=v["D"], gamma=v["gamma"],
+                      alpha=v["alpha"],
+                      baseline=spec.make_baseline(v["gamma_h0"], float(v["tau_h"])))
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +710,78 @@ class SubjectHistory:
 
 
 # ---------------------------------------------------------------------------
+# Design rows and the log-hazard kernel
+# ---------------------------------------------------------------------------
+
+# trajectory feature -> LongitudinalSpec builders of its (fixed, random) rows
+FEATURE_BUILDERS = {
+    "eta": ("fixed_matrix", "random_matrix"),
+    "slope": ("fixed_deriv_matrix", "random_deriv_matrix"),
+    "integral": ("fixed_integral_matrix", "random_integral_matrix"),
+}
+
+
+def _feature_rows(lspec: LongitudinalSpec, feature: str, times, cov_long):
+    fixed, rand = FEATURE_BUILDERS[feature]
+    return getattr(lspec, fixed)(times, cov_long), getattr(lspec, rand)(times)
+
+
+class Design:
+    """Design rows at a set of times for one covariate profile.
+
+    ``pairs`` maps each requested trajectory feature to its (X_f, Z_f) rows;
+    ``w`` is the hazard covariate row and ``H`` the baseline-hazard rows,
+    built on first use.
+    """
+
+    def __init__(self, spec: JointModelSpec, features, covariates, times,
+                 weights: np.ndarray = None):
+        lspec = spec.longitudinal
+        self.spec = spec
+        self.times = np.asarray(times, dtype=float)
+        self.weights = weights
+        self.w = _covariate_row(covariates, spec.hazard_covariates)
+        cov_long = _covariate_row(covariates, lspec.covariates)
+        self.pairs = {f: _feature_rows(lspec, f, self.times, cov_long) for f in features}
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self.spec.baseline_matrix(self.times)
+
+
+def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
+    """Design rows A (K, d) against parameter rows P (B, d).
+
+    Without ``rows`` every parameter row is evaluated at every time, shape
+    (K, B); with ``rows``, time k belongs to parameter row rows[k], shape (K,).
+    """
+    if rows is None:
+        return A @ P.T
+    return np.einsum("kp,kp->k", A, P[rows])
+
+
+def trajectory_features(design: Design, beta, b, rows=None) -> dict:
+    """X_f.beta + Z_f.b for each feature of the design (shapes as ``_contract``)."""
+    return {f: _contract(X, beta, rows) + _contract(Z, b, rows)
+            for f, (X, Z) in design.pairs.items()}
+
+
+def log_hazard_rows(design: Design, assoc: AssociationForm, gamma_h0, gamma, beta,
+                    alpha, b, rows=None) -> np.ndarray:
+    """log h = H.gamma_h0 + w.gamma + f(X_f.beta + Z_f.b, b; alpha), unclamped.
+
+    Every parameter argument holds B rows; the shapes follow ``_contract``.
+    The caller guards the bound: raise, reject or clamp.
+    """
+    w_gamma = gamma @ design.w
+    if rows is not None:
+        w_gamma, alpha = w_gamma[rows], alpha[rows]
+    lh = _contract(design.H, gamma_h0, rows) + w_gamma
+    feats = trajectory_features(design, beta, b, rows)
+    return lh + assoc.value(alpha, **feats, b=b if rows is None else b[rows])
+
+
+# ---------------------------------------------------------------------------
 # Predictors
 # ---------------------------------------------------------------------------
 
@@ -701,12 +789,12 @@ def _long_covs(spec: LongitudinalSpec, subject) -> np.ndarray:
     return _covariate_row(subject.covariates, spec.covariates)
 
 
-def linear_predictor(spec: LongitudinalSpec, subject, b, beta, t) -> float:
-    """eta(t) = x(t).beta + z(t).b."""
+def _predictor(spec: LongitudinalSpec, feature: str, subject, b, beta, t) -> float:
+    """One trajectory feature at time t, from one row of the design builders."""
     beta = np.asarray(beta, dtype=float)
     b = np.asarray(b, dtype=float)
-    x = spec.fixed_row(t, _long_covs(spec, subject))
-    z = spec.random_row(t)
+    X, Z = _feature_rows(spec, feature, np.array([t]), _long_covs(spec, subject))
+    x, z = X[0], Z[0]
     if beta.shape != x.shape:
         raise SpecError(f"beta has length {beta.size}, design expects {x.size}")
     if b.shape != z.shape:
@@ -714,26 +802,21 @@ def linear_predictor(spec: LongitudinalSpec, subject, b, beta, t) -> float:
     return float(x @ beta + z @ b)
 
 
+def linear_predictor(spec: LongitudinalSpec, subject, b, beta, t) -> float:
+    """eta(t) = x(t).beta + z(t).b."""
+    return _predictor(spec, "eta", subject, b, beta, t)
+
+
 def predictor_slope(spec: LongitudinalSpec, subject, b, beta, t) -> float:
     """d eta / dt via the analytic time-basis derivatives."""
-    beta = np.asarray(beta, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dx = spec.fixed_deriv_row(t)
-    dz = spec.random_deriv_row(t)
-    if beta.shape != dx.shape:
-        raise SpecError(f"beta has length {beta.size}, design expects {dx.size}")
-    if b.shape != dz.shape:
-        raise SpecError(f"b has length {b.size}, random design expects {dz.size}")
-    return float(dx @ beta + dz @ b)
+    return _predictor(spec, "slope", subject, b, beta, t)
 
 
 def predictor_integral(spec: LongitudinalSpec, subject, b, beta, t) -> float:
     """Integral of eta over [0, t]."""
     if t == 0.0:
         return 0.0
-    ix = spec.fixed_integral_row(t, _long_covs(spec, subject))
-    iz = spec.random_integral_row(t)
-    return float(ix @ np.asarray(beta, float) + iz @ np.asarray(b, float))
+    return _predictor(spec, "integral", subject, b, beta, t)
 
 
 # ---------------------------------------------------------------------------
@@ -742,25 +825,11 @@ def predictor_integral(spec: LongitudinalSpec, subject, b, beta, t) -> float:
 
 def log_hazard_at_times(theta: Parameters, spec: JointModelSpec, assoc: AssociationForm,
                         subject, b, times) -> np.ndarray:
-    """Vectorized log hazard at an array of positive times."""
-    times = np.asarray(times, dtype=float)
-    lspec = spec.longitudinal
-    b = np.asarray(b, dtype=float)
-    out = spec.baseline_matrix(times) @ theta.gamma_h0
-    w = _covariate_row(subject.covariates, spec.hazard_covariates)
-    if w.size:
-        out = out + float(w @ theta.gamma)
-    eta = slope = integral = None
-    if assoc.variant != "shared_random_effects":
-        cov = _long_covs(lspec, subject)
-        eta = lspec.fixed_matrix(times, cov) @ theta.beta + lspec.random_matrix(times) @ b
-    if assoc.needs_slope:
-        slope = lspec.fixed_deriv_matrix(times) @ theta.beta + lspec.random_deriv_matrix(times) @ b
-    if assoc.needs_integral:
-        cov = _long_covs(lspec, subject)
-        integral = (lspec.fixed_integral_matrix(times, cov) @ theta.beta
-                    + lspec.random_integral_matrix(times) @ b)
-    return out + assoc.value(theta.alpha, eta=eta, slope=slope, integral=integral, b=b)
+    """Vectorized log hazard at an array of positive times (one parameter row)."""
+    design = Design(spec, assoc.features, subject.covariates, times)
+    row = lambda a: np.asarray(a, dtype=float)[None, :]
+    return log_hazard_rows(design, assoc, row(theta.gamma_h0), row(theta.gamma),
+                           row(theta.beta), row(theta.alpha), row(b))[:, 0]
 
 
 def log_hazard(theta: Parameters, spec: JointModelSpec, assoc: AssociationForm,

@@ -37,6 +37,12 @@ __all__ = [
 # B-splines (Cox-de Boor, boundary knots replicated degree+1 times)
 # ---------------------------------------------------------------------------
 
+def _boundary_pair(knots) -> tuple:
+    if np.size(knots) != 2:
+        raise SpecError(f"a spline needs 2 boundary knots (lo, hi), got {np.size(knots)}")
+    return tuple(knots)
+
+
 @dataclass(frozen=True)
 class BSplineBasis:
     """B-spline basis of a given degree on [boundary_low, boundary_high].
@@ -52,7 +58,7 @@ class BSplineBasis:
     def __post_init__(self):
         if self.degree < 0:
             raise SpecError(f"spline degree must be >= 0, got {self.degree}")
-        lo, hi = self.boundary_knots
+        lo, hi = _boundary_pair(self.boundary_knots)
         if not lo < hi:
             raise SpecError(f"boundary knots must be increasing, got ({lo}, {hi})")
         ik = np.asarray(self.interior_knots, dtype=float)
@@ -181,7 +187,7 @@ class NaturalCubicBasis:
     _edge_slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo, hi = self.boundary_knots
+        lo, hi = _boundary_pair(self.boundary_knots)
         if not lo < hi:
             raise SpecError(f"boundary knots must be increasing, got ({lo}, {hi})")
         ik = np.asarray(self.interior_knots, dtype=float)

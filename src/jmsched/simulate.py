@@ -120,27 +120,10 @@ def generate_dataset(design: SimulationDesign) -> md.Dataset:
 # Truth manifest
 # ---------------------------------------------------------------------------
 
-def _truth_items(theta: md.Parameters):
-    for i, v in enumerate(theta.beta):
-        yield f"beta[{i}]", v
-    for i, v in enumerate(theta.gamma):
-        yield f"gamma[{i}]", v
-    for i, v in enumerate(theta.alpha):
-        yield f"alpha[{i}]", v
-    for i, v in enumerate(theta.gamma_h0):
-        yield f"gamma_h0[{i}]", v
-    yield "sigma2", theta.phi
-    q = theta.n_random
-    for i in range(q):
-        for j in range(i + 1):
-            yield f"D[{i},{j}]", theta.D[i, j]
-    yield "tau_h", theta.tau_h
-
-
 def truth_report(design: SimulationDesign) -> str:
     """Flat key=value manifest of every scalar in the true parameter vector."""
-    lines = [f"{name}={float(value)!r}" for name, value in _truth_items(design.parameters)]
-    return "\n".join(lines) + "\n"
+    names, values = md.flatten(design.parameters)
+    return "".join(f"{name}={float(value)!r}\n" for name, value in zip(names, values))
 
 
 def parse_truth(text: str) -> dict:
@@ -154,27 +137,3 @@ def parse_truth(text: str) -> dict:
         key, value = line.split("=", 1)
         out[key.strip()] = float(value)
     return out
-
-
-def parameters_from_truth(values: dict, spec: md.JointModelSpec) -> md.Parameters:
-    """Rebuild a Parameters object from a parsed truth manifest."""
-    def block(prefix):
-        out = []
-        k = 0
-        while f"{prefix}[{k}]" in values:
-            out.append(values[f"{prefix}[{k}]"])
-            k += 1
-        return np.array(out)
-
-    q = 0
-    while f"D[{q},{q}]" in values:
-        q += 1
-    D = np.zeros((q, q))
-    for i in range(q):
-        for j in range(i + 1):
-            D[i, j] = D[j, i] = values[f"D[{i},{j}]"]
-    return md.Parameters(
-        beta=block("beta"), phi=values.get("sigma2", 1.0), D=D,
-        gamma=block("gamma"), alpha=block("alpha"),
-        baseline=spec.make_baseline(block("gamma_h0"), values.get("tau_h", 1.0)),
-    )

@@ -226,24 +226,29 @@ schedule.warmup=40
     assert (chosen is None) == (not selected)
 
 
-def test_schedule_rejects_subject_with_event_before_landmark(pipeline, tmp_path):
+def test_schedule_rejects_subject_with_event_before_landmark(pipeline, tmp_path, capsys):
+    """predict and schedule need a subject known to be event-free at the
+    landmark: neither an event nor censoring may come before it."""
     tmp = pipeline
     dataset = parse_dataset(tmp / "sim_longitudinal.csv", tmp / "sim_survival.csv")
-    early = [s for s in dataset.subjects if s.event and s.event_time < 6.0]
-    sid = early[0].id
-    t_land = early[0].event_time + 0.5
-    cfg = write_config(tmp_path / "bad.cfg", f"""
+    early = next(s for s in dataset.subjects if s.event and s.event_time < 6.0)
+    censored = next(s for s in dataset.subjects if not s.event and s.event_time == 8.0)
+    for subject, t_land in ((early, early.event_time + 0.5), (censored, 8.5)):
+        for command in ("predict", "schedule"):
+            cfg = write_config(tmp_path / "bad.cfg", f"""
 seed=6
 out.prefix={tmp_path}/bad
 data.longitudinal={tmp}/sim_longitudinal.csv
 data.survival={tmp}/sim_survival.csv
 {MODEL_BLOCK}
 model.association=current_value
-schedule.draws={tmp}/fit1_draws.csv
-schedule.subject={sid}
-schedule.landmark={t_land}
+{command}.draws={tmp}/fit1_draws.csv
+{command}.subject={subject.id}
+{command}.landmark={t_land}
 """)
-    assert main(["schedule", cfg]) == 1
+            assert main([command, cfg]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and subject.id in err and str(subject.event_time) in err
 
 
 # --- dataset parsing -----------------------------------------------------------------------
@@ -347,6 +352,8 @@ def test_parse_rejects_longitudinal_covariate_contradicting_survival_table(tmp_p
     ("truth.D", "0.3,0.02"),
     ("truth.beta", "3.5"),
     ("truth.gamma", "0.4,0.1"),
+    ("model.baseline_boundary", "0,6,12"),
+    ("model.baseline_boundary", "12"),
 ])
 def test_malformed_simulate_config_is_an_error(tmp_path, capsys, key, value):
     text = f"""

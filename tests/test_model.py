@@ -73,8 +73,8 @@ def test_linear_predictor_dot_product_oracle():
     beta = rng.standard_normal(5)
     b = rng.standard_normal(5)
     t = 3.14
-    x = lspec.fixed_row(t, np.empty(0))
-    z = lspec.random_row(t)
+    x = lspec.fixed_matrix(np.array([t]), np.empty(0))[0]
+    z = lspec.random_matrix(np.array([t]))[0]
     oracle = math.fsum(float(a) * float(c) for a, c in zip(x, beta))
     oracle += math.fsum(float(a) * float(c) for a, c in zip(z, b))
     assert linear_predictor(lspec, SUBJ, b, beta, t) == pytest.approx(oracle, abs=1e-14)

@@ -151,6 +151,14 @@ def test_ncs_cardinal_at_knots():
     assert np.allclose(ncs_eval(NCS, 19.0), [0.0, 1.0], atol=1e-12)
 
 
+def test_spline_bases_reject_wrong_boundary_length():
+    for boundary in ((0.0,), (0.0, 4.0, 8.0)):
+        with pytest.raises(SpecError):
+            NaturalCubicBasis(boundary, ())
+        with pytest.raises(SpecError):
+            BSplineBasis(degree=3, interior_knots=(), boundary_knots=boundary)
+
+
 def test_ncs_deriv_matches_finite_difference():
     h = 1e-6
     for t in np.linspace(0.2, 18.8, 23):

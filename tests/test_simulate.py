@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from jmsched.errors import ConfigError
-from jmsched.model import Parameters
+from jmsched.model import Parameters, parameters_from_flat
 from jmsched.simulate import (
     SimulationDesign,
     generate_dataset,
-    parameters_from_truth,
     parse_truth,
     truth_report,
 )
@@ -104,7 +103,7 @@ def test_truth_report_round_trip():
     design = flat_design(n=2)
     text = truth_report(design)
     values = parse_truth(text)
-    rebuilt = parameters_from_truth(values, design.spec)
+    rebuilt = parameters_from_flat(values, design.spec)
     theta = design.parameters
     assert np.allclose(rebuilt.beta, theta.beta, atol=1e-12)
     assert np.allclose(rebuilt.D, theta.D, atol=1e-12)
