@@ -729,24 +729,30 @@ def _feature_rows(lspec: LongitudinalSpec, feature: str, times, cov_long):
 class Design:
     """Design rows at a set of times for one covariate profile.
 
-    ``pairs`` maps each requested trajectory feature to its (X_f, Z_f) rows;
-    ``w`` is the hazard covariate row and ``H`` the baseline-hazard rows,
-    built on first use.
+    ``w`` is the hazard covariate row.  ``H`` (the baseline-hazard rows) and
+    ``pairs`` (each requested trajectory feature's (X_f, Z_f) rows) are built
+    on first use, so a one-off design over many times never holds rows it
+    has not reached yet.
     """
 
     def __init__(self, spec: JointModelSpec, features, covariates, times,
                  weights: np.ndarray = None):
-        lspec = spec.longitudinal
         self.spec = spec
+        self.features = features
+        self.covariates = covariates
         self.times = np.asarray(times, dtype=float)
         self.weights = weights
         self.w = _covariate_row(covariates, spec.hazard_covariates)
-        cov_long = _covariate_row(covariates, lspec.covariates)
-        self.pairs = {f: _feature_rows(lspec, f, self.times, cov_long) for f in features}
 
     @cached_property
     def H(self) -> np.ndarray:
         return self.spec.baseline_matrix(self.times)
+
+    @cached_property
+    def pairs(self) -> dict:
+        lspec = self.spec.longitudinal
+        cov_long = _covariate_row(self.covariates, lspec.covariates)
+        return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
 
 
 def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
@@ -773,12 +779,10 @@ def log_hazard_rows(design: Design, assoc: AssociationForm, gamma_h0, gamma, bet
     Every parameter argument holds B rows; the shapes follow ``_contract``.
     The caller guards the bound: raise, reject or clamp.
     """
-    w_gamma = gamma @ design.w
-    if rows is not None:
-        w_gamma, alpha = w_gamma[rows], alpha[rows]
-    lh = _contract(design.H, gamma_h0, rows) + w_gamma
+    pick = (lambda a: a) if rows is None else (lambda a: a[rows])
+    lh = _contract(design.H, gamma_h0, rows) + pick(gamma @ design.w)
     feats = trajectory_features(design, beta, b, rows)
-    return lh + assoc.value(alpha, **feats, b=b if rows is None else b[rows])
+    return lh + assoc.value(pick(alpha), **feats, b=pick(b))
 
 
 # ---------------------------------------------------------------------------
