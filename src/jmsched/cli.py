@@ -200,14 +200,6 @@ def build_model(cfg, observed_times=None, association=None):
 # Dataset CSV schemas
 # ---------------------------------------------------------------------------
 
-def _parse_float(value, path, line, column):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DataError(
-            f"{path} line {line} column {column}: could not parse {value!r}") from None
-
-
 def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
     """Join the two CSVs on subject_id and validate every subject."""
     surv_path = Path(survival_csv)
@@ -235,12 +227,12 @@ def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
             if sid in surv:
                 raise DataError(f"{surv_path} line {ln} column subject_id: "
                                 f"duplicate subject {sid!r}")
-            t_obs = _parse_float(row[1], surv_path, ln, "event_time")
+            t_obs = md.parse_float(row[1], surv_path, ln, "event_time")
             ind = row[2].strip()
             if ind not in ("0", "1"):
                 raise DataError(f"{surv_path} line {ln} column event_indicator: "
                                 f"must be 0 or 1, got {row[2]!r}")
-            covs = {name: _parse_float(val, surv_path, ln, name)
+            covs = {name: md.parse_float(val, surv_path, ln, name)
                     for name, val in zip(cov_names, row[3:])}
             surv[sid] = (t_obs, int(ind), covs)
             order.append(sid)
@@ -263,13 +255,13 @@ def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
             if sid not in surv:
                 raise DataError(f"{long_path} line {ln} column subject_id: "
                                 f"subject {sid!r} missing from the survival table")
-            t = _parse_float(row[1], long_path, ln, "time")
-            value = _parse_float(row[2], long_path, ln, "value")
+            t = md.parse_float(row[1], long_path, ln, "time")
+            value = md.parse_float(row[2], long_path, ln, "value")
             if t > surv[sid][0]:
                 raise DataError(
                     f"{long_path} line {ln} column time: measurement at {t} is "
                     f"after the observed time {surv[sid][0]} of subject {sid!r}")
-            extras = {name: _parse_float(val, long_path, ln, name)
+            extras = {name: md.parse_float(val, long_path, ln, name)
                       for name, val in zip(extra_names, row[3:])}
             meas[sid].append((t, value, ln, extras))
 

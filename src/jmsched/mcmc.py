@@ -1,10 +1,13 @@
 """Posterior sampling: model fitting, conditional random-effect draws, DIC.
 
-The fitting sampler is Metropolis-within-Gibbs: conjugate updates for the
-dispersion, the random-effects covariance, and the smoothing parameters;
-adaptive random-walk Metropolis blocks for the regression coefficient vectors
-and for each subject's random effects (all subjects proposed and accepted
-elementwise in one vectorized sweep).  Adaptation runs during burn-in only.
+The fitting sampler is Metropolis-within-Gibbs.  An iteration runs a
+vectorized random-walk sweep over every subject's random effects; an adaptive
+random-walk move on beta; one Metropolis-Hastings move on the hazard block
+(gamma_h0, gamma, alpha) proposed from the Newton (IWLS) step of its full
+conditional, a concave Poisson-type GLM on the quadrature nodes; a joint
+rescale of tau_h and the penalized spline part; location sweeps beta[k] <->
+b[:, k]; and conjugate draws of the dispersion, D and the smoothing
+parameters.  Step sizes adapt during burn-in only.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import invwishart
@@ -148,10 +152,13 @@ class PosteriorSamples:
         )
 
     def mean_parameters(self, spec: md.JointModelSpec) -> md.Parameters:
+        """Posterior means, summed over contiguous columns as ``read_draws_csv``
+        lays them out (numpy sums strided ones in another order, other bits)."""
+        mean = lambda draws: np.asfortranarray(draws).mean(0)
         return md.Parameters(
-            beta=self.beta.mean(0), phi=float(self.phi.mean()),
-            D=self.D.mean(0), gamma=self.gamma.mean(0), alpha=self.alpha.mean(0),
-            baseline=spec.make_baseline(self.gamma_h0.mean(0), float(self.tau_h.mean())),
+            beta=mean(self.beta), phi=float(self.phi.mean()),
+            D=self.D.mean(0), gamma=mean(self.gamma), alpha=mean(self.alpha),
+            baseline=spec.make_baseline(mean(self.gamma_h0), float(self.tau_h.mean())),
         )
 
     @classmethod
@@ -535,6 +542,8 @@ class _FitData:
 
         H = spec.baseline_matrix(np.concatenate(node_t + [self.T]))
         self.Hn, self.HT = H[: self.nidx.size], H[self.nidx.size:]
+        # the static rows of the hazard block's transposed node design
+        self.HW_nT = np.ascontiguousarray(np.vstack([self.Hn.T, self.W[self.nidx].T]))
 
         self.X, self.Z = {}, {}
         for site, designs in (("m", meas), ("n", nodes), ("T", events)):
@@ -587,11 +596,7 @@ class _FitData:
         else:
             t.hazard = base.hazard
         if changed(*self.assoc_inputs):
-            t.assoc = {}
-            for site in ("n", "T"):
-                feats = {f: t.xb[site, f] + t.zb[site, f] for f in self.features}
-                b_site = None if self.features else b[self.rows[site]]
-                t.assoc[site] = self.assoc.value(alpha, **feats, b=b_site)
+            t.assoc = {site: self._assoc_at(t, site, alpha) for site in ("n", "T")}
         else:
             t.assoc = base.assoc
 
@@ -611,6 +616,41 @@ class _FitData:
         if strict:
             t.value[t.bad] = -np.inf
         return t
+
+    def _assoc_at(self, t: _LoglikTerms, site, alpha):
+        """The association term at a hazard site, from the features in ``t``."""
+        feats = {f: t.xb[site, f] + t.zb[site, f] for f in self.features}
+        b_site = None if self.features else t.b[self.rows[site]]
+        return self.assoc.value(alpha, **feats, b=b_site)
+
+    def hazard_newton(self, t: _LoglikTerms, tau_h, priors, free):
+        """Newton step for the hazard block theta = (gamma_h0, gamma, alpha) at ``t``.
+
+        Given beta and b, log h = [H | W | F] theta at every node and event
+        time (F: the association at unit alpha), so the survival log likelihood
+        is concave in theta.  Returns the Newton mean and the lower Cholesky
+        factor of the precision, the prior's (tau_h K, inverse variances)
+        included, over the ``free`` coordinates; None if not positive definite.
+        """
+        units = np.eye(self.n_alpha)
+        F = np.array([self._assoc_at(t, "n", e) for e in units])
+        F_T = np.column_stack([self._assoc_at(t, "T", e) for e in units])
+        rate = self.node_w * np.exp(t.hazard["n"] + t.assoc["n"])
+        prior = np.diag(np.r_[np.zeros(self.Q), np.full(self.pw, 1.0 / priors.gamma_variance),
+                              np.full(self.n_alpha, 1.0 / priors.alpha_variance)])
+        prior[: self.Q, : self.Q] = tau_h * self.K
+        theta = np.concatenate([t.gamma_h0, t.gamma, t.alpha])
+        # the weighted Gram matrix by blocks, which never copies the static rows
+        Sr, Fr = self.HW_nT * rate, F * rate
+        SF = Sr @ F.T
+        prec = np.block([[Sr @ self.HW_nT.T, SF], [SF.T, Fr @ F.T]]) + prior
+        grad = (self.delta @ np.hstack([self.HT, self.W, F_T]) - np.r_[Sr.sum(1), Fr.sum(1)]
+                - prior @ theta)
+        chol, info = dpotrf(prec[free][:, free], lower=1)
+        if info != 0:
+            return None
+        step, _ = dpotrs(chol, grad[free], lower=1)
+        return theta[free] + step, chol
 
     def merge_rows(self, cur: _LoglikTerms, cand: _LoglikTerms, rows) -> _LoglikTerms:
         """Terms of the state with ``cand``'s random effects for the subjects
@@ -632,18 +672,6 @@ class _FitData:
         quad = np.sum(u * u, axis=0)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol_D))))
         return -0.5 * (self.q * math.log(2.0 * math.pi) + logdet + quad)
-
-
-def _theta_block_prior(name, value, priors, K=None, rho=None, tau_h=None):
-    if name == "beta":
-        var = priors.beta_variance
-    elif name == "gamma":
-        var = priors.gamma_variance
-    elif name == "alpha":
-        var = priors.alpha_variance
-    else:  # gamma_h0: smoothness prior
-        return 0.5 * rho * math.log(tau_h) - 0.5 * tau_h * float(value @ K @ value)
-    return md._normal_prior_logpdf(value, var)
 
 
 class _AdaptiveBlock:
@@ -748,11 +776,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     frozen = set(freeze.keys())
     gaussian = fd.family.name == "gaussian"
 
-    blocks = {}
-    for name, dim in (("beta", fd.p), ("gamma", fd.pw), ("alpha", fd.n_alpha),
-                      ("gamma_h0", fd.Q)):
-        if dim and name not in frozen:
-            blocks[name] = _AdaptiveBlock(dim, config.adapt_window)
+    beta_prop = _AdaptiveBlock(fd.p, config.adapt_window) if "beta" not in frozen else None
     b_prop = _AdaptiveVector(fd.n, fd.q) if "ranef" not in frozen else None
 
     # ``cur`` holds the likelihood terms of the current state, so a move
@@ -765,15 +789,8 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
         return fd.per_subject_loglik(
             **{name: over.get(name, state[name]) for name in _LOGLIK_INPUTS}, base=cur)
 
-    prior_names = [n for n in ("beta", "gamma", "alpha") if state[n].size] + ["gamma_h0"]
-
-    def block_prior(name, value):
-        return _theta_block_prior(name, value, priors, K=fd.K, rho=fd.rho,
-                                  tau_h=state["tau_h"])
-
     cur = loglik()
-    per_subj = cur.value
-    if not np.all(np.isfinite(per_subj)):
+    if not np.all(np.isfinite(cur.value)):
         raise NumericError(
             "log-hazard guard tripped at the initial state; the model diverges "
             "on this dataset")
@@ -782,22 +799,33 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     kept = {name: [] for name in
             ("beta", "gamma", "alpha", "gamma_h0", "phi", "tau_h", "tau_hdelta", "D", "b", "iteration")}
 
-    # joint move over every regression block: single-block updates cannot
-    # follow the ridge between the association and the baseline intercept
-    block_names = tuple(blocks)
-    joint = None
-    if len(block_names) > 1:
-        joint = _AdaptiveBlock(sum(state[n].size for n in block_names), config.adapt_window)
-        joint.log_scale -= 1.0  # start conservative; the ridge is narrow
+    def log_post(terms, s):
+        """Log likelihood plus the log priors the Metropolis moves change, at ``s``."""
+        g, tau = s["gamma_h0"], s["tau_h"]
+        return (float(terms.value.sum()) + (priors.tau_shape - 1.0 + 0.5 * fd.rho) * math.log(tau)
+                - tau * (s["tau_hdelta"] + 0.5 * float(g @ fd.K @ g))
+                + sum(md._normal_prior_logpdf(s[n], getattr(priors, f"{n}_variance"))
+                      for n in ("beta", "gamma", "alpha")))
 
-    def split_joint(vec):
-        parts = {}
-        at = 0
-        for n in block_names:
-            size = state[n].size
-            parts[n] = vec[at: at + size]
-            at += size
-        return parts
+    def accept(cand, log_q=0.0, **over):
+        """MH step to state ``over`` with terms ``cand``; ``log_q``: proposal terms."""
+        nonlocal cur
+        delta = log_post(cand, {**state, **over}) - log_post(cur, state) + log_q
+        acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
+        if rng.random() < acc_prob:
+            state.update(over)
+            cur = cand
+        return acc_prob
+
+    # the hazard block moves as one vector; frozen blocks stay put
+    hazard = ("gamma_h0", "gamma", "alpha")
+    hazard_free = np.concatenate([np.full(state[n].size, n not in frozen) for n in hazard])
+    hazard_names = [n for n in hazard if n not in frozen and state[n].size]
+    hazard_cuts = np.cumsum([state[n].size for n in hazard_names])[:-1]
+
+    newton = lambda terms: fd.hazard_newton(terms, state["tau_h"], priors, hazard_free)
+    def newton_log_density(x, mean, chol):
+        return float(np.sum(np.log(np.diag(chol))) - 0.5 * np.sum((chol.T @ (x - mean)) ** 2))
 
     # location sweeps trade a fixed-effect coordinate against all random
     # effects; the trajectory (hence the whole likelihood) is invariant for
@@ -815,59 +843,40 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
         v_range = eigvecs[:, eigvals > 1e-9]
         rescale_prop = _AdaptiveVector(1, 1)
 
-    def gh_prior(g, tau):
-        return 0.5 * fd.rho * math.log(tau) - 0.5 * tau * float(g @ fd.K @ g)
-
-    def metropolis(over):
-        """Random-walk Metropolis step on the regression blocks in ``over``.
-
-        ``cur_prior`` holds the log prior of each block at the current state.
-        It is rebuilt every iteration, because the rescale move, the location
-        sweeps and the tau_h update change its inputs without a Metropolis step.
-        """
-        nonlocal cur, per_subj, cur_data, cur_prior
-        cand = loglik(**over)
-        cand_data = float(cand.value.sum())
-        cand_prior = {**cur_prior, **{n: block_prior(n, v) for n, v in over.items()}}
-        delta = (cand_data + sum(cand_prior.values())) - (cur_data + sum(cur_prior.values()))
-        acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
-        if rng.random() < acc_prob:
-            state.update(over)
-            cur, per_subj, cur_data, cur_prior = cand, cand.value, cand_data, cand_prior
-        return acc_prob
-
     for it in range(config.iterations):
         # --- random effects, one vectorized sweep over subjects
         if b_prop is not None:
             if cur.b is not state["b"]:
                 cur = loglik()  # an accepted location sweep moved beta and b
             z = rng.standard_normal((fd.n, fd.q))
-            step = b_prop.scales[:, None] * (z @ chol_D.T)
-            cand_b = state["b"] + step
+            cand_b = state["b"] + b_prop.scales[:, None] * (z @ chol_D.T)
             cand = loglik(b=cand_b)
             cand_re = fd.re_log_prior(cand_b, chol_D)
-            ratio = (cand.value + cand_re) - (per_subj + re_i)
-            accept = np.log(rng.random(fd.n)) < ratio
-            cur = fd.merge_rows(cur, cand, accept)
+            ratio = (cand.value + cand_re) - (cur.value + re_i)
+            accept_rows = np.log(rng.random(fd.n)) < ratio
+            cur = fd.merge_rows(cur, cand, accept_rows)
             state["b"] = cur.b
-            per_subj = np.where(accept, cand.value, per_subj)
-            re_i = np.where(accept, cand_re, re_i)
+            re_i = np.where(accept_rows, cand_re, re_i)
             b_prop.record(np.exp(np.minimum(ratio, 0.0)))
 
-        # --- regression blocks (adaptive random-walk Metropolis); the spline
-        # block gets extra sweeps, its ridge-shaped posterior mixes slowest
-        cur_data = float(per_subj.sum())
-        cur_prior = {n: block_prior(n, state[n]) for n in prior_names}
-        for name, block in blocks.items():
-            for _ in range(3 if name == "gamma_h0" else 1):
-                acc_prob = metropolis({name: state[name] + block.draw(rng)})
-                block.record(acc_prob, state[name])
+        # --- longitudinal coefficients (adaptive random-walk Metropolis)
+        if beta_prop is not None:
+            beta_cand = state["beta"] + beta_prop.draw(rng)
+            beta_prop.record(accept(loglik(beta=beta_cand), beta=beta_cand), state["beta"])
 
-        # --- one joint proposal across all regression blocks
-        if joint is not None:
-            current = np.concatenate([state[n] for n in block_names])
-            acc_prob = metropolis(split_joint(current + joint.draw(rng)))
-            joint.record(acc_prob, np.concatenate([state[n] for n in block_names]))
+        # --- hazard block: Metropolis-Hastings with the Newton proposal; the
+        # reverse step is taken at the candidate with the same beta and b
+        forward = newton(cur) if hazard_names else None
+        if forward is not None:
+            mean, chol = forward
+            x = np.concatenate([state[n] for n in hazard_names])
+            x_cand = mean + dtrtrs(chol, rng.standard_normal(mean.size), lower=1, trans=1)[0]
+            over = dict(zip(hazard_names, np.split(x_cand, hazard_cuts)))
+            cand = loglik(**over)
+            reverse = newton(cand) if np.all(np.isfinite(cand.value)) else None
+            accept(cand, -np.inf if reverse is None else
+                   newton_log_density(x, *reverse) - newton_log_density(x_cand, mean, chol),
+                   **over)
 
         # --- joint rescale of the smoothing parameter and the spline wiggle
         if rescale_prop is not None:
@@ -877,22 +886,13 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             g_pen = v_range @ (v_range.T @ g)
             g_cand = (g - g_pen) + g_pen / math.sqrt(c)
             tau_cand = c * state["tau_h"]
-            cand = loglik(gamma_h0=g_cand)
-            cand_data = float(cand.value.sum())
-            delta = (cand_data - cur_data
-                     + gh_prior(g_cand, tau_cand) - gh_prior(g, state["tau_h"])
-                     - state["tau_hdelta"] * (tau_cand - state["tau_h"])
-                     + (1.0 - 0.5 * v_range.shape[1]) * log_c)
-            acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
-            if rng.random() < acc_prob:
-                state["gamma_h0"] = g_cand
-                state["tau_h"] = tau_cand
-                cur, per_subj, cur_data = cand, cand.value, cand_data
+            jacobian = (1.0 - 0.5 * v_range.shape[1]) * log_c
+            acc_prob = accept(loglik(gamma_h0=g_cand), jacobian, gamma_h0=g_cand, tau_h=tau_cand)
             rescale_prop.record(np.array([acc_prob]))
 
-        # --- location sweeps beta[k] <-> b[:, k]; an accepted sweep keeps the
-        # old per_subj values and leaves ``cur`` at the old beta and b, which
-        # the next evaluation recomputes from the shifted state
+        # --- location sweeps beta[k] <-> b[:, k]; an accepted sweep leaves
+        # ``cur`` at the old beta and b, which the next evaluation recomputes
+        # from the shifted state
         for k, prop in enumerate(sweep_props):
             delta_k = float(prop.scales[0] * rng.standard_normal())
             b_cand = state["b"].copy()
@@ -918,7 +918,6 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             rate = priors.phi_rate + 0.5 * ssr
             state["phi"] = float(rate / rng.gamma(shape))
             cur = loglik()
-            per_subj = cur.value
         if "D" not in frozen:
             scale = np.eye(fd.q) + state["b"].T @ state["b"]
             df = fd.q + priors.d_df_extra + fd.n
@@ -934,16 +933,9 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             state["tau_hdelta"] = float(rng.gamma(priors.tau_delta_shape + priors.tau_shape) / rate)
 
         if it + 1 == config.burn_in:
-            for block in blocks.values():
-                block.freeze()
-            if b_prop is not None:
-                b_prop.freeze()
-            if joint is not None:
-                joint.freeze()
-            if rescale_prop is not None:
-                rescale_prop.freeze()
-            for prop in sweep_props:
-                prop.freeze()
+            for prop in (beta_prop, b_prop, rescale_prop, *sweep_props):
+                if prop is not None:
+                    prop.freeze()
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             for name in ("beta", "gamma", "alpha", "gamma_h0", "D", "b"):
@@ -971,9 +963,7 @@ def fit(dataset: md.Dataset, spec: md.JointModelSpec, assoc: md.AssociationForm,
         flags.append("degenerate data: no events observed; survival parameters "
                      "are informed by the prior only")
 
-    chains_kept = []
-    for c in range(config.chains):
-        chains_kept.append(_run_chain(fd, priors, config, c, freeze))
+    chains_kept = [_run_chain(fd, priors, config, c, freeze) for c in range(config.chains)]
 
     def gather(name):
         return np.concatenate([np.asarray(k[name]) for k in chains_kept], axis=0)
@@ -1024,10 +1014,9 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
                                    samples.ranef[g], strict=False).value
         devs[g] = -2.0 * float(ll.sum())
     dbar = float(devs.mean())
-    ll_hat = fd.per_subject_loglik(samples.beta.mean(0), samples.gamma.mean(0),
-                                   samples.alpha.mean(0), samples.gamma_h0.mean(0),
-                                   float(samples.phi.mean()), samples.ranef.mean(0),
-                                   strict=False).value
+    mean = samples.mean_parameters(spec)
+    ll_hat = fd.per_subject_loglik(mean.beta, mean.gamma, mean.alpha, mean.gamma_h0,
+                                   mean.phi, samples.ranef.mean(0), strict=False).value
     d_hat = -2.0 * float(ll_hat.sum())
     p_d = dbar - d_hat
     return dbar + p_d
@@ -1091,9 +1080,8 @@ def effective_sample_size(seqs: np.ndarray) -> float:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) -> None:
-    """One row per draw; header names every scalar parameter."""
-    names, mat = md.flatten(samples, spec.longitudinal.family.has_dispersion)
+def _write_number_table(path, samples: PosteriorSamples, names, mat) -> None:
+    """One row per draw: chain, iteration, then the row of ``mat``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "iteration", *names])
@@ -1102,18 +1090,39 @@ def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) ->
                              *[repr(float(v)) for v in mat[g]]])
 
 
-def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
+def _read_number_table(path):
+    """Header and rows of a draws or random-effects CSV; a fault is a DataError at its line."""
+    if not os.path.exists(path):
+        raise DataError(f"input file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader]
-    G = len(rows)
-    data = np.array([[float(v) for v in r] for r in rows]) if G else np.zeros((0, len(header)))
+        header = next(reader, None)
+        if header is None or header[:2] != ["chain", "iteration"]:
+            raise DataError(f"{path} line 1: header must start with chain,iteration")
+        rows = []
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path} line {ln} column {len(row) + 1}: "
+                                f"expected {len(header)} fields")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                rows.append([md.parse_float(v, path, ln, n) for n, v in zip(header, row)])
+    return header, np.array(rows).reshape(len(rows), len(header))
+
+
+def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) -> None:
+    """One row per draw; header names every scalar parameter."""
+    _write_number_table(path, samples, *md.flatten(samples, spec.longitudinal.family.has_dispersion))
+
+
+def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
+    header, data = _read_number_table(path)
     cols = {name: data[:, j] for j, name in enumerate(header)}
     v = md.unflatten(cols)
     return PosteriorSamples(
         beta=v["beta"], gamma=v["gamma"], alpha=v["alpha"], gamma_h0=v["gamma_h0"],
-        phi=v["sigma2"], tau_h=v["tau_h"], tau_hdelta=np.ones(G), D=v["D"],
+        phi=v["sigma2"], tau_h=v["tau_h"], tau_hdelta=np.ones(data.shape[0]), D=v["D"],
         chain=cols["chain"].astype(int), iteration=cols["iteration"].astype(int),
     )
 
@@ -1123,33 +1132,23 @@ def write_ranef_csv(samples: PosteriorSamples, path) -> None:
         raise SpecError("samples carry no random-effect draws")
     G, n, q = samples.ranef.shape
     names = [f"b[{sid},{k}]" for sid in samples.subject_ids for k in range(q)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iteration", *names])
-        flat = samples.ranef.reshape(G, n * q)
-        for g in range(G):
-            writer.writerow([int(samples.chain[g]), int(samples.iteration[g]),
-                             *[repr(float(v)) for v in flat[g]]])
+    _write_number_table(path, samples, names, samples.ranef.reshape(G, n * q))
 
 
 def read_ranef_csv(path):
     """Returns (subject_ids, ranef array (G, n, q))."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader]
+    header, data = _read_number_table(path)
     ids, ks = [], []
     for name in header[2:]:
-        body = name[2:-1]
-        sid, k = body.rsplit(",", 1)
+        sid, k = name[2:-1].rsplit(",", 1)
         ids.append(sid)
         ks.append(int(k))
     q = max(ks) + 1 if ks else 1
     subject_ids = tuple(dict.fromkeys(ids))
     n = len(subject_ids)
-    G = len(rows)
-    flat = np.array([[float(v) for v in r[2:]] for r in rows]) if G else np.zeros((0, n * q))
-    return subject_ids, flat.reshape(G, n, q)
+    if len(ks) != n * q:
+        raise DataError(f"{path} line 1: {len(ks)} random-effect columns for {n} subjects")
+    return subject_ids, np.ascontiguousarray(data[:, 2:]).reshape(data.shape[0], n, q)
 
 
 def write_diagnostics_report(samples: PosteriorSamples, path) -> None:

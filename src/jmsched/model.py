@@ -585,6 +585,15 @@ def parameters_from_flat(columns, spec: JointModelSpec) -> Parameters:
 # Observed data
 # ---------------------------------------------------------------------------
 
+def parse_float(value, path, line, column) -> float:
+    """A number read from a CSV field; a ``DataError`` naming where it sits if not."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(
+            f"{path} line {line} column {column}: could not parse {value!r}") from None
+
+
 def _covariate_row(covariates, names) -> np.ndarray:
     try:
         return np.array([float(covariates[n]) for n in names])

@@ -251,6 +251,55 @@ model.association=current_value
             assert "error:" in err and subject.id in err and str(subject.event_time) in err
 
 
+def _corrupt_draws(rows):
+    rows[3][4] = "x"
+
+
+def _truncate_ranef(rows):
+    del rows[5][-1]
+
+
+DRAWS_FAULT = ("draws", _corrupt_draws, "line 4 column gamma[0]: could not parse 'x'")
+RANEF_FAULT = ("ranef", _truncate_ranef, "line 6 column 52: expected 52 fields")
+
+
+@pytest.mark.parametrize("command, name, corrupt, where", [
+    ("predict", *DRAWS_FAULT), ("schedule", *DRAWS_FAULT), ("score", *DRAWS_FAULT),
+    ("score", *RANEF_FAULT),
+], ids=["predict-draws", "schedule-draws", "score-draws", "score-ranef"])
+def test_malformed_draws_or_ranef_csv_is_an_error(pipeline, tmp_path, capsys, command,
+                                                  name, corrupt, where):
+    """A draws or random-effects CSV with a non-number or a short row ends in
+    an error naming the file, line and column, not a traceback."""
+    tmp = pipeline
+    rows = read_rows(tmp / f"fit1_{name}.csv")
+    corrupt(rows)
+    bad = tmp_path / f"bad_{name}.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    paths = {"draws": tmp / "fit1_draws.csv", "ranef": tmp / "fit1_ranef.csv", name: bad}
+    dataset = parse_dataset(tmp / "sim_longitudinal.csv", tmp / "sim_survival.csv")
+    at_risk = next(s for s in dataset.subjects if s.event_time > 3.0)
+    keys = {"score": f"models=m1\nlandmarks=3\nm1.draws={paths['draws']}\n"
+                     f"m1.ranef={paths['ranef']}\nscore.theta_draws=5\nscore.re_draws=2",
+            "predict": f"predict.draws={paths['draws']}\npredict.subject={at_risk.id}\n"
+                       f"predict.landmark=3",
+            "schedule": f"schedule.draws={paths['draws']}\nschedule.subject={at_risk.id}\n"
+                        f"schedule.landmark=3"}[command]
+    cfg = write_config(tmp_path / "bad.cfg", f"""
+seed=6
+out.prefix={tmp_path}/bad
+data.longitudinal={tmp}/sim_longitudinal.csv
+data.survival={tmp}/sim_survival.csv
+{MODEL_BLOCK}
+model.association=current_value
+{keys}
+""")
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and where in err
+
+
 # --- dataset parsing -----------------------------------------------------------------------
 
 def test_dataset_round_trip(tmp_path):

@@ -418,8 +418,8 @@ def test_incremental_loglik_matches_full_evaluation(family_cohorts, family, vari
     # a rejected move leaves the current terms intact for the next one
     propose(alpha=jitter("alpha"))
     cur, params = propose(gamma_h0=jitter("gamma_h0"))
-    # the joint move, then the rescale (gamma_h0 alone)
-    cur, params = propose(**{n: jitter(n) for n in ("beta", "gamma", "alpha", "gamma_h0")})
+    # the hazard-block move, then the rescale (gamma_h0 alone)
+    cur, params = propose(**{n: jitter(n) for n in ("gamma", "alpha", "gamma_h0")})
     cur, params = propose(gamma_h0=params["gamma_h0"] * np.r_[1.0, np.full(fd.Q - 1, 0.8)])
 
     # a b-sweep accepting every other subject: terms merged by row
@@ -456,6 +456,60 @@ def test_incremental_loglik_matches_full_evaluation(family_cohorts, family, vari
     cand, cand_params = propose(b=jitter("b", 0.2))
     _assert_terms_equal(fd.merge_rows(cur, cand, ~rows), fd,
                         {**params, "b": np.where(rows[:, None], params["b"], cand_params["b"])})
+
+
+HAZARD_BLOCKS = ("gamma_h0", "gamma", "alpha")
+
+
+@pytest.mark.parametrize("family, variant, frozen",
+                         [(f, v, ()) for f in sorted(FAMILIES) for v in ASSOCIATION_VARIANTS]
+                         + [("gaussian", "current_value", ("alpha",))])
+def test_hazard_newton_matches_finite_differences(family_cohorts, family, variant, frozen):
+    """The Newton proposal's gradient and precision are those of the survival
+    log likelihood plus the block priors, by central finite differences."""
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    fd = _FitData(dataset, spec, assoc)
+    priors = PriorSet(gamma_variance=3.0, alpha_variance=5.0)
+    tau_h = 2.5
+    rng = np.random.default_rng(17)
+    params = {
+        "beta": np.array([3.6, 0.25]) if family == "gaussian" else np.array([-0.5, 0.2]),
+        "gamma": np.array([0.5]), "alpha": 0.2 + 0.1 * rng.standard_normal(assoc.n_params),
+        "gamma_h0": np.r_[math.log(0.1), 0.3 * rng.standard_normal(fd.Q - 1)], "phi": 0.25,
+        "b": rng.normal(size=(fd.n, fd.q)) * [0.5, 0.1],
+    }
+    free = np.concatenate([np.full(params[n].size, n not in frozen) for n in HAZARD_BLOCKS])
+    theta = np.concatenate([params[n] for n in HAZARD_BLOCKS])
+    cuts = np.cumsum([params[n].size for n in HAZARD_BLOCKS])[:-1]
+
+    def log_post(x):
+        over = dict(zip(HAZARD_BLOCKS, np.split(x, cuts)))
+        surv = fd.per_subject_loglik(**{**params, **over}).surv.sum()
+        g = over["gamma_h0"]
+        return (surv - 0.5 * tau_h * g @ fd.K @ g
+                - over["gamma"] @ over["gamma"] / (2.0 * priors.gamma_variance)
+                - over["alpha"] @ over["alpha"] / (2.0 * priors.alpha_variance))
+
+    mean, chol = fd.hazard_newton(fd.per_subject_loglik(**params), tau_h, priors, free)
+    prec = chol @ chol.T
+    grad = prec @ (mean - theta[free])
+
+    # steps and errors in units of each coordinate's posterior sd, since the
+    # curvature spans eight orders of magnitude
+    sd = np.zeros(theta.size)
+    sd[free] = 1.0 / np.sqrt(np.diag(prec))
+    idx = np.flatnonzero(free)
+    e = lambda j, h: h * sd[j] * (np.arange(theta.size) == j)
+    fd_grad = np.array([(log_post(theta + e(j, 1e-3)) - log_post(theta - e(j, 1e-3)))
+                        / (2e-3 * sd[j]) for j in idx])
+    h = 3e-3
+    fd_prec = np.array([[-(log_post(theta + e(i, h) + e(j, h)) - log_post(theta + e(i, h) - e(j, h))
+                           - log_post(theta - e(i, h) + e(j, h)) + log_post(theta - e(i, h) - e(j, h)))
+                         / (4.0 * h * h * sd[i] * sd[j]) for j in idx] for i in idx])
+    sd = sd[free]
+    assert np.max(np.abs(grad - fd_grad) * sd) < 1e-6
+    assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -544,6 +598,16 @@ def test_draws_csv_round_trip(tmp_path, small_joint):
     assert np.array_equal(back.phi, samples.phi)
     assert np.array_equal(back.D, samples.D)
     assert np.array_equal(back.chain, samples.chain)
+
+
+def test_mean_parameters_independent_of_draw_layout(tmp_path, small_joint):
+    samples = small_joint["samples"]
+    spec = small_joint["spec"]
+    path = tmp_path / "draws.csv"
+    write_draws_csv(samples, spec, path)
+    here = samples.mean_parameters(spec)
+    back = read_draws_csv(path, spec).mean_parameters(spec)
+    assert flatten(here)[1].tobytes() == flatten(back)[1].tobytes()
 
 
 def test_ranef_csv_round_trip(tmp_path, small_joint):
