@@ -9,7 +9,7 @@ re-ingestible by the parsers in this module.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +25,7 @@ COMMANDS = ("simulate", "fit", "score", "predict", "schedule")
 
 LONG_HEADER = ["subject_id", "time", "value"]
 SURV_HEADER = ["subject_id", "event_time", "event_indicator"]
+SCHEDULE_HEADER = ["t", "t_up_minus_t", "u", "EKL", "EKL_lo", "EKL_hi", "pi", "selected"]
 
 
 # ---------------------------------------------------------------------------
@@ -32,74 +33,55 @@ SURV_HEADER = ["subject_id", "event_time", "event_indicator"]
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    out = {}
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path} line {ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"{path} line {ln}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
+    lines = md.text_lines(path, ConfigError)
+    return {key: value for _, key, value in md.key_values(lines, path, ConfigError)}
 
 
-def _req(cfg, key) -> str:
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
-    return cfg[key]
+def _number(text) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(text)
+    return number
 
 
-def _get_float(cfg, key, default=None) -> float:
-    if key not in cfg:
-        if default is None:
+def _numbers(text) -> tuple:
+    return tuple(_number(v) for v in text.split(","))
+
+
+def _natural(text) -> int:
+    number = int(text)
+    if number < 0:
+        raise ValueError(text)
+    return number
+
+
+def _names(text) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+_KIND_NAMES = {_number: "a finite number", int: "an integer",
+               _natural: "a nonnegative integer", _numbers: "a comma list of finite numbers"}
+_REQUIRED = object()
+
+
+def _get(cfg, key, kind=str, default=_REQUIRED):
+    """The value under ``key`` converted by ``kind``; an empty value counts as
+    missing, and a missing required key or a malformed value is a ``ConfigError``."""
+    if not cfg.get(key):
+        if default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ConfigError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
+        raise ConfigError(f"config key {key!r} is not {_KIND_NAMES[kind]}: "
+                          f"{cfg[key]!r}") from None
 
 
-def _get_int(cfg, key, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} is not an integer: {cfg[key]!r}") from None
-
-
-def _get_floats(cfg, key, default=None):
-    if key not in cfg or not cfg[key]:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return tuple(float(v) for v in cfg[key].split(","))
-    except ValueError:
-        raise ConfigError(f"config key {key!r} is not a comma list of numbers") from None
-
-
-def _get_names(cfg, key, default=()):
-    if key not in cfg or not cfg[key]:
-        return tuple(default)
-    return tuple(v.strip() for v in cfg[key].split(",") if v.strip())
-
-
-def _seed(cfg) -> int:
-    if "seed" not in cfg:
-        raise ConfigError("missing required config key 'seed' "
-                          "(randomized commands never default it)")
-    return _get_int(cfg, "seed")
+def _options(cfg, **fields) -> dict:
+    """Keyword arguments ``name=_get(cfg, key, kind)`` for each ``name=(key, kind)``
+    whose key is given, so an absent key keeps the callee's default."""
+    return {name: _get(cfg, key, kind) for name, (key, kind) in fields.items() if cfg.get(key)}
 
 
 @dataclass(frozen=True)
@@ -124,39 +106,36 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _time_effect(cfg):
-    kind = cfg.get("model.time_basis", "linear")
+    kind = _get(cfg, "model.time_basis", str, "linear")
     if kind == "none":
         return None
     if kind == "linear":
         return md.LinearTime()
     if kind.startswith("poly"):
-        degree = _get_int(cfg, "model.poly_degree", 2)
-        return md.PolynomialTime(degree)
+        return md.PolynomialTime(_get(cfg, "model.poly_degree", int, 2))
     if kind == "ncs":
-        boundary = _get_floats(cfg, "model.ncs_boundary")
-        interior = _get_floats(cfg, "model.ncs_interior", default=())
-        return md.SplineTime(NaturalCubicBasis(tuple(boundary), tuple(interior)))
+        return md.SplineTime(NaturalCubicBasis(_get(cfg, "model.ncs_boundary", _numbers),
+                                               _get(cfg, "model.ncs_interior", _numbers, ())))
     raise ConfigError(f"unknown model.time_basis {kind!r}; "
                       "valid: none, linear, poly, ncs")
 
 
 def _family(cfg) -> md.ExponentialFamily:
-    name = cfg.get("model.family", "gaussian")
+    name = _get(cfg, "model.family", str, "gaussian")
     if name not in ("gaussian", "bernoulli"):
         raise ConfigError(f"unknown model.family {name!r}; valid: gaussian, bernoulli")
     return md.GAUSSIAN if name == "gaussian" else md.BERNOULLI
 
 
 def _baseline_basis(cfg, observed_times=None) -> BSplineBasis:
-    degree = _get_int(cfg, "model.baseline_degree", 3)
-    if "model.baseline_interior" in cfg and cfg["model.baseline_interior"]:
-        interior = _get_floats(cfg, "model.baseline_interior")
-        boundary = _get_floats(cfg, "model.baseline_boundary")
-        return BSplineBasis(degree=degree, interior_knots=tuple(interior),
-                            boundary_knots=tuple(boundary))
-    n_coefs = _get_int(cfg, "model.baseline_coefficients", 15)
-    if "model.baseline_boundary" in cfg:
-        boundary = _get_floats(cfg, "model.baseline_boundary")
+    degree = _get(cfg, "model.baseline_degree", int, 3)
+    interior = _get(cfg, "model.baseline_interior", _numbers, ())
+    if interior:
+        return BSplineBasis(degree=degree, interior_knots=interior,
+                            boundary_knots=_get(cfg, "model.baseline_boundary", _numbers))
+    n_coefs = _get(cfg, "model.baseline_coefficients", int, 15)
+    boundary = _get(cfg, "model.baseline_boundary", _numbers, None)
+    if boundary is not None:
         if len(boundary) != 2:
             raise ConfigError(f"model.baseline_boundary needs 2 values (lo,hi), "
                               f"got {len(boundary)}")
@@ -178,17 +157,16 @@ def build_model(cfg, observed_times=None, association=None):
     lspec = md.LongitudinalSpec(
         family=_family(cfg),
         time_effect=_time_effect(cfg),
-        covariates=_get_names(cfg, "model.covariates"),
-        random_time_terms=(_get_int(cfg, "model.random_time_terms")
-                           if "model.random_time_terms" in cfg else None),
+        covariates=_get(cfg, "model.covariates", _names, ()),
+        **_options(cfg, random_time_terms=("model.random_time_terms", int)),
     )
     spec = md.JointModelSpec(
         longitudinal=lspec,
         baseline_basis=_baseline_basis(cfg, observed_times),
-        hazard_covariates=_get_names(cfg, "model.hazard_covariates"),
-        penalty_order=_get_int(cfg, "model.penalty_order", 2),
+        hazard_covariates=_get(cfg, "model.hazard_covariates", _names, ()),
+        **_options(cfg, penalty_order=("model.penalty_order", int)),
     )
-    variant = association if association is not None else cfg.get("model.association", "current_value")
+    variant = association or _get(cfg, "model.association", str, "current_value")
     if variant not in md.ASSOCIATION_VARIANTS:
         raise ConfigError(f"unknown association variant {variant!r}; "
                           f"valid: {', '.join(md.ASSOCIATION_VARIANTS)}")
@@ -202,85 +180,56 @@ def build_model(cfg, observed_times=None, association=None):
 
 def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
     """Join the two CSVs on subject_id and validate every subject."""
-    surv_path = Path(survival_csv)
-    long_path = Path(longitudinal_csv)
-    for p in (surv_path, long_path):
-        if not p.exists():
-            raise DataError(f"input file not found: {p}")
-
-    with open(surv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != SURV_HEADER:
-            raise DataError(f"{surv_path} line 1: header must start with "
-                            f"{','.join(SURV_HEADER)}")
-        cov_names = header[3:]
-        order = []
-        surv = {}
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{surv_path} line {ln} column "
-                                f"{len(row) + 1}: expected {len(header)} fields")
-            sid = row[0]
-            if sid in surv:
-                raise DataError(f"{surv_path} line {ln} column subject_id: "
-                                f"duplicate subject {sid!r}")
-            t_obs = md.parse_float(row[1], surv_path, ln, "event_time")
-            ind = row[2].strip()
-            if ind not in ("0", "1"):
-                raise DataError(f"{surv_path} line {ln} column event_indicator: "
-                                f"must be 0 or 1, got {row[2]!r}")
-            covs = {name: md.parse_float(val, surv_path, ln, name)
-                    for name, val in zip(cov_names, row[3:])}
-            surv[sid] = (t_obs, int(ind), covs)
-            order.append(sid)
+    rows = md.read_csv(survival_csv, SURV_HEADER)
+    _, header = next(rows)
+    surv = {}
+    for ln, row in rows:
+        sid = row[0]
+        if sid in surv:
+            raise DataError(f"{survival_csv} line {ln} column subject_id: "
+                            f"duplicate subject {sid!r}")
+        t_obs = md.parse_float(row[1], survival_csv, ln, "event_time")
+        ind = row[2].strip()
+        if ind not in ("0", "1"):
+            raise DataError(f"{survival_csv} line {ln} column event_indicator: "
+                            f"must be 0 or 1, got {row[2]!r}")
+        covs = {name: md.parse_float(val, survival_csv, ln, name)
+                for name, val in zip(header[3:], row[3:])}
+        surv[sid] = (t_obs, int(ind), covs)
 
     meas = {sid: [] for sid in surv}
-    with open(long_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != LONG_HEADER:
-            raise DataError(f"{long_path} line 1: header must start with "
-                            f"{','.join(LONG_HEADER)}")
-        extra_names = header[3:]
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{long_path} line {ln} column "
-                                f"{len(row) + 1}: expected {len(header)} fields")
-            sid = row[0]
-            if sid not in surv:
-                raise DataError(f"{long_path} line {ln} column subject_id: "
-                                f"subject {sid!r} missing from the survival table")
-            t = md.parse_float(row[1], long_path, ln, "time")
-            value = md.parse_float(row[2], long_path, ln, "value")
-            if t > surv[sid][0]:
-                raise DataError(
-                    f"{long_path} line {ln} column time: measurement at {t} is "
-                    f"after the observed time {surv[sid][0]} of subject {sid!r}")
-            extras = {name: md.parse_float(val, long_path, ln, name)
-                      for name, val in zip(extra_names, row[3:])}
-            meas[sid].append((t, value, ln, extras))
+    rows = md.read_csv(longitudinal_csv, LONG_HEADER)
+    _, header = next(rows)
+    for ln, row in rows:
+        sid = row[0]
+        if sid not in surv:
+            raise DataError(f"{longitudinal_csv} line {ln} column subject_id: "
+                            f"subject {sid!r} missing from the survival table")
+        t = md.parse_float(row[1], longitudinal_csv, ln, "time")
+        value = md.parse_float(row[2], longitudinal_csv, ln, "value")
+        if t > surv[sid][0]:
+            raise DataError(
+                f"{longitudinal_csv} line {ln} column time: measurement at {t} is "
+                f"after the observed time {surv[sid][0]} of subject {sid!r}")
+        extras = {name: md.parse_float(val, longitudinal_csv, ln, name)
+                  for name, val in zip(header[3:], row[3:])}
+        meas[sid].append((t, value, ln, extras))
 
     subjects = []
-    for sid in order:
-        t_obs, ind, covs = surv[sid]
+    for sid, (t_obs, ind, covs) in surv.items():
         rows = meas[sid]
         times = np.array([r[0] for r in rows])
         values = np.array([r[1] for r in rows])
         if times.size and np.any(np.diff(times) < 0):
             k = int(np.nonzero(np.diff(times) < 0)[0][0]) + 1
-            raise DataError(f"{long_path} line {rows[k][2]} column time: "
+            raise DataError(f"{longitudinal_csv} line {rows[k][2]} column time: "
                             f"times for subject {sid!r} are not ascending")
         merged = dict(covs)
         for _, _, ln, extras in rows:
             for name, value in extras.items():
-                if not np.array_equal(merged.setdefault(name, value), value, equal_nan=True):
+                if merged.setdefault(name, value) != value:
                     raise DataError(
-                        f"{long_path} line {ln} column {name}: covariate of subject "
+                        f"{longitudinal_csv} line {ln} column {name}: covariate of subject "
                         f"{sid!r} changes from {merged[name]} to {value}; covariates "
                         f"must be constant within a subject")
         subjects.append(md.Subject(id=sid, times=times, y=values,
@@ -290,18 +239,12 @@ def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
 
 def write_dataset(dataset: md.Dataset, longitudinal_csv, survival_csv) -> None:
     cov_names = sorted({name for s in dataset.subjects for name in s.covariates})
-    with open(survival_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SURV_HEADER + cov_names)
-        for s in dataset.subjects:
-            writer.writerow([s.id, repr(s.event_time), s.event,
-                             *[repr(float(s.covariates[n])) for n in cov_names]])
-    with open(longitudinal_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LONG_HEADER)
-        for s in dataset.subjects:
-            for t, v in zip(s.times, s.y):
-                writer.writerow([s.id, repr(float(t)), repr(float(v))])
+    md.write_csv(survival_csv, SURV_HEADER + cov_names, (
+        [s.id, repr(s.event_time), s.event, *[repr(float(s.covariates[n])) for n in cov_names]]
+        for s in dataset.subjects))
+    md.write_csv(longitudinal_csv, LONG_HEADER, (
+        [s.id, repr(float(t)), repr(float(v))]
+        for s in dataset.subjects for t, v in zip(s.times, s.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +252,7 @@ def write_dataset(dataset: md.Dataset, longitudinal_csv, survival_csv) -> None:
 # ---------------------------------------------------------------------------
 
 def _out_prefix(cfg) -> Path:
-    prefix = Path(_req(cfg, "out.prefix"))
+    prefix = Path(_get(cfg, "out.prefix"))
     if prefix.parent and not prefix.parent.exists():
         prefix.parent.mkdir(parents=True, exist_ok=True)
     return prefix
@@ -317,21 +260,22 @@ def _out_prefix(cfg) -> Path:
 
 def _truth_parameters(cfg, spec: md.JointModelSpec) -> md.Parameters:
     q_coef = spec.n_baseline
-    if "truth.gamma_h0" in cfg:
-        gamma_h0 = np.array(_get_floats(cfg, "truth.gamma_h0"))
+    if cfg.get("truth.gamma_h0"):
+        gamma_h0 = np.array(_get(cfg, "truth.gamma_h0", _numbers))
         if gamma_h0.size != q_coef:
             raise ConfigError(f"truth.gamma_h0 needs {q_coef} values, got {gamma_h0.size}")
     else:
         gamma_h0 = np.zeros(q_coef)
-        gamma_h0[0] = _get_float(cfg, "truth.log_baseline")
-    d_lower = _get_floats(cfg, "truth.D")
+        gamma_h0[0] = _get(cfg, "truth.log_baseline", _number)
+    d_lower = _get(cfg, "truth.D", _numbers)
     q = spec.longitudinal.n_random
     if len(d_lower) != q * (q + 1) // 2:
         raise ConfigError(f"truth.D needs {q * (q + 1) // 2} values (the lower triangle "
                           f"of the {q}x{q} random-effect covariance), got {len(d_lower)}")
-    blocks = [_get_floats(cfg, "truth.beta"), _get_floats(cfg, "truth.gamma", default=()),
-              _get_floats(cfg, "truth.alpha"), tuple(gamma_h0)]
-    sigma2, tau_h = _get_float(cfg, "truth.sigma2", 1.0), _get_float(cfg, "truth.tau_h", 1.0)
+    blocks = [_get(cfg, "truth.beta", _numbers), _get(cfg, "truth.gamma", _numbers, ()),
+              _get(cfg, "truth.alpha", _numbers), tuple(gamma_h0)]
+    sigma2 = _get(cfg, "truth.sigma2", _number, 1.0)
+    tau_h = _get(cfg, "truth.tau_h", _number, 1.0)
     # the config's blocks, laid out in the order of the flat parameter vector
     values = [v for block in blocks for v in block] + [sigma2, *d_lower, tau_h]
     names = md.flat_names([len(block) for block in blocks], q)
@@ -339,34 +283,33 @@ def _truth_parameters(cfg, spec: md.JointModelSpec) -> md.Parameters:
 
 
 def _sim_covariates(cfg) -> dict:
-    raw = cfg.get("sim.covariates", "")
+    raw = _get(cfg, "sim.covariates", str, "")
     out = {}
     for item in filter(None, (s.strip() for s in raw.split(";"))):
         name, *kind = item.split(":")
         if not name or not kind:
             raise ConfigError(f"sim.covariates item {item!r}: expected name:kind[:parameters]")
         try:
-            out[name] = (kind[0], *(float(v) for v in kind[1:]))
+            out[name] = (kind[0], *(_number(v) for v in kind[1:]))
         except ValueError:
-            raise ConfigError(f"sim.covariates item {item!r}: parameters must be numbers") from None
+            raise ConfigError(f"sim.covariates item {item!r}: "
+                              "parameters must be finite numbers") from None
     return out
 
 
 def cmd_simulate(cfg) -> list:
     spec, assoc = build_model(cfg)
     design = simulate.SimulationDesign(
-        n_subjects=_get_int(cfg, "sim.n_subjects"),
+        n_subjects=_get(cfg, "sim.n_subjects", int),
         parameters=_truth_parameters(cfg, spec),
         spec=spec,
         assoc=assoc,
-        visit_times=_get_floats(cfg, "sim.visits"),
-        seed=_seed(cfg),
-        visit_jitter=_get_float(cfg, "sim.jitter", 0.1),
-        censor_admin=(_get_float(cfg, "sim.censor_admin")
-                      if "sim.censor_admin" in cfg else None),
-        censor_rate=(_get_float(cfg, "sim.censor_rate")
-                     if "sim.censor_rate" in cfg else None),
+        visit_times=_get(cfg, "sim.visits", _numbers),
+        seed=_get(cfg, "seed", _natural),
         covariates=_sim_covariates(cfg),
+        **_options(cfg, visit_jitter=("sim.jitter", _number),
+                   censor_admin=("sim.censor_admin", _number),
+                   censor_rate=("sim.censor_rate", _number)),
     )
     dataset = simulate.generate_dataset(design)
     prefix = _out_prefix(cfg)
@@ -379,20 +322,15 @@ def cmd_simulate(cfg) -> list:
 
 
 def _load_dataset(cfg) -> md.Dataset:
-    return parse_dataset(_req(cfg, "data.longitudinal"), _req(cfg, "data.survival"))
+    return parse_dataset(_get(cfg, "data.longitudinal"), _get(cfg, "data.survival"))
 
 
 def cmd_fit(cfg) -> list:
     dataset = _load_dataset(cfg)
     spec, assoc = build_model(cfg, observed_times=dataset.observed_times())
-    config = mcmc.McmcConfig(
-        seed=_seed(cfg),
-        chains=_get_int(cfg, "mcmc.chains", 2),
-        iterations=_get_int(cfg, "mcmc.iterations", 7000),
-        burn_in=_get_int(cfg, "mcmc.burn_in", 2000),
-        thin=_get_int(cfg, "mcmc.thin", 1),
-        adapt_window=_get_int(cfg, "mcmc.adapt_window", 50),
-    )
+    config = mcmc.McmcConfig(seed=_get(cfg, "seed", _natural), **_options(
+        cfg, chains=("mcmc.chains", int), iterations=("mcmc.iterations", int),
+        burn_in=("mcmc.burn_in", int), thin=("mcmc.thin", int)))
     samples = mcmc.fit(dataset, spec, assoc, mcmc.PriorSet(), config)
     prefix = _out_prefix(cfg)
     draws_path = f"{prefix}_draws.csv"
@@ -405,55 +343,45 @@ def cmd_fit(cfg) -> list:
 
 
 def _load_samples(cfg, spec, draws_key, ranef_key=None):
-    samples = mcmc.read_draws_csv(_req(cfg, draws_key), spec)
+    samples = mcmc.read_draws_csv(_get(cfg, draws_key), spec)
     if ranef_key is not None and ranef_key in cfg:
-        ids, ranef = mcmc.read_ranef_csv(cfg[ranef_key])
-        samples.subject_ids = ids
-        samples.ranef = ranef
+        samples.subject_ids, samples.ranef = mcmc.read_ranef_csv(_get(cfg, ranef_key))
     return samples
 
 
 def cmd_score(cfg) -> list:
     dataset = _load_dataset(cfg)
-    landmarks = _get_floats(cfg, "landmarks")
-    model_ids = _get_names(cfg, "models")
+    landmarks = _get(cfg, "landmarks", _numbers)
+    model_ids = _get(cfg, "models", _names)
     if not model_ids:
         raise ConfigError("score needs a comma list under 'models'")
-    seed = _seed(cfg)
+    seed = _get(cfg, "seed", _natural)
+    options = _options(cfg, n_theta_draws=("score.theta_draws", int),
+                       n_re_draws=("score.re_draws", int), warmup=("score.warmup", int))
     scores = []
     for mid in model_ids:
-        variant = cfg.get(f"{mid}.association", cfg.get("model.association"))
+        variant = _get(cfg, f"{mid}.association", str, None)
         spec, assoc = build_model(cfg, observed_times=dataset.observed_times(),
                                   association=variant)
         samples = _load_samples(cfg, spec, f"{mid}.draws", f"{mid}.ranef")
         if samples.ranef is None:
             raise ConfigError(f"score needs {mid}.ranef for the DIC computation")
         dic_value = mcmc.dic(samples, dataset, spec, assoc)
-        scores.append(dynpred.score_model(
-            mid, samples, dataset, spec, assoc, landmarks, dic_value,
-            n_theta_draws=(_get_int(cfg, "score.theta_draws")
-                           if "score.theta_draws" in cfg else None),
-            n_re_draws=_get_int(cfg, "score.re_draws", 25),
-            seed=seed,
-            warmup=_get_int(cfg, "score.warmup", mcmc.RE_WARMUP),
-        ))
+        scores.append(dynpred.score_model(mid, samples, dataset, spec, assoc, landmarks,
+                                          dic_value, seed=seed, **options))
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_scores.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["model", "dic"]
-        header += [f"cvdcl@{t:g}" for t in landmarks]
-        header += [f"n@{t:g}" for t in landmarks]
-        writer.writerow(header)
-        for s in scores:
-            writer.writerow([s.model, repr(s.dic), *[repr(v) for v in s.cvdcl],
-                             *[str(n) for n in s.n_at_risk]])
+    header = ["model", "dic", *[f"cvdcl@{t:g}" for t in landmarks],
+              *[f"n@{t:g}" for t in landmarks]]
+    md.write_csv(out_path, header, (
+        [s.model, repr(s.dic), *[repr(v) for v in s.cvdcl], *[str(n) for n in s.n_at_risk]]
+        for s in scores))
     return [out_path]
 
 
 def _history_for(cfg, dataset, subject_key, landmark_key):
-    sid = _req(cfg, subject_key)
-    t = _get_float(cfg, landmark_key)
+    sid = _get(cfg, subject_key)
+    t = _get(cfg, landmark_key, _number)
     subject = dataset.get(sid)
     if not subject.event_time > t:
         what = "had an event" if subject.event else "was censored"
@@ -468,20 +396,16 @@ def cmd_predict(cfg) -> list:
     spec, assoc = build_model(cfg, observed_times=dataset.observed_times())
     samples = _load_samples(cfg, spec, "predict.draws")
     history = _history_for(cfg, dataset, "predict.subject", "predict.landmark")
-    horizon = _get_float(cfg, "predict.horizon", dynpred.DEFAULT_T_MAX)
-    points = _get_int(cfg, "predict.points", 50)
+    horizon = _get(cfg, "predict.horizon", _number, dynpred.DEFAULT_T_MAX)
+    points = _get(cfg, "predict.points", int, 50)
     us = history.t + horizon * np.arange(points) / max(points - 1, 1)
-    pis = dynpred.pi_curve(history, us, samples, spec, assoc,
-                           g_pi=_get_int(cfg, "predict.g_pi", 2000),
-                           seed=_seed(cfg),
-                           warmup=_get_int(cfg, "predict.warmup", mcmc.RE_WARMUP))
+    pis = dynpred.pi_curve(history, us, samples, spec, assoc, seed=_get(cfg, "seed", _natural),
+                           **_options(cfg, g_pi=("predict.g_pi", int),
+                                      warmup=("predict.warmup", int)))
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_pi.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "pi"])
-        for u, p in zip(us, pis):
-            writer.writerow([repr(float(u)), repr(float(p))])
+    md.write_csv(out_path, ["u", "pi"],
+                 ([repr(float(u)), repr(float(p))] for u, p in zip(us, pis)))
     return [out_path]
 
 
@@ -490,16 +414,11 @@ def cmd_schedule(cfg) -> list:
     spec, assoc = build_model(cfg, observed_times=dataset.observed_times())
     samples = _load_samples(cfg, spec, "schedule.draws")
     history = _history_for(cfg, dataset, "schedule.subject", "schedule.landmark")
-    config = dynpred.ScheduleConfig(
-        seed=_seed(cfg),
-        kappa=_get_float(cfg, "schedule.kappa", 0.8),
-        t_max=_get_float(cfg, "schedule.t_max", dynpred.DEFAULT_T_MAX),
-        grid_size=_get_int(cfg, "schedule.grid_size", 5),
-        n_outer=_get_int(cfg, "schedule.outer", 2000),
-        n_inner=_get_int(cfg, "schedule.inner", 50),
-        n_pi=_get_int(cfg, "schedule.g_pi", 2000),
-        re_warmup=_get_int(cfg, "schedule.warmup", mcmc.RE_WARMUP),
-    )
+    config = dynpred.ScheduleConfig(seed=_get(cfg, "seed", _natural), **_options(
+        cfg, kappa=("schedule.kappa", _number), t_max=("schedule.t_max", _number),
+        grid_size=("schedule.grid_size", int), n_outer=("schedule.outer", int),
+        n_inner=("schedule.inner", int), n_pi=("schedule.g_pi", int),
+        re_warmup=("schedule.warmup", int)))
     plan = dynpred.schedule_next(history, samples, spec, assoc, config)
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_schedule.csv"
@@ -508,34 +427,16 @@ def cmd_schedule(cfg) -> list:
 
 
 def write_schedule_csv(plan: dynpred.SchedulePlan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "t_up_minus_t", "u", "EKL", "EKL_lo", "EKL_hi",
-                         "pi", "selected"])
-        for k, u in enumerate(plan.grid):
-            r = plan.ekl[k]
-            writer.writerow([
-                repr(float(plan.landmark)), repr(float(plan.t_up - plan.landmark)),
-                repr(float(u)), repr(r.estimate), repr(r.lower), repr(r.upper),
-                repr(float(plan.pi[k])),
-                1 if plan.selected is not None and u == plan.selected else 0,
-            ])
-
-
-def _read_table(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[: len(expected_header)] != list(expected_header):
-            raise DataError(f"{path} line 1: header must start with "
-                            f"{','.join(expected_header)}")
-        return header, [row for row in reader if row]
+    md.write_csv(path, SCHEDULE_HEADER, (
+        [repr(float(plan.landmark)), repr(float(plan.t_up - plan.landmark)),
+         repr(float(u)), repr(r.estimate), repr(r.lower), repr(r.upper),
+         repr(float(plan.pi[k])), 1 if plan.selected is not None and u == plan.selected else 0]
+        for k, (u, r) in enumerate(zip(plan.grid, plan.ekl))))
 
 
 def read_schedule_csv(path):
     """Rebuild the schedule report: (landmark, t_up, grid, ekl, pi, selected)."""
-    _, rows = _read_table(path, ["t", "t_up_minus_t", "u", "EKL", "EKL_lo",
-                                 "EKL_hi", "pi", "selected"])
+    rows = [row for _, row in md.read_csv(path, SCHEDULE_HEADER)][1:]
     landmark = float(rows[0][0])
     t_up = landmark + float(rows[0][1])
     grid = np.array([float(r[2]) for r in rows])
@@ -547,14 +448,14 @@ def read_schedule_csv(path):
 
 def read_pi_csv(path):
     """(u, pi) arrays from a conditional-survival curve report."""
-    _, rows = _read_table(path, ["u", "pi"])
+    rows = [row for _, row in md.read_csv(path, ["u", "pi"])][1:]
     return (np.array([float(r[0]) for r in rows]),
             np.array([float(r[1]) for r in rows]))
 
 
 def read_scores_csv(path):
     """Model scores: list of (model, dic, {t: cvdcl}, {t: n_at_risk})."""
-    header, rows = _read_table(path, ["model", "dic"])
+    header, *rows = [row for _, row in md.read_csv(path, ["model", "dic"])]
     cv_cols = [(j, float(name.split("@")[1])) for j, name in enumerate(header)
                if name.startswith("cvdcl@")]
     n_cols = [(j, float(name.split("@")[1])) for j, name in enumerate(header)

@@ -13,9 +13,7 @@ parameters.  Step sizes adapt during burn-in only.
 from __future__ import annotations
 
 import copy
-import csv
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +28,7 @@ from .errors import ConfigError, DataError, NumericError, SpecError
 from .numerics import GK15, span_nodes
 
 BLOCK_TARGET_RATE = 0.234
+ADAPT_WINDOW = 50     # draws between updates of a block proposal's shape
 SCALAR_TARGET_RATE = 0.44
 RE_WARMUP = 500
 PROPOSAL_DF = 4.0
@@ -67,7 +66,6 @@ class McmcConfig:
     iterations: int = 7000
     burn_in: int = 2000
     thin: int = 1
-    adapt_window: int = 50
 
     def __post_init__(self):
         if self.seed < 0:
@@ -78,8 +76,6 @@ class McmcConfig:
             raise ConfigError("thin must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.adapt_window < 1:
-            raise ConfigError("adapt_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -677,11 +673,10 @@ class _FitData:
 class _AdaptiveBlock:
     """Random-walk proposal with running-covariance shape and RM scaling."""
 
-    def __init__(self, dim: int, adapt_window: int):
+    def __init__(self, dim: int):
         self.dim = dim
         self.target = SCALAR_TARGET_RATE if dim == 1 else BLOCK_TARGET_RATE
         self.log_scale = math.log(2.38 / math.sqrt(dim))
-        self.adapt_window = adapt_window
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))
@@ -700,7 +695,7 @@ class _AdaptiveBlock:
         self.m2 += np.outer(delta, x - self.mean)
         gain = 1.0 / self.count**0.6
         self.log_scale += gain * (acc_prob - self.target)
-        if self.count % self.adapt_window == 0 and self.count >= max(20, 2 * self.dim):
+        if self.count % ADAPT_WINDOW == 0 and self.count >= max(20, 2 * self.dim):
             cov = self.m2 / (self.count - 1) + 1e-9 * np.eye(self.dim)
             try:
                 self.chol = np.linalg.cholesky(cov / np.mean(np.diag(cov)))
@@ -776,7 +771,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     frozen = set(freeze.keys())
     gaussian = fd.family.name == "gaussian"
 
-    beta_prop = _AdaptiveBlock(fd.p, config.adapt_window) if "beta" not in frozen else None
+    beta_prop = _AdaptiveBlock(fd.p) if "beta" not in frozen else None
     b_prop = _AdaptiveVector(fd.n, fd.q) if "ranef" not in frozen else None
 
     # ``cur`` holds the likelihood terms of the current state, so a move
@@ -1082,33 +1077,28 @@ def effective_sample_size(seqs: np.ndarray) -> float:
 
 def _write_number_table(path, samples: PosteriorSamples, names, mat) -> None:
     """One row per draw: chain, iteration, then the row of ``mat``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iteration", *names])
-        for g in range(samples.n_draws):
-            writer.writerow([int(samples.chain[g]), int(samples.iteration[g]),
-                             *[repr(float(v)) for v in mat[g]]])
+    md.write_csv(path, ["chain", "iteration", *names], (
+        [int(samples.chain[g]), int(samples.iteration[g]), *[repr(float(v)) for v in mat[g]]]
+        for g in range(samples.n_draws)))
 
 
 def _read_number_table(path):
     """Header and rows of a draws or random-effects CSV; a fault is a DataError at its line."""
-    if not os.path.exists(path):
-        raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["chain", "iteration"]:
-            raise DataError(f"{path} line 1: header must start with chain,iteration")
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {ln} column {len(row) + 1}: "
-                                f"expected {len(header)} fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                rows.append([md.parse_float(v, path, ln, n) for n, v in zip(header, row)])
-    return header, np.array(rows).reshape(len(rows), len(header))
+    rows = md.read_csv(path, ["chain", "iteration"])
+    _, header = next(rows)
+    lines, data = [], []
+    for ln, row in rows:
+        try:  # fast path; a non-finite sum sends the row to the field-by-field check
+            values = [float(v) for v in row]
+            if not math.isfinite(sum(values)):
+                raise ValueError
+        except ValueError:
+            values = [md.parse_float(v, path, ln, n) for n, v in zip(header, row)]
+        lines.append(ln)
+        data.append(values)
+    if not data:
+        raise DataError(f"{path}: no draws after the header")
+    return header, lines, np.array(data).reshape(len(data), len(header))
 
 
 def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) -> None:
@@ -1117,9 +1107,20 @@ def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) ->
 
 
 def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
-    header, data = _read_number_table(path)
+    header, lines, data = _read_number_table(path)
+    lspec = spec.longitudinal
+    sizes = (lspec.n_fixed, len(spec.hazard_covariates),
+             sum(name.startswith("alpha[") for name in header), spec.n_baseline)
+    expected = md.flat_names(sizes, lspec.n_random, lspec.family.has_dispersion)
+    if header[2:] != expected:
+        raise DataError(f"{path} line 1: the model's parameter columns are "
+                        f"chain,iteration,{','.join(expected)}")
     cols = {name: data[:, j] for j, name in enumerate(header)}
     v = md.unflatten(cols)
+    valid = (v["sigma2"] > 0) & (v["tau_h"] > 0) & (np.linalg.eigvalsh(v["D"])[:, 0] > 0)
+    if not valid.all():
+        raise DataError(f"{path} line {lines[np.argmin(valid)]}: sigma2 and tau_h must be "
+                        f"positive and D[i,j] positive definite")
     return PosteriorSamples(
         beta=v["beta"], gamma=v["gamma"], alpha=v["alpha"], gamma_h0=v["gamma_h0"],
         phi=v["sigma2"], tau_h=v["tau_h"], tau_hdelta=np.ones(data.shape[0]), D=v["D"],
@@ -1137,17 +1138,13 @@ def write_ranef_csv(samples: PosteriorSamples, path) -> None:
 
 def read_ranef_csv(path):
     """Returns (subject_ids, ranef array (G, n, q))."""
-    header, data = _read_number_table(path)
-    ids, ks = [], []
-    for name in header[2:]:
-        sid, k = name[2:-1].rsplit(",", 1)
-        ids.append(sid)
-        ks.append(int(k))
-    q = max(ks) + 1 if ks else 1
-    subject_ids = tuple(dict.fromkeys(ids))
+    header, _, data = _read_number_table(path)
+    subject_ids = tuple(dict.fromkeys(name[2:].rpartition(",")[0] for name in header[2:]))
     n = len(subject_ids)
-    if len(ks) != n * q:
-        raise DataError(f"{path} line 1: {len(ks)} random-effect columns for {n} subjects")
+    q = (len(header) - 2) // n if n else 1
+    if header[2:] != [f"b[{sid},{k}]" for sid in subject_ids for k in range(q)]:
+        raise DataError(f"{path} line 1: random-effect columns must be b[subject,k] "
+                        f"for k = 0, 1, ... of every subject in turn")
     return subject_ids, np.ascontiguousarray(data[:, 2:]).reshape(data.shape[0], n, q)
 
 

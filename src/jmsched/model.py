@@ -8,6 +8,7 @@ effects themselves) on top of a penalized B-spline log baseline hazard.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -586,12 +587,75 @@ def parameters_from_flat(columns, spec: JointModelSpec) -> Parameters:
 # ---------------------------------------------------------------------------
 
 def parse_float(value, path, line, column) -> float:
-    """A number read from a CSV field; a ``DataError`` naming where it sits if not."""
+    """A finite number read from a file field; a ``DataError`` naming where it sits if not."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise DataError(
-            f"{path} line {line} column {column}: could not parse {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise DataError(f"{path} line {line} column {column}: "
+                        f"could not parse {value!r} as a finite number")
+    return number
+
+
+def text_lines(path, error=DataError):
+    """Stream the lines of a UTF-8 text file; an unreadable file is an ``error`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise error(f"cannot read {path}: not UTF-8 text") from None
+
+
+def key_values(lines, where, error):
+    """Yield ``(line, key, value)`` for each ``key=value`` line; ``#`` starts a
+    comment, blank lines are skipped, and a key may appear once."""
+    seen = set()
+    for ln, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise error(f"{where} line {ln}: expected key=value, got {raw.rstrip()!r}")
+        key, value = (s.strip() for s in text.split("=", 1))
+        if key in seen:
+            raise error(f"{where} line {ln}: duplicate key {key!r}")
+        seen.add(key)
+        yield ln, key, value
+
+
+def read_csv(path, header_start):
+    """Stream a UTF-8 CSV file whose header starts with ``header_start``.
+
+    Yields ``(line, row)``, the header first; blank lines are skipped and every
+    other row must hold as many fields as the header.  Any fault is a
+    ``DataError`` naming the file and line.
+    """
+    reader = csv.reader(text_lines(path))
+    try:
+        header = next(filter(None, reader), None)
+        if header is None or header[:len(header_start)] != list(header_start):
+            raise DataError(f"{path} line {reader.line_num or 1}: header must start with "
+                            f"{','.join(header_start)}")
+        yield reader.line_num, header
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise DataError(f"{path} line {reader.line_num} column "
+                                f"{min(len(row), len(header)) + 1}: "
+                                f"expected {len(header)} fields")
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then each of ``rows`` as UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _covariate_row(covariates, names) -> np.ndarray:

@@ -127,13 +127,6 @@ def truth_report(design: SimulationDesign) -> str:
 
 
 def parse_truth(text: str) -> dict:
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"truth manifest line {ln} is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = float(value)
-    return out
+    """The parameter values of a manifest written by ``truth_report``."""
+    pairs = md.key_values(text.splitlines(), "truth manifest", DataError)
+    return {key: md.parse_float(value, "truth manifest", ln, key) for ln, key, value in pairs}

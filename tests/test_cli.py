@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmsched.cli import (
     RunConfig,
@@ -15,7 +19,8 @@ from jmsched.cli import (
     read_scores_csv,
     write_dataset,
 )
-from jmsched.errors import ConfigError, DataError
+from jmsched.errors import ConfigError, DataError, JmschedError
+from jmsched.mcmc import read_draws_csv
 from jmsched.simulate import generate_dataset
 
 from test_simulate import flat_design
@@ -259,14 +264,26 @@ def _truncate_ranef(rows):
     del rows[5][-1]
 
 
+def _nan_draws(rows):
+    rows[3][4] = "nan"
+
+
+def _inf_ranef(rows):
+    rows[5][7] = "-inf"
+
+
 DRAWS_FAULT = ("draws", _corrupt_draws, "line 4 column gamma[0]: could not parse 'x'")
 RANEF_FAULT = ("ranef", _truncate_ranef, "line 6 column 52: expected 52 fields")
+NAN_DRAWS_FAULT = ("draws", _nan_draws, "line 4 column gamma[0]: could not parse 'nan'")
+INF_RANEF_FAULT = ("ranef", _inf_ranef, "line 6 column b[s0002,1]: could not parse '-inf'")
 
 
 @pytest.mark.parametrize("command, name, corrupt, where", [
     ("predict", *DRAWS_FAULT), ("schedule", *DRAWS_FAULT), ("score", *DRAWS_FAULT),
-    ("score", *RANEF_FAULT),
-], ids=["predict-draws", "schedule-draws", "score-draws", "score-ranef"])
+    ("score", *RANEF_FAULT), ("predict", *NAN_DRAWS_FAULT), ("score", *NAN_DRAWS_FAULT),
+    ("score", *INF_RANEF_FAULT),
+], ids=["predict-draws", "schedule-draws", "score-draws", "score-ranef",
+        "predict-draws-nan", "score-draws-nan", "score-ranef-inf"])
 def test_malformed_draws_or_ranef_csv_is_an_error(pipeline, tmp_path, capsys, command,
                                                   name, corrupt, where):
     """A draws or random-effects CSV with a non-number or a short row ends in
@@ -350,14 +367,25 @@ def test_parse_rejects_unsorted_times(tmp_path):
 
 
 def test_parse_names_file_line_column_for_bad_number(tmp_path):
+    """A field that is not a finite number, including inf and nan, is an
+    error at its file, line and column."""
     sp = tmp_path / "s.csv"
     lp = tmp_path / "l.csv"
-    sp.write_text("subject_id,event_time,event_indicator\na,2.0,1\n")
-    lp.write_text("subject_id,time,value\na,oops,3.0\n")
-    with pytest.raises(DataError) as err:
-        parse_dataset(lp, sp)
-    msg = str(err.value)
-    assert "l.csv" in msg and "line 2" in msg and "time" in msg
+    surv = "subject_id,event_time,event_indicator,w\na,2.0,1,0\n"
+    long = "subject_id,time,value\na,1.0,3.0\n"
+    for survival, longitudinal, where in [
+        (surv, long.replace("1.0", "oops"), "l.csv line 2 column time"),
+        (surv.replace("2.0", "inf"), long, "s.csv line 2 column event_time"),
+        (surv.replace(",0\n", ",nan\n"), long, "s.csv line 2 column w"),
+        (surv, long.replace("1.0", "nan"), "l.csv line 2 column time"),
+        (surv, long.replace("3.0", "-inf"), "l.csv line 2 column value"),
+        (surv, "subject_id,time,value,x\na,1.0,3.0,NaN\n", "l.csv line 2 column x"),
+    ]:
+        sp.write_text(survival)
+        lp.write_text(longitudinal)
+        with pytest.raises(DataError) as err:
+            parse_dataset(lp, sp)
+        assert where in str(err.value)
 
 
 def test_parse_accepts_empty_longitudinal(tmp_path):
@@ -403,6 +431,13 @@ def test_parse_rejects_longitudinal_covariate_contradicting_survival_table(tmp_p
     ("truth.gamma", "0.4,0.1"),
     ("model.baseline_boundary", "0,6,12"),
     ("model.baseline_boundary", "12"),
+    ("truth.alpha", "nan"),
+    ("truth.log_baseline", "nan"),
+    ("truth.sigma2", "inf"),
+    ("sim.visits", "0,nan"),
+    ("sim.jitter", "nan"),
+    ("sim.censor_admin", "inf"),
+    ("sim.covariates", "w:bernoulli:nan"),
 ])
 def test_malformed_simulate_config_is_an_error(tmp_path, capsys, key, value):
     text = f"""
@@ -452,6 +487,80 @@ def test_cli_error_goes_to_stderr_with_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _predict_config(tmp, out, draws, data=None):
+    """A predict config on the shared pipeline (subject s0000 is at risk at
+    0.5), with the given draws path and, if given, both data paths replaced by
+    ``data``."""
+    return f"""
+seed=6
+out.prefix={out}/pred
+data.longitudinal={data or tmp / "sim_longitudinal.csv"}
+data.survival={data or tmp / "sim_survival.csv"}
+{MODEL_BLOCK}
+model.association=current_value
+predict.draws={draws}
+predict.subject=s0000
+predict.landmark=0.5
+predict.points=3
+predict.g_pi=20
+predict.warmup=10
+"""
+
+
+@pytest.mark.parametrize("what", ["config", "data", "draws"])
+def test_directory_as_input_is_an_error(pipeline, tmp_path, capsys, what):
+    """A directory where a config, data or draws file belongs ends in an error
+    naming it, not an IsADirectoryError."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    draws = folder if what == "draws" else pipeline / "fit1_draws.csv"
+    cfg = write_config(tmp_path / "c.cfg", _predict_config(
+        pipeline, tmp_path, draws, folder if what == "data" else None))
+    assert main(["predict", str(folder) if what == "config" else cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(folder) in err
+
+
+def test_config_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"seed=1\nout.prefix=\xff\n")
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "c.cfg" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("column", ["b[s0001]", "b[s0001,x]"])
+def test_ranef_column_without_integer_component_is_an_error(pipeline, tmp_path, capsys,
+                                                            column):
+    rows = read_rows(pipeline / "fit1_ranef.csv")
+    rows[0][4] = column
+    bad = tmp_path / "bad_ranef.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path / "score.cfg", f"""
+seed=3
+out.prefix={tmp_path}/sc
+data.longitudinal={pipeline}/sim_longitudinal.csv
+data.survival={pipeline}/sim_survival.csv
+{MODEL_BLOCK}
+models=m1
+m1.draws={pipeline}/fit1_draws.csv
+m1.ranef={bad}
+landmarks=3
+score.theta_draws=5
+score.re_draws=2
+""")
+    assert main(["score", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} line 1" in err
+
+
+def test_missing_report_is_an_error(tmp_path):
+    with pytest.raises(DataError) as err:
+        read_pi_csv(tmp_path / "nope_pi.csv")
+    assert "nope_pi.csv" in str(err.value)
+
+
 def test_config_parser_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.cfg"
     path.write_text("a=1\na=2\n")
@@ -469,3 +578,104 @@ def test_config_parser_strips_comments(tmp_path):
 def test_run_config_rejects_unknown_command():
     with pytest.raises(ConfigError):
         RunConfig("reticulate", {})
+
+
+# --- property tests: one field of a valid input replaced by arbitrary text ----------------
+
+# arbitrary text, plus numbers written out, extremes and non-finite ones included
+FIELD_TEXT = st.one_of(st.text(max_size=12), st.floats().map(repr),
+                       st.integers(-3, 40).map(str))
+FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def _main_outcome(argv):
+    """(exit code, stderr) of ``main``; anything but exit 0 or 1 fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1)
+    assert code == 0 or err.getvalue().startswith("error:")
+    return code, err.getvalue()
+
+
+def _replace_field(lines, row, column, text):
+    """CSV lines with one field replaced by unquoted text."""
+    fields = lines[row].split(",")
+    fields[column] = text
+    return lines[:row] + [",".join(fields)] + lines[row + 1:]
+
+
+SURVIVAL_LINES = ["subject_id,event_time,event_indicator,w", "a,3.5,1,1.0", "b,6.0,0,0.0",
+                  "c,2.0,1,1.0"]
+LONGITUDINAL_LINES = ["subject_id,time,value", "a,0.0,3.1", "a,1.0,3.6", "b,0.0,2.9",
+                      "b,2.0,3.0", "b,4.0,3.3", "c,0.0,3.4", "c,1.5,3.9"]
+
+
+@FUZZ
+@given(table=st.sampled_from(["survival", "longitudinal"]), row=st.integers(0, 7),
+       column=st.integers(0, 3), text=FIELD_TEXT)
+def test_any_dataset_field_ends_in_data_or_error(tmp_path_factory, table, row, column, text):
+    """parse_dataset and fit on a cohort CSV with one field replaced by any text
+    either succeed or end in a JmschedError, never a traceback."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    lines = {"survival": SURVIVAL_LINES, "longitudinal": LONGITUDINAL_LINES}
+    lines[table] = _replace_field(lines[table], row % len(lines[table]),
+                                  column % len(lines[table][0].split(",")), text)
+    for name, table_lines in lines.items():
+        (tmp / f"{name}.csv").write_text("\n".join(table_lines) + "\n", encoding="utf-8")
+    try:
+        parse_dataset(tmp / "longitudinal.csv", tmp / "survival.csv")
+    except JmschedError:
+        pass
+    cfg = write_config(tmp / "fit.cfg", f"""
+seed=1
+out.prefix={tmp}/fit
+data.longitudinal={tmp}/longitudinal.csv
+data.survival={tmp}/survival.csv
+{MODEL_BLOCK}
+mcmc.chains=1
+mcmc.iterations=6
+mcmc.burn_in=2
+""")
+    _main_outcome(["fit", cfg])
+
+
+@FUZZ
+@given(row=st.integers(0, 8), column=st.integers(0, 40), text=FIELD_TEXT)
+def test_any_draws_field_ends_in_samples_or_error(pipeline, tmp_path_factory, row, column,
+                                                  text):
+    """read_draws_csv and predict on a draws CSV with one field replaced by any
+    text either succeed or end in a JmschedError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rows = read_rows(pipeline / "fit1_draws.csv")[:9]
+    rows[row][column % len(rows[0])] = text
+    draws = tmp / "draws.csv"
+    with open(draws, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    spec, _ = build_model(load_config(write_config(tmp / "m.cfg", MODEL_BLOCK)),
+                          association="current_value")
+    try:
+        read_draws_csv(draws, spec)
+    except JmschedError:
+        pass
+    cfg = write_config(tmp / "pred.cfg", _predict_config(pipeline, tmp, draws))
+    _main_outcome(["predict", cfg])
+
+
+SIMULATE_LINES = ["seed=1", *MODEL_BLOCK.split(), *TRUTH_BLOCK.split(), "sim.n_subjects=2",
+                  "sim.visits=0,1", "sim.jitter=0.05", "sim.censor_admin=8",
+                  "sim.covariates=w:bernoulli:0.5"]
+
+
+@FUZZ
+@given(line=st.integers(0, len(SIMULATE_LINES) - 1), text=FIELD_TEXT)
+def test_any_simulate_config_value_ends_in_cohort_or_error(tmp_path_factory, line, text):
+    """simulate with one config value replaced by any text either writes its
+    files or ends in a JmschedError (``out.prefix``, where files go, is kept)."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    lines = list(SIMULATE_LINES)
+    key = lines[line].split("=", 1)[0]
+    lines[line] = f"{key}={text}"
+    cfg = tmp / "sim.cfg"
+    cfg.write_text("\n".join([f"out.prefix={tmp}/sim", *lines]) + "\n", encoding="utf-8")
+    _main_outcome(["simulate", str(cfg)])

@@ -183,7 +183,7 @@ def test_adaptive_block_recovers_toy_target():
     def logp(x):
         return -0.5 * float(x @ prec @ x)
 
-    block = _AdaptiveBlock(dim=2, adapt_window=50)
+    block = _AdaptiveBlock(dim=2)
     rng = np.random.default_rng(13)
     x = np.zeros(2)
     lp = logp(x)
