@@ -253,8 +253,7 @@ def write_dataset(dataset: md.Dataset, longitudinal_csv, survival_csv) -> None:
 
 def _out_prefix(cfg) -> Path:
     prefix = Path(_get(cfg, "out.prefix"))
-    if prefix.parent and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     return prefix
 
 
@@ -498,7 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         emitted = run(RunConfig.from_file(args.command, args.config))
-    except JmschedError as exc:
+    except (JmschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in emitted:

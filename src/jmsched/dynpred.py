@@ -142,8 +142,7 @@ class _PiMachine:
         self.t = history.t
         cond = ReCondition.from_history(history)
         if proposal is None:
-            theta_hat = samples.mean_parameters(spec)
-            proposal = posterior_mode_re(history, cond, theta_hat, spec, assoc)
+            proposal = posterior_mode_re(history, cond, samples.mean_parameters(spec), spec, assoc)
         self.cdata = _ConditionData(spec, assoc, history.covariates, cond)
         self.b = _re_mh_draws(self.cdata, self.th, proposal, rng, warmup)
 
@@ -251,13 +250,15 @@ def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, u: float, rng,
     hi = edges[cell].copy()
     acc = cum[np.arange(size), cell - 1]
     lo[capped] = hi[capped] = cap
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a row is done at width tol or, past about 8.6e9, where no float lies between
+    while np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
         inc = cdata.cum_hazard_rowwise(b, th, lo, mid)
         go = (acc + inc) < target
         acc = np.where(go, acc + inc, acc)
         lo = np.where(go, mid, lo)
         hi = np.where(go, hi, mid)
+        mid = 0.5 * (lo + hi)
     return 0.5 * (lo + hi), capped
 
 
@@ -296,10 +297,9 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
         rng = _stream(config.seed, _EKL_STREAM, _float_key(u))
     n_outer, n_inner = config.n_outer, config.n_inner
     family = spec.longitudinal.family
-    theta_hat = samples.mean_parameters(spec)
     cond_t = ReCondition.from_history(history)
     if proposal is None:
-        proposal = posterior_mode_re(history, cond_t, theta_hat, spec, assoc)
+        proposal = posterior_mode_re(history, cond_t, samples.mean_parameters(spec), spec, assoc)
     cdata_t = _ConditionData(spec, assoc, history.covariates, cond_t)
     cond_u = ReCondition.from_history(history, survival_until=u)
     cdata_u = _ConditionData(spec, assoc, history.covariates, cond_u)

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import invwishart
 
@@ -32,6 +31,8 @@ ADAPT_WINDOW = 50     # draws between updates of a block proposal's shape
 SCALAR_TARGET_RATE = 0.44
 RE_WARMUP = 500
 PROPOSAL_DF = 4.0
+MODE_STEP_TOL = 1e-8   # Newton step length, in posterior sd, that ends the mode search
+MODE_MAX_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +99,10 @@ class ReCondition:
         object.__setattr__(self, "survival_until", float(self.survival_until))
 
     @classmethod
-    def from_history(cls, history, survival_until=None, extra=None) -> "ReCondition":
-        times, y = history.times, history.y
-        if extra is not None:
-            u, y_u = extra
-            times = np.append(times, u)
-            y = np.append(y, y_u)
+    def from_history(cls, history, survival_until=None) -> "ReCondition":
         if survival_until is None:
             survival_until = history.t
-        return cls(survival_until, times, y)
+        return cls(survival_until, history.times, history.y)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +305,32 @@ class _ConditionData:
         out = out - self.cum_hazard(b, th, self.condition.survival_until)
         return out
 
+    def log_target_newton(self, b, th):
+        """Gradient and precision (negative Hessian) of ``log_target`` at b (q,)
+        for the single theta row of ``th``: -D^-1 b and D^-1 from the prior;
+        Z'(y - mu)/phi and Z'V(mu)Z/phi from the measurements (canonical links);
+        and, as log h = c + A b is affine in b (A: the association at unit b),
+        -A'r and A' diag(r) A with r = w exp(log h), 0 where clamped."""
+        inv_D = th.inv_D[0]
+        grad, prec = -inv_D @ b, inv_D.copy()
+        if self.meas.times.size:
+            Z = self.meas.pairs["eta"][1]
+            eta = md.trajectory_features(self.meas, th.beta, b[None, :])["eta"][:, 0]
+            mu = self.family.mean(eta)
+            phi, var = (th.phi[0], 1.0) if self.family.has_dispersion else (1.0, mu * (1.0 - mu))
+            grad += Z.T @ (self.condition.y - mu) / phi
+            prec += (Z.T * var) @ Z / phi
+        if self.condition.survival_until > 0.0:
+            design = self._nodes(0.0, self.condition.survival_until)
+            lh = self._log_hazard(design, b[None, :], th)[:, 0]
+            r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, design.weights * np.exp(lh), 0.0)
+            units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
+            A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(b.size)),
+                                (lh.size, b.size))
+            grad -= A.T @ r
+            prec += (A.T * r) @ A
+        return grad, prec
+
 
 # ---------------------------------------------------------------------------
 # Student-t proposals and the conditional random-effects sampler
@@ -316,12 +338,11 @@ class _ConditionData:
 
 @dataclass(frozen=True)
 class ReProposal:
-    """Independence-proposal parameters: multivariate t(df) at the target mode."""
+    """Independence-proposal parameters: multivariate t(PROPOSAL_DF) at the target mode;
+    ``fallback``: the mode search met a target or precision that is not finite."""
 
     mean: np.ndarray
     cov: np.ndarray
-    df: float = PROPOSAL_DF
-    repaired: bool = False
     fallback: bool = False
     iterations: int = 0
 
@@ -347,13 +368,13 @@ def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
     q = proposal.mean.size
     z = rng.standard_normal((size, q))
-    g = rng.chisquare(proposal.df, size)
-    return proposal.mean + (z @ proposal.chol.T) * np.sqrt(proposal.df / g)[:, None]
+    g = rng.chisquare(PROPOSAL_DF, size)
+    return proposal.mean + (z @ proposal.chol.T) * np.sqrt(PROPOSAL_DF / g)[:, None]
 
 
 def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
     q = proposal.mean.size
-    df = proposal.df
+    df = PROPOSAL_DF
     chol = proposal.chol
     dev = np.atleast_2d(x) - proposal.mean
     u = _solve_lower(chol, dev.T)
@@ -363,56 +384,40 @@ def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
     return const - 0.5 * (df + q) * np.log1p(maha / df)
 
 
-def _finite_difference_hessian(f, x, step=1e-4) -> np.ndarray:
-    q = x.size
-    H = np.zeros((q, q))
-    for i in range(q):
-        for j in range(i, q):
-            ei = np.zeros(q)
-            ej = np.zeros(q)
-            ei[i] = step
-            ej[j] = step
-            H[i, j] = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * step * step)
-            H[j, i] = H[i, j]
-    return 0.5 * (H + H.T)
-
-
 def posterior_mode_re(history, condition: ReCondition, theta: md.Parameters,
                       spec: md.JointModelSpec, assoc: md.AssociationForm) -> ReProposal:
     """Mode and curvature of p(b | condition, theta), for the t proposal.
 
-    Quasi-Newton maximization from 0; the covariance is the inverse of the
-    symmetrized finite-difference Hessian at the mode, ridge-repaired if the
-    Hessian is not positive definite.
+    The log target is strictly concave in b (the log hazard is affine in b,
+    both families are log-concave, the prior is Gaussian), so Newton steps
+    from 0 on its exact gradient and precision, each halved until the target
+    does not decrease, find the mode; the covariance is the inverse precision
+    there.  A target or precision that is not finite falls back to mean 0, cov D.
     """
     cdata = _ConditionData(spec, assoc, history.covariates, condition)
     th1 = ThetaBatch.from_parameters(theta, 1)
     q = theta.n_random
-
-    def negloglik(v):
-        val = cdata.log_target(v[None, :], th1)[0]
-        return -val if np.isfinite(val) else 1e300
-
-    res = minimize(negloglik, np.zeros(q), method="BFGS")
-    bhat = res.x
-    if not np.all(np.isfinite(bhat)) or not np.isfinite(res.fun):
-        return ReProposal(mean=np.zeros(q), cov=theta.D.copy(), fallback=True)
-    H = _finite_difference_hessian(negloglik, bhat, step=1e-4)
-    repaired = False
-    ridge = 1e-6
-    while True:
-        try:
-            np.linalg.cholesky(H)
+    fallback = ReProposal(mean=np.zeros(q), cov=theta.D.copy(), fallback=True)
+    b = np.zeros(q)
+    value = cdata.log_target(b[None, :], th1)[0]
+    if not np.isfinite(value):
+        return fallback
+    for steps in range(MODE_MAX_STEPS + 1):
+        grad, prec = cdata.log_target_newton(b, th1)
+        chol, info = dpotrf(prec, lower=1)
+        if info != 0 or not np.all(np.isfinite(prec)):
+            return fallback
+        step, _ = dpotrs(chol, grad, lower=1)
+        if steps == MODE_MAX_STEPS or step @ grad < MODE_STEP_TOL**2:
             break
-        except np.linalg.LinAlgError:
-            if ridge > 1e-2:
-                return ReProposal(mean=np.zeros(q), cov=theta.D.copy(), fallback=True)
-            H = H + ridge * np.eye(q)
-            ridge *= 10.0
-            repaired = True
-    V = np.linalg.inv(H)
-    V = 0.5 * (V + V.T)
-    return ReProposal(mean=bhat, cov=V, repaired=repaired, iterations=int(res.nit))
+        while True:
+            cand_value = cdata.log_target((b + step)[None, :], th1)[0]
+            if cand_value >= value or step @ grad < MODE_STEP_TOL**2:
+                break
+            step = 0.5 * step
+        b, value = b + step, cand_value
+    cov, _ = dpotrs(chol, np.eye(q), lower=1)
+    return ReProposal(mean=b, cov=0.5 * (cov + cov.T), iterations=steps)
 
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
@@ -447,18 +452,18 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
 
 def sample_random_effects(history, condition: ReCondition, theta: md.Parameters,
                           spec: md.JointModelSpec, assoc: md.AssociationForm,
-                          n_draws: int, seed=None, rng=None, warmup: int = RE_WARMUP,
-                          proposal: ReProposal = None) -> np.ndarray:
+                          n_draws: int, seed=None, rng=None, warmup: int = RE_WARMUP
+                          ) -> np.ndarray:
     """MH chain targeting p(b | condition, theta); returns (n_draws, q).
 
-    The proposal is a multivariate Student-t (4 df) centered at the target
-    mode with the inverse negative Hessian as covariance; the first draw is
+    The independence proposal is a multivariate Student-t (4 df) at the mode
+    of the strictly concave log target, with the inverse of its exact
+    precision there as covariance (``posterior_mode_re``); the first draw is
     taken after the internal warm-up.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if proposal is None:
-        proposal = posterior_mode_re(history, condition, theta, spec, assoc)
+    proposal = posterior_mode_re(history, condition, theta, spec, assoc)
     cdata = _ConditionData(spec, assoc, history.covariates, condition)
     th = ThetaBatch.from_parameters(theta, 1)
     return _re_mh_draws(cdata, th, proposal, rng, warmup, n_keep=n_draws)

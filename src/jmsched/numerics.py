@@ -81,11 +81,6 @@ class BSplineBasis:
             [np.full(self.degree + 1, lo), self.interior_knots, np.full(self.degree + 1, hi)]
         )
 
-    def _check_domain(self, t: float) -> None:
-        lo, hi = self.boundary_knots
-        if not (lo <= t <= hi):
-            raise DomainError(f"t={t} outside the boundary interval [{lo}, {hi}]")
-
 
 def _cox_de_boor_matrix(knots: np.ndarray, ts: np.ndarray, up_to_degree: int) -> np.ndarray:
     """Basis values of order ``up_to_degree`` at each t, one column per span.

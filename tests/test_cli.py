@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jmsched
 from jmsched.cli import (
     RunConfig,
     build_model,
@@ -485,6 +490,41 @@ def test_cli_error_goes_to_stderr_with_nonzero_exit(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["fit", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_prefix_is_an_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    cfg = write_config(tmp_path / "c.cfg", f"""
+seed=1
+out.prefix={tmp_path}/afile/x
+{MODEL_BLOCK}
+{TRUTH_BLOCK}
+sim.n_subjects=2
+sim.visits=0,1
+sim.covariates=w:bernoulli:0.5
+""")
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "afile" in err
+
+
+def test_simulate_ends_when_event_times_outrun_float_spacing(tmp_path):
+    """Event times near the cap of 1e14, where neighbouring floats lie more
+    than the bisection tolerance apart, still end the inversion."""
+    truth = [line for line in TRUTH_BLOCK.strip().splitlines()
+             if not line.startswith(("truth.log_baseline", "truth.alpha", "truth.gamma"))]
+    cfg = write_config(tmp_path / "c.cfg", "\n".join([
+        "seed=1", f"out.prefix={tmp_path}/x", MODEL_BLOCK, *truth,
+        "truth.log_baseline=-30", "truth.alpha=0", "truth.gamma=0",
+        "sim.n_subjects=3", "sim.visits=0,1", "sim.censor_admin=1e12",
+        "sim.covariates=w:bernoulli:0.5"]))
+    src = str(Path(jmsched.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "jmsched.cli", "simulate", cfg], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(read_rows(tmp_path / "x_survival.csv")) == 4
 
 
 def _predict_config(tmp, out, draws, data=None):

@@ -11,7 +11,9 @@ from jmsched.mcmc import (
     PosteriorSamples,
     PriorSet,
     ReCondition,
+    ThetaBatch,
     _AdaptiveBlock,
+    _ConditionData,
     _FitData,
     dic,
     effective_sample_size,
@@ -95,6 +97,19 @@ def test_posterior_mode_quadratic_converges_quickly():
     history = SubjectHistory({}, times, y, t=2.0)
     prop = posterior_mode_re(history, ReCondition.from_history(history), theta, spec, assoc)
     assert prop.iterations <= 20
+
+
+def test_posterior_mode_falls_back_when_target_is_not_finite():
+    """A hazard integral that overflows at b = 0 gives mean 0 and covariance D."""
+    spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
+    history = SubjectHistory({}, [], [], t=1e10)
+    condition = ReCondition.from_history(history)
+    target = _ConditionData(spec, assoc, {}, condition).log_target(
+        np.zeros((1, 1)), ThetaBatch.from_parameters(theta))
+    assert np.isneginf(target[0])
+    prop = posterior_mode_re(history, condition, theta, spec, assoc)
+    assert prop.fallback
+    assert np.array_equal(prop.mean, [0.0]) and np.array_equal(prop.cov, theta.D)
 
 
 # --- conditional random-effects draws -------------------------------------------
@@ -461,6 +476,18 @@ def test_incremental_loglik_matches_full_evaluation(family_cohorts, family, vari
 HAZARD_BLOCKS = ("gamma_h0", "gamma", "alpha")
 
 
+def _central_differences(f, x, sd, idx):
+    """Central-difference gradient and negative Hessian of f at x over the
+    coordinates ``idx``, with steps in units of each coordinate's sd."""
+    e = lambda j, h: h * sd[j] * (np.arange(x.size) == j)
+    grad = np.array([(f(x + e(j, 1e-3)) - f(x - e(j, 1e-3))) / (2e-3 * sd[j]) for j in idx])
+    h = 3e-3
+    prec = np.array([[-(f(x + e(i, h) + e(j, h)) - f(x + e(i, h) - e(j, h))
+                        - f(x - e(i, h) + e(j, h)) + f(x - e(i, h) - e(j, h)))
+                      / (4.0 * h * h * sd[i] * sd[j]) for j in idx] for i in idx])
+    return grad, prec
+
+
 @pytest.mark.parametrize("family, variant, frozen",
                          [(f, v, ()) for f in sorted(FAMILIES) for v in ASSOCIATION_VARIANTS]
                          + [("gaussian", "current_value", ("alpha",))])
@@ -499,15 +526,41 @@ def test_hazard_newton_matches_finite_differences(family_cohorts, family, varian
     # curvature spans eight orders of magnitude
     sd = np.zeros(theta.size)
     sd[free] = 1.0 / np.sqrt(np.diag(prec))
-    idx = np.flatnonzero(free)
-    e = lambda j, h: h * sd[j] * (np.arange(theta.size) == j)
-    fd_grad = np.array([(log_post(theta + e(j, 1e-3)) - log_post(theta - e(j, 1e-3)))
-                        / (2e-3 * sd[j]) for j in idx])
-    h = 3e-3
-    fd_prec = np.array([[-(log_post(theta + e(i, h) + e(j, h)) - log_post(theta + e(i, h) - e(j, h))
-                           - log_post(theta - e(i, h) + e(j, h)) + log_post(theta - e(i, h) - e(j, h)))
-                         / (4.0 * h * h * sd[i] * sd[j]) for j in idx] for i in idx])
+    fd_grad, fd_prec = _central_differences(log_post, theta, sd, np.flatnonzero(free))
     sd = sd[free]
+    assert np.max(np.abs(grad - fd_grad) * sd) < 1e-6
+    assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
+
+
+@pytest.mark.parametrize("family, variant, extra",
+                         [(f, v, False) for f in sorted(FAMILIES) for v in ASSOCIATION_VARIANTS]
+                         + [(f, "value_and_slope", True) for f in sorted(FAMILIES)])
+def test_log_target_newton_matches_finite_differences(family_cohorts, family, variant, extra):
+    """The mode search's gradient and precision are those of ``log_target``,
+    by central finite differences; ``extra`` appends a measurement past the
+    landmark and conditions on survival up to it."""
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    rng = np.random.default_rng(23)
+    gaussian = family == "gaussian"
+    theta = Parameters(
+        beta=np.array([3.6, 0.25]) if gaussian else np.array([-0.5, 0.2]),
+        phi=0.25 if gaussian else 1.0, D=np.array([[0.35, 0.03], [0.03, 0.02]]),
+        gamma=np.array([0.5]), alpha=0.2 + 0.1 * rng.standard_normal(assoc.n_params),
+        baseline=spec.make_baseline(
+            np.r_[math.log(0.1), 0.3 * rng.standard_normal(spec.n_baseline - 1)], 1.0))
+    subject = next(s for s in dataset.subjects if s.event_time > 3.0 and s.n_obs > 2)
+    history = SubjectHistory.from_subject(subject, 3.0)
+    condition = (ReCondition(4.5, np.append(history.times, 4.5), np.append(history.y, 1.0))
+                 if extra else ReCondition.from_history(history))
+    cdata = _ConditionData(spec, assoc, history.covariates, condition)
+    th = ThetaBatch.from_parameters(theta)
+    b = rng.normal(size=2) * [0.5, 0.1]
+    grad, prec = cdata.log_target_newton(b, th)
+    log_target = lambda x: cdata.log_target(x[None, :], th)[0]
+
+    sd = 1.0 / np.sqrt(np.diag(prec))
+    fd_grad, fd_prec = _central_differences(log_target, b, sd, range(b.size))
     assert np.max(np.abs(grad - fd_grad) * sd) < 1e-6
     assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
 
