@@ -134,17 +134,15 @@ class _PiMachine:
     nonincreasing in u and deterministic given the seed.
     """
 
-    def __init__(self, history, samples, spec, assoc, g_pi, seed, warmup,
-                 proposal=None):
+    def __init__(self, history, samples, spec, assoc, g_pi, seed, warmup):
         rng = _stream(seed, _PI_STREAM)
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
         self.t = history.t
-        cond = ReCondition.from_history(history)
-        if proposal is None:
-            proposal = posterior_mode_re(history, cond, samples.mean_parameters(spec), spec, assoc)
-        self.cdata = _ConditionData(spec, assoc, history.covariates, cond)
-        self.b = _re_mh_draws(self.cdata, self.th, proposal, rng, warmup)
+        self.cdata = _ConditionData(spec, assoc, history.covariates,
+                                    ReCondition.from_history(history))
+        self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
+        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, rng, warmup)
 
     def pi(self, u: float) -> float:
         if u < self.t:
@@ -202,9 +200,9 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     total = 0.0
     for subject in at_risk:
         history = SubjectHistory.from_subject(subject, t)
-        cond = ReCondition.from_history(history)
-        proposal = posterior_mode_re(history, cond, theta_hat, spec, assoc)
-        cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+        cdata = _ConditionData(spec, assoc, subject.covariates,
+                               ReCondition.from_history(history))
+        proposal = posterior_mode_re(cdata, theta_hat)
         rng_i = _stream(seed, _CV_RE_STREAM, zlib.crc32(subject.id.encode()))
         b = _re_mh_draws(cdata, th, proposal, rng_i, warmup)
         ll = -cdata.cum_hazard(b, th, subject.event_time, lower=t)
@@ -288,8 +286,9 @@ def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float
 # ---------------------------------------------------------------------------
 
 def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
-               proposal=None, rng=None) -> np.ndarray:
-    """Per-replication values of the information-gain Monte Carlo scheme."""
+               proposal=None, rng=None, cdata_t=None) -> np.ndarray:
+    """Per-replication values of the information-gain Monte Carlo scheme;
+    ``cdata_t``: the conditional target at the landmark, if already built."""
     t = history.t
     if not u > t:
         raise DomainError(f"candidate time must exceed the landmark, got u={u} <= t={t}")
@@ -297,10 +296,11 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
         rng = _stream(config.seed, _EKL_STREAM, _float_key(u))
     n_outer, n_inner = config.n_outer, config.n_inner
     family = spec.longitudinal.family
-    cond_t = ReCondition.from_history(history)
+    if cdata_t is None:
+        cdata_t = _ConditionData(spec, assoc, history.covariates,
+                                 ReCondition.from_history(history))
     if proposal is None:
-        proposal = posterior_mode_re(history, cond_t, samples.mean_parameters(spec), spec, assoc)
-    cdata_t = _ConditionData(spec, assoc, history.covariates, cond_t)
+        proposal = posterior_mode_re(cdata_t, samples.mean_parameters(spec))
     cond_u = ReCondition.from_history(history, survival_until=u)
     cdata_u = _ConditionData(spec, assoc, history.covariates, cond_u)
 
@@ -332,18 +332,19 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
     gate = t_star > u
 
     # log predictive density of t_star under the augmented information set
-    t_rep = np.repeat(np.maximum(t_star, u), n_inner)
-    lh = cdata_u.log_hazard_rowwise(t_rep, b_c, th_c)
+    # each of the n_outer times serves the n_inner rows that follow it
+    t_out = np.maximum(t_star, u)
+    lh = cdata_u.log_hazard_rowwise(t_out, b_c, th_c, repeats=n_inner)
     hi_edge = max(float(np.max(t_star)), u)
     edges = np.unique(np.concatenate(
         [[u], [c for c in spec.hazard_breakpoints if u < c < hi_edge], [hi_edge]]))
-    cum_edges = np.zeros((t_rep.size, edges.size))
+    cum_edges = np.zeros((th_c.size, edges.size))
     for j in range(1, edges.size):
         cum_edges[:, j] = cum_edges[:, j - 1] + cdata_u.cum_hazard(
             b_c, th_c, edges[j], lower=edges[j - 1])
-    pos = np.clip(np.searchsorted(edges, t_rep, side="right") - 1, 0, edges.size - 1)
-    base = cum_edges[np.arange(t_rep.size), pos]
-    remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_rep)
+    pos = np.clip(np.searchsorted(edges, t_out, side="right") - 1, 0, edges.size - 1)
+    base = cum_edges[np.arange(th_c.size), np.repeat(pos, n_inner)]
+    remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_out, repeats=n_inner)
     log_ratio = lh - (base + remainder)
 
     values = logsumexp(log_ratio.reshape(n_outer, n_inner), axis=1) - math.log(n_inner)
@@ -351,7 +352,7 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
 
 
 def ekl(history, u, samples, spec, assoc, config: ScheduleConfig,
-        proposal=None, rng=None) -> EklResult:
+        proposal=None, rng=None, cdata_t=None) -> EklResult:
     """Expected information gain from measuring at u.
 
     ``lower`` and ``upper`` are the 2.5th and 97.5th percentiles of the
@@ -362,7 +363,7 @@ def ekl(history, u, samples, spec, assoc, config: ScheduleConfig,
     candidate times for one subject and landmark but may be negative.
     """
     values = _ekl_draws(history, u, samples, spec, assoc, config,
-                        proposal=proposal, rng=rng)
+                        proposal=proposal, rng=rng, cdata_t=cdata_t)
     lower, upper = np.percentile(values, [2.5, 97.5])
     return EklResult(float(values.mean()), float(lower), float(upper))
 
@@ -403,11 +404,8 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
                   config: ScheduleConfig) -> SchedulePlan:
     """Plan the next measurement for a subject event-free at the landmark."""
     t = history.t
-    theta_hat = samples.mean_parameters(spec)
-    cond_t = ReCondition.from_history(history)
-    proposal = posterior_mode_re(history, cond_t, theta_hat, spec, assoc)
     machine = _PiMachine(history, samples, spec, assoc, config.n_pi, config.seed,
-                         config.re_warmup, proposal=proposal)
+                         config.re_warmup)
 
     t_up = _upper_limit(machine, t, config)
     span = min(t_up - t, config.t_max)
@@ -428,7 +426,7 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
     for k, v in enumerate(grid):
         rng = _stream(config.seed, _EKL_STREAM, k, _float_key(float(v)))
         results.append(ekl(history, float(v), samples, spec, assoc, config,
-                           proposal=proposal, rng=rng))
+                           proposal=machine.proposal, rng=rng, cdata_t=machine.cdata))
     estimates = np.array([r.estimate for r in results])
     choice = _select_candidate(estimates, pi_values, config.kappa)
     return SchedulePlan(

@@ -247,63 +247,91 @@ class _ConditionData:
                                                np.array([t]))
         return self._point_cache[key]
 
-    def _log_hazard(self, design: md.Design, b, th, rows=None) -> np.ndarray:
-        lh = md.log_hazard_rows(design, self.assoc, th.gamma_h0, th.gamma, th.beta,
-                                th.alpha, b, rows)
-        return np.clip(lh, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+    def _log_hazard(self, design: md.Design, th, rows=None):
+        """b -> the clamped log hazard on the design, its theta terms computed once."""
+        lh = md.log_hazard_in_b(design, self.assoc, th.gamma_h0, th.gamma, th.beta,
+                                th.alpha, rows)
+        return lambda b: np.clip(lh(b), -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+
+    def _cum_hazard(self, th, upper, lower=0.0):
+        """b -> the hazard integral over [lower, upper]; an overflow is +inf."""
+        if upper <= lower:
+            return lambda b: np.zeros(th.size)
+        design = self._nodes(lower, upper)
+        lh = self._log_hazard(design, th)
+        def cum(b):
+            with np.errstate(over="ignore"):
+                return design.weights @ np.exp(lh(b))
+        return cum
 
     def cum_hazard(self, b, th, upper, lower=0.0) -> np.ndarray:
-        if upper <= lower:
-            return np.zeros(th.size)
-        design = self._nodes(lower, upper)
-        return design.weights @ np.exp(self._log_hazard(design, b, th))
+        return self._cum_hazard(th, upper, lower)(b)
 
     def log_hazard_at(self, t, b, th) -> np.ndarray:
-        return self._log_hazard(self.point(t, self.assoc.features), b, th)[0]
+        return self._log_hazard(self.point(t, self.assoc.features), th)(b)[0]
 
-    def log_hazard_rowwise(self, times, b, th) -> np.ndarray:
-        """log hazard at a per-draw time; times, b rows, and draws align."""
+    def _rows(self, times, repeats, width=1):
+        """The design at ``times``, taken in groups of ``width``, with each group
+        repeated ``repeats`` times in a row; each time's rows are built once."""
         design = md.Design(self.spec, self.assoc.features, self.covariates, times)
-        return self._log_hazard(design, b, th, rows=np.arange(design.times.size))
+        if repeats == 1:
+            return design
+        groups = np.repeat(np.arange(times.size // width), repeats)
+        return design.take((groups[:, None] * width + np.arange(width)).ravel())
 
-    def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
-        """Hazard integral over per-draw intervals [lower_r, upper_r].
+    def log_hazard_rowwise(self, times, b, th, repeats: int = 1) -> np.ndarray:
+        """log hazard at a per-draw time; draw r is at times[r // repeats]."""
+        return self._log_hazard(self._rows(np.asarray(times, float), repeats), th,
+                                np.arange(th.size))(b)
+
+    def cum_hazard_rowwise(self, b, th, lower, upper, repeats: int = 1) -> np.ndarray:
+        """Hazard integral over per-draw intervals: draw r integrates over
+        [lower[i], upper[i]] for i = r // repeats.
 
         Single-span Gauss-Kronrod per row; callers must ensure each interval
         does not cross a hazard breakpoint.
         """
         lower = np.asarray(lower, float)
         upper = np.asarray(upper, float)
-        size = lower.size
         half = 0.5 * (upper - lower)
         center = 0.5 * (upper + lower)
         k = GK15.nodes.size
         s = (center[:, None] + half[:, None] * GK15.nodes[None, :]).ravel()
-        w = (half[:, None] * GK15.weights[None, :]).ravel()
-        rows = np.repeat(np.arange(size), k)
-        design = md.Design(self.spec, self.assoc.features, self.covariates, s)
-        lh = self._log_hazard(design, b, th, rows)
+        w = np.repeat(half[:, None] * GK15.weights[None, :], repeats, axis=0).ravel()
+        rows = np.repeat(np.arange(th.size), k)
+        lh = self._log_hazard(self._rows(s, repeats, width=k), th, rows)(b)
         vals = np.where(w != 0.0, w * np.exp(lh), 0.0)
-        return np.bincount(rows, weights=vals, minlength=size)
+        return np.bincount(rows, weights=vals, minlength=th.size)
 
-    def log_target(self, b, th, extra=None) -> np.ndarray:
+    def target(self, th, extra=None):
+        """``log_target`` at fixed ``th`` and ``extra`` as a function of b: the
+        terms free of b are computed once, here; each call adds the terms in b
+        in the order of a fresh evaluation."""
+        eta_m = md.features_in_b(self.meas, th.beta) if self.meas.times.size else None
+        if extra is not None:
+            u, y_u = extra
+            eta_u = md.features_in_b(self.point(u, ("eta",)), th.beta)
+            y_u = np.broadcast_to(np.asarray(y_u, float), (th.size,))
+        cum = self._cum_hazard(th, self.condition.survival_until)
+
+        def log_target(b):
+            out = th.re_log_prior(b)
+            if eta_m is not None:
+                out = out + md.long_log_terms(self.family, self.condition.y[:, None],
+                                              eta_m(b)["eta"], th.phi).sum(0)
+            if extra is not None:
+                out = out + md.long_log_terms(self.family, y_u, eta_u(b)["eta"][0], th.phi)
+            return out - cum(b)
+        return log_target
+
+    def log_target(self, b, th, extra=None, target=None) -> np.ndarray:
         """Unnormalized log p(b | measurements, survival past condition time).
 
         ``extra`` appends one hypothetical measurement as (time, values) where
-        values is scalar or per-draw.
+        values is scalar or per-draw; ``target`` is ``self.target(th, extra)``
+        when the caller evaluates many b at the same th and extra.
         """
-        out = th.re_log_prior(b)
-        if self.meas.times.size:
-            eta = md.trajectory_features(self.meas, th.beta, b)["eta"]
-            out = out + md.long_log_terms(self.family, self.condition.y[:, None], eta,
-                                          th.phi).sum(0)
-        if extra is not None:
-            u, y_u = extra
-            eta_u = md.trajectory_features(self.point(u, ("eta",)), th.beta, b)["eta"][0]
-            y_u = np.broadcast_to(np.asarray(y_u, float), eta_u.shape)
-            out = out + md.long_log_terms(self.family, y_u, eta_u, th.phi)
-        out = out - self.cum_hazard(b, th, self.condition.survival_until)
-        return out
+        return (target or self.target(th, extra))(b)
 
     def log_target_newton(self, b, th):
         """Gradient and precision (negative Hessian) of ``log_target`` at b (q,)
@@ -322,7 +350,7 @@ class _ConditionData:
             prec += (Z.T * var) @ Z / phi
         if self.condition.survival_until > 0.0:
             design = self._nodes(0.0, self.condition.survival_until)
-            lh = self._log_hazard(design, b[None, :], th)[:, 0]
+            lh = self._log_hazard(design, th)(b[None, :])[:, 0]
             r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, design.weights * np.exp(lh), 0.0)
             units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
             A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(b.size)),
@@ -384,9 +412,8 @@ def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
     return const - 0.5 * (df + q) * np.log1p(maha / df)
 
 
-def posterior_mode_re(history, condition: ReCondition, theta: md.Parameters,
-                      spec: md.JointModelSpec, assoc: md.AssociationForm) -> ReProposal:
-    """Mode and curvature of p(b | condition, theta), for the t proposal.
+def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal:
+    """Mode and curvature of p(b | cdata's condition, theta), for the t proposal.
 
     The log target is strictly concave in b (the log hazard is affine in b,
     both families are log-concave, the prior is Gaussian), so Newton steps
@@ -394,12 +421,12 @@ def posterior_mode_re(history, condition: ReCondition, theta: md.Parameters,
     does not decrease, find the mode; the covariance is the inverse precision
     there.  A target or precision that is not finite falls back to mean 0, cov D.
     """
-    cdata = _ConditionData(spec, assoc, history.covariates, condition)
     th1 = ThetaBatch.from_parameters(theta, 1)
+    target = cdata.target(th1)
     q = theta.n_random
     fallback = ReProposal(mean=np.zeros(q), cov=theta.D.copy(), fallback=True)
     b = np.zeros(q)
-    value = cdata.log_target(b[None, :], th1)[0]
+    value = cdata.log_target(b[None, :], th1, target=target)[0]
     if not np.isfinite(value):
         return fallback
     for steps in range(MODE_MAX_STEPS + 1):
@@ -411,7 +438,7 @@ def posterior_mode_re(history, condition: ReCondition, theta: md.Parameters,
         if steps == MODE_MAX_STEPS or step @ grad < MODE_STEP_TOL**2:
             break
         while True:
-            cand_value = cdata.log_target((b + step)[None, :], th1)[0]
+            cand_value = cdata.log_target((b + step)[None, :], th1, target=target)[0]
             if cand_value >= value or step @ grad < MODE_STEP_TOL**2:
                 break
             step = 0.5 * step
@@ -426,19 +453,22 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
 
     Runs ``warmup`` iterations on th.size parallel rows and returns the final
     states; with ``n_keep`` > 0 also collects that many post-warmup states of
-    the (single-row) chain.
+    the (single-row) chain.  A candidate of target -inf (zero survival) is
+    rejected, even from a state of target -inf.
     """
     size = th.size
+    target = cdata.target(th, extra)
     b = np.broadcast_to(proposal.mean, (size, proposal.mean.size)).copy()
-    lp = cdata.log_target(b, th, extra)
+    lp = cdata.log_target(b, th, extra, target)
     lq = _mvt_logpdf(b, proposal)
     kept = []
     total = warmup + (n_keep if n_keep else 0)
     for it in range(total):
         cand = _mvt_draw(rng, proposal, size)
-        lp_c = cdata.log_target(cand, th, extra)
+        lp_c = cdata.log_target(cand, th, extra, target)
         lq_c = _mvt_logpdf(cand, proposal)
-        ratio = (lp_c - lp) - (lq_c - lq)
+        gain = np.subtract(lp_c, lp, out=np.full(size, -np.inf), where=lp_c > -np.inf)
+        ratio = gain - (lq_c - lq)
         accept = np.log(rng.random(size)) < ratio
         b[accept] = cand[accept]
         lp[accept] = lp_c[accept]
@@ -463,8 +493,8 @@ def sample_random_effects(history, condition: ReCondition, theta: md.Parameters,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    proposal = posterior_mode_re(history, condition, theta, spec, assoc)
     cdata = _ConditionData(spec, assoc, history.covariates, condition)
+    proposal = posterior_mode_re(cdata, theta)
     th = ThetaBatch.from_parameters(theta, 1)
     return _re_mh_draws(cdata, th, proposal, rng, warmup, n_keep=n_draws)
 
@@ -1054,13 +1084,12 @@ def effective_sample_size(seqs: np.ndarray) -> float:
     """Effective sample size across chains (Geyer initial monotone sequence)."""
     seqs = np.atleast_2d(np.asarray(seqs, dtype=float))
     m, n = seqs.shape
-    if n < 4:
+    if n < 4 or not np.all(np.isfinite(seqs)):
         return float(m * n)
-    acovs = np.stack([_autocovariance(s) for s in seqs])
-    mean_acov = acovs.mean(axis=0)
     within = seqs.var(axis=1, ddof=1).mean()
     if within == 0.0 or not np.isfinite(within):
         return float(m * n)
+    mean_acov = np.stack([_autocovariance(s) for s in seqs]).mean(axis=0)
     between = seqs.mean(axis=1).var(ddof=1) if m > 1 else 0.0
     var_plus = within * (n - 1) / n + between
     rho = 1.0 - (within - mean_acov) / var_plus

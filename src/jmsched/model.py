@@ -827,6 +827,13 @@ class Design:
         cov_long = _covariate_row(self.covariates, lspec.covariates)
         return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
 
+    def take(self, idx) -> "Design":
+        """The design at times[idx], gathered from this one's rows, not rebuilt."""
+        out = Design(self.spec, self.features, self.covariates, self.times[idx])
+        out.H = self.H[idx]
+        out.pairs = {f: (X[idx], Z[idx]) for f, (X, Z) in self.pairs.items()}
+        return out
+
 
 def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
     """Design rows A (K, d) against parameter rows P (B, d).
@@ -839,23 +846,37 @@ def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
     return np.einsum("kp,kp->k", A, P[rows])
 
 
+def features_in_b(design: Design, beta, rows=None):
+    """b -> X_f.beta + Z_f.b for each feature of the design (shapes as
+    ``_contract``), with every X_f.beta computed once, here."""
+    xb = {f: _contract(X, beta, rows) for f, (X, _) in design.pairs.items()}
+    return lambda b: {f: xb[f] + _contract(design.pairs[f][1], b, rows) for f in xb}
+
+
 def trajectory_features(design: Design, beta, b, rows=None) -> dict:
     """X_f.beta + Z_f.b for each feature of the design (shapes as ``_contract``)."""
-    return {f: _contract(X, beta, rows) + _contract(Z, b, rows)
-            for f, (X, Z) in design.pairs.items()}
+    return features_in_b(design, beta, rows)(b)
+
+
+def log_hazard_in_b(design: Design, assoc: AssociationForm, gamma_h0, gamma, beta,
+                    alpha, rows=None):
+    """b -> log h = (H.gamma_h0 + w.gamma) + f(X_f.beta + Z_f.b, b; alpha), unclamped.
+
+    The terms free of b are computed once, here, so a caller that evaluates
+    many b at fixed parameters pays only for the rest.  Every parameter
+    argument holds B rows; the shapes follow ``_contract``.  The caller
+    guards the bound: raise, reject or clamp.
+    """
+    pick = (lambda a: a) if rows is None else (lambda a: a[rows])
+    offset = _contract(design.H, gamma_h0, rows) + pick(gamma @ design.w)
+    feats, alpha = features_in_b(design, beta, rows), pick(alpha)
+    return lambda b: offset + assoc.value(alpha, **feats(b), b=pick(b))
 
 
 def log_hazard_rows(design: Design, assoc: AssociationForm, gamma_h0, gamma, beta,
                     alpha, b, rows=None) -> np.ndarray:
-    """log h = H.gamma_h0 + w.gamma + f(X_f.beta + Z_f.b, b; alpha), unclamped.
-
-    Every parameter argument holds B rows; the shapes follow ``_contract``.
-    The caller guards the bound: raise, reject or clamp.
-    """
-    pick = (lambda a: a) if rows is None else (lambda a: a[rows])
-    lh = _contract(design.H, gamma_h0, rows) + pick(gamma @ design.w)
-    feats = trajectory_features(design, beta, b, rows)
-    return lh + assoc.value(pick(alpha), **feats, b=pick(b))
+    """log h at b, as ``log_hazard_in_b``."""
+    return log_hazard_in_b(design, assoc, gamma_h0, gamma, beta, alpha, rows)(b)
 
 
 # ---------------------------------------------------------------------------

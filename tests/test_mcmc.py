@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def intercept_model(lam=0.1, alpha=0.0, d=0.5, phi=0.2, beta0=3.0):
 
 # --- conditional random-effects mode ------------------------------------------
 
+def history_mode(history, theta, spec, assoc):
+    cdata = _ConditionData(spec, assoc, history.covariates, ReCondition.from_history(history))
+    return posterior_mode_re(cdata, theta)
+
+
 def conjugate_history(theta, times, y, t):
     history = SubjectHistory({}, times, y, t=t)
     resid = np.asarray(y) - (theta.beta[0] + theta.beta[1] * np.asarray(times))
@@ -76,7 +82,7 @@ def test_posterior_mode_conjugate_case():
     times = [0.0, 0.7, 1.5, 2.2]
     y = [3.4, 3.3, 3.9, 3.6]
     history, m, v = conjugate_history(theta, times, y, t=2.5)
-    prop = posterior_mode_re(history, ReCondition.from_history(history), theta, spec, assoc)
+    prop = history_mode(history, theta, spec, assoc)
     assert prop.mean[0] == pytest.approx(m, abs=1e-6)
     assert prop.cov[0, 0] == pytest.approx(v, abs=1e-4)
     assert not prop.fallback
@@ -85,7 +91,7 @@ def test_posterior_mode_conjugate_case():
 def test_posterior_mode_no_data_recovers_prior():
     spec, assoc, theta = intercept_model(d=0.7)
     history = SubjectHistory({}, [], [], t=0.0)
-    prop = posterior_mode_re(history, ReCondition.from_history(history), theta, spec, assoc)
+    prop = history_mode(history, theta, spec, assoc)
     assert prop.mean[0] == pytest.approx(0.0, abs=1e-6)
     assert prop.cov[0, 0] == pytest.approx(0.7, abs=1e-4)
 
@@ -95,7 +101,7 @@ def test_posterior_mode_quadratic_converges_quickly():
     times = np.linspace(0.0, 2.0, 5)
     y = 3.0 + 0.2 * times
     history = SubjectHistory({}, times, y, t=2.0)
-    prop = posterior_mode_re(history, ReCondition.from_history(history), theta, spec, assoc)
+    prop = history_mode(history, theta, spec, assoc)
     assert prop.iterations <= 20
 
 
@@ -103,16 +109,28 @@ def test_posterior_mode_falls_back_when_target_is_not_finite():
     """A hazard integral that overflows at b = 0 gives mean 0 and covariance D."""
     spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
     history = SubjectHistory({}, [], [], t=1e10)
-    condition = ReCondition.from_history(history)
-    target = _ConditionData(spec, assoc, {}, condition).log_target(
-        np.zeros((1, 1)), ThetaBatch.from_parameters(theta))
+    cdata = _ConditionData(spec, assoc, {}, ReCondition.from_history(history))
+    target = cdata.log_target(np.zeros((1, 1)), ThetaBatch.from_parameters(theta))
     assert np.isneginf(target[0])
-    prop = posterior_mode_re(history, condition, theta, spec, assoc)
+    prop = posterior_mode_re(cdata, theta)
     assert prop.fallback
     assert np.array_equal(prop.mean, [0.0]) and np.array_equal(prop.cov, theta.D)
 
 
 # --- conditional random-effects draws -------------------------------------------
+
+def test_zero_survival_chain_rejects_every_candidate():
+    """Survival to 1e10 under a hazard of e^690: the target is -inf at the
+    proposal mean and at every candidate, so each is rejected without an
+    overflow or an inf - inf."""
+    spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
+    history = SubjectHistory({}, [], [], t=1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = sample_random_effects(history, ReCondition.from_history(history), theta,
+                                      spec, assoc, n_draws=50, seed=3, warmup=20)
+    assert np.array_equal(draws, np.zeros((50, 1)))
+
 
 def chain_se(draws):
     """Autocorrelation-adjusted Monte Carlo standard error of the chain mean."""
@@ -638,6 +656,14 @@ def test_effective_sample_size_detects_correlation():
         ar[0, k] = 0.95 * ar[0, k - 1] + rng.normal() * 0.1
     assert effective_sample_size(iid) > 1200
     assert effective_sample_size(ar) < 400
+
+
+def test_effective_sample_size_of_a_non_finite_chain_is_its_length():
+    seqs = np.ones((2, 50))
+    seqs[0, 7] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert effective_sample_size(seqs) == 100.0
 
 
 def test_draws_csv_round_trip(tmp_path, small_joint):

@@ -506,3 +506,82 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
     eta_u = linear_predictor(spec.longitudinal, subject, b, theta.beta, u)
     extra = cdata.log_target(b1, th1, extra=(u, y_u))[0] - cdata.log_target(b1, th1)[0]
     np.testing.assert_allclose(extra, long_log_density(family, y_u, eta_u, theta.phi), **close)
+
+
+def _theta_rows(theta, size, rng):
+    """A batch of ``size`` parameter rows scattered around theta."""
+    from jmsched.mcmc import ThetaBatch
+
+    jitter = lambda a: np.asarray(a) + 0.05 * rng.standard_normal((size, np.size(a)))
+    return ThetaBatch(jitter(theta.beta), jitter(theta.gamma), jitter(theta.alpha),
+                      jitter(theta.gamma_h0), np.full(size, theta.phi),
+                      np.repeat(theta.D[None], size, axis=0))
+
+
+def _fresh_target(spec, assoc, subject, cond, b, th, extra):
+    """The conditional log target at every row of (b, th), written out from
+    the kernel with nothing computed ahead of b."""
+    from jmsched.model import (LOG_HAZARD_BOUND, Design, log_hazard_rows, long_log_terms,
+                               trajectory_features)
+    from jmsched.numerics import GK15, span_nodes
+
+    family, cov = spec.longitudinal.family, subject.covariates
+    out = th.re_log_prior(b)
+    eta = trajectory_features(Design(spec, ("eta",), cov, cond.times), th.beta, b)["eta"]
+    out = out + long_log_terms(family, cond.y[:, None], eta, th.phi).sum(0)
+    if extra is not None:
+        u, y_u = extra
+        eta_u = trajectory_features(Design(spec, ("eta",), cov, [u]), th.beta, b)["eta"][0]
+        out = out + long_log_terms(family, np.broadcast_to(y_u, eta_u.shape), eta_u, th.phi)
+    s, w = span_nodes(0.0, cond.survival_until, spec.hazard_breakpoints, GK15)
+    lh = log_hazard_rows(Design(spec, assoc.features, cov, s), assoc, th.gamma_h0, th.gamma,
+                         th.beta, th.alpha, b)
+    return out - w @ np.exp(np.clip(lh, -LOG_HAZARD_BOUND, LOG_HAZARD_BOUND))
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_reused_condition_target_equals_fresh_evaluation(variant, family):
+    """One condition's target, reused across theta batches with and without a
+    hypothetical measurement (as the information-gain scheme reuses it), and
+    one batch's evaluator reused across b, give the bits of a fresh
+    evaluation of every row.  (Rows evaluated as one-row batches may differ
+    in the last bit: BLAS sums a matrix-vector product in another order.)"""
+    from jmsched.mcmc import ReCondition, _ConditionData
+
+    spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
+    cond = ReCondition(survival_until=5.0, times=subject.times, y=subject.y)
+    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+    rng = np.random.default_rng(8)
+    th_a, th_b = _theta_rows(theta, 3, rng), _theta_rows(theta, 4, rng)
+    y_u = np.array(CROSS_SUBJECT_Y[family.name])
+    for th, extra in [(th_a, None), (th_b, None), (th_a, (5.3, y_u[1])), (th_b, (5.3, y_u))]:
+        target = cdata.target(th, extra)
+        for _ in range(2):
+            bs = b + 0.1 * rng.standard_normal((th.size, b.size))
+            fresh = _fresh_target(spec, assoc, subject, cond, bs, th, extra)
+            assert np.array_equal(target(bs), fresh)
+            assert np.array_equal(cdata.log_target(bs, th, extra), fresh)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_gathered_rowwise_hazard_equals_expanded_rows(variant, family):
+    """Design rows built once per time and gathered for its ``repeats`` draws
+    give the bits of rows built for every draw."""
+    from jmsched.mcmc import ReCondition, _ConditionData
+
+    spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
+    cond = ReCondition(survival_until=5.0, times=subject.times, y=subject.y)
+    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+    rng = np.random.default_rng(9)
+    m = 4
+    times = np.array([0.7, 2.2, 4.5])
+    lower, upper = np.array([0.3, 2.1, 5.2]), np.array([1.8, 2.9, 6.0])
+    th = _theta_rows(theta, times.size * m, rng)
+    bs = b + 0.1 * rng.standard_normal((th.size, b.size))
+    rep = lambda a: np.repeat(a, m)
+    assert np.array_equal(cdata.log_hazard_rowwise(times, bs, th, repeats=m),
+                          cdata.log_hazard_rowwise(rep(times), bs, th))
+    assert np.array_equal(cdata.cum_hazard_rowwise(bs, th, lower, upper, repeats=m),
+                          cdata.cum_hazard_rowwise(bs, th, rep(lower), rep(upper)))
