@@ -38,7 +38,6 @@ from .mcmc import (
     McmcConfig,
     PosteriorSamples,
     PriorSet,
-    ReCondition,
     dic,
     fit,
     posterior_mode_re,

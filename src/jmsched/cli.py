@@ -397,6 +397,8 @@ def cmd_predict(cfg) -> list:
     history = _history_for(cfg, dataset, "predict.subject", "predict.landmark")
     horizon = _get(cfg, "predict.horizon", _number, dynpred.DEFAULT_T_MAX)
     points = _get(cfg, "predict.points", int, 50)
+    if points < 1:
+        raise ConfigError(f"predict.points must be a positive count, got {points}")
     us = history.t + horizon * np.arange(points) / max(points - 1, 1)
     pis = dynpred.pi_curve(history, us, samples, spec, assoc, seed=_get(cfg, "seed", _natural),
                            **_options(cfg, g_pi=("predict.g_pi", int),

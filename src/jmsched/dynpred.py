@@ -9,6 +9,7 @@ residual event time subject to a conditional-survival constraint.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .errors import ConfigError, DomainError
 from .mcmc import (
     RE_WARMUP,
     PosteriorSamples,
-    ReCondition,
     ThetaBatch,
     _ConditionData,
     _re_mh_draws,
@@ -31,6 +31,7 @@ from .mcmc import (
 from .model import SubjectHistory
 
 DEFAULT_T_MAX = 5.0
+EVENT_TIME_TOL = 1e-6   # width at which the event-time bisection stops
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
 _PI_STREAM = 1
@@ -65,9 +66,14 @@ class ScheduleConfig:
             raise ConfigError("grid_size must be >= 2")
         if not self.t_max > 0:
             raise ConfigError("t_max must be positive")
-        for name in ("n_outer", "n_inner", "n_pi", "re_warmup"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive count")
+        _check_counts(n_outer=self.n_outer, n_inner=self.n_inner, n_pi=self.n_pi,
+                      re_warmup=self.re_warmup)
+
+
+def _check_counts(**counts):
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be a positive count, got {value}")
 
 
 class EklResult(NamedTuple):
@@ -119,10 +125,6 @@ def _stream(seed, *keys):
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(k) for k in keys]])
 
 
-def _float_key(u: float) -> int:
-    return int(np.float64(u).view(np.uint64))
-
-
 # ---------------------------------------------------------------------------
 # Conditional survival
 # ---------------------------------------------------------------------------
@@ -135,14 +137,14 @@ class _PiMachine:
     """
 
     def __init__(self, history, samples, spec, assoc, g_pi, seed, warmup):
+        _check_counts(g_pi=g_pi, warmup=warmup)
         rng = _stream(seed, _PI_STREAM)
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
         self.t = history.t
-        self.cdata = _ConditionData(spec, assoc, history.covariates,
-                                    ReCondition.from_history(history))
-        self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
-        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, rng, warmup)
+        self.cdata = _ConditionData(spec, assoc, history)
+        proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
+        self.b = _re_mh_draws(self.cdata, self.th, proposal, rng, warmup)
 
     def pi(self, u: float) -> float:
         if u < self.t:
@@ -157,8 +159,7 @@ def conditional_survival(history: SubjectHistory, u: float, samples: PosteriorSa
                          spec, assoc, g_pi: int = 2000, seed: int = 0,
                          warmup: int = RE_WARMUP) -> float:
     """pi(u | t): survival past u given survival past t and the history."""
-    machine = _PiMachine(history, samples, spec, assoc, g_pi, seed, warmup)
-    return machine.pi(u)
+    return float(pi_curve(history, [u], samples, spec, assoc, g_pi, seed, warmup)[0])
 
 
 def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0,
@@ -183,6 +184,9 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     and the per-subject predictive density is the harmonic-mean combination
     over posterior draws (conditional predictive ordinate).  Higher is better.
     """
+    _check_counts(n_re_draws=n_re_draws, warmup=warmup)
+    if n_theta_draws is not None:
+        _check_counts(n_theta_draws=n_theta_draws)
     at_risk = [s for s in dataset.subjects if s.event_time > t]
     n_t = len(at_risk)
     if n_t == 0:
@@ -200,8 +204,7 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     total = 0.0
     for subject in at_risk:
         history = SubjectHistory.from_subject(subject, t)
-        cdata = _ConditionData(spec, assoc, subject.covariates,
-                               ReCondition.from_history(history))
+        cdata = _ConditionData(spec, assoc, history)
         proposal = posterior_mode_re(cdata, theta_hat)
         rng_i = _stream(seed, _CV_RE_STREAM, zlib.crc32(subject.id.encode()))
         b = _re_mh_draws(cdata, th, proposal, rng_i, warmup)
@@ -229,9 +232,10 @@ def _event_time_edges(cdata, u: float, cap: float) -> np.ndarray:
     return np.array(sorted(points))
 
 
-def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, u: float, rng,
-                      cap: float, tol: float = 1e-6):
-    """Inversion draws T* with S(T*)/S(u) = v for every row; (times, capped)."""
+def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, rng, cap: float):
+    """Inversion draws T* with S(T*)/S(u) = v for every row, where u is
+    ``cdata.history.t``; (times, capped)."""
+    u = cdata.history.t
     size = th.size
     v = rng.random(size)
     with np.errstate(divide="ignore"):
@@ -249,8 +253,8 @@ def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, u: float, rng,
     acc = cum[np.arange(size), cell - 1]
     lo[capped] = hi[capped] = cap
     mid = 0.5 * (lo + hi)
-    # a row is done at width tol or, past about 8.6e9, where no float lies between
-    while np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+    # a row is done at EVENT_TIME_TOL width or, past about 8.6e9, where no float lies between
+    while np.any((hi - lo > EVENT_TIME_TOL) & (lo < mid) & (mid < hi)):
         inc = cdata.cum_hazard_rowwise(b, th, lo, mid)
         go = (acc + inc) < target
         acc = np.where(go, acc + inc, acc)
@@ -261,17 +265,16 @@ def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, u: float, rng,
 
 
 def simulate_event_time(theta: md.Parameters, spec, assoc, covariates, b, u: float,
-                        rng, cap: float = None, tol: float = 1e-6):
+                        rng, cap: float = None):
     """One event time past u by inversion: draw v ~ U(0,1), solve
     S(T*)/S(u) = v by bracketing and bisection.  Returns (time, capped);
     capped means the survival ratio never fell to v before the cap."""
     if cap is None:
         cap = u + 100.0 * DEFAULT_T_MAX
-    cond = ReCondition(survival_until=u, times=np.empty(0), y=np.empty(0))
-    cdata = _ConditionData(spec, assoc, covariates, cond)
+    cdata = _ConditionData(spec, assoc, SubjectHistory(covariates, (), (), u))
     th = ThetaBatch.from_parameters(theta, 1)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    times, capped = _event_time_batch(cdata, th, b, u, rng, cap, tol)
+    times, capped = _event_time_batch(cdata, th, b, rng, cap)
     return float(times[0]), bool(capped[0])
 
 
@@ -285,24 +288,17 @@ def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float
 # Expected information gain for the next measurement
 # ---------------------------------------------------------------------------
 
-def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
-               proposal=None, rng=None, cdata_t=None) -> np.ndarray:
-    """Per-replication values of the information-gain Monte Carlo scheme;
-    ``cdata_t``: the conditional target at the landmark, if already built."""
+def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig) -> np.ndarray:
+    """Per-replication values of the information-gain Monte Carlo scheme."""
     t = history.t
     if not u > t:
         raise DomainError(f"candidate time must exceed the landmark, got u={u} <= t={t}")
-    if rng is None:
-        rng = _stream(config.seed, _EKL_STREAM, _float_key(u))
+    rng = _stream(config.seed, _EKL_STREAM)
     n_outer, n_inner = config.n_outer, config.n_inner
     family = spec.longitudinal.family
-    if cdata_t is None:
-        cdata_t = _ConditionData(spec, assoc, history.covariates,
-                                 ReCondition.from_history(history))
-    if proposal is None:
-        proposal = posterior_mode_re(cdata_t, samples.mean_parameters(spec))
-    cond_u = ReCondition.from_history(history, survival_until=u)
-    cdata_u = _ConditionData(spec, assoc, history.covariates, cond_u)
+    cdata_t = _ConditionData(spec, assoc, history)
+    proposal = posterior_mode_re(cdata_t, samples.mean_parameters(spec))
+    cdata_u = _ConditionData(spec, assoc, dataclasses.replace(history, t=u))
 
     # parameter draws for the three roles
     g = samples.n_draws
@@ -328,7 +324,7 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
 
     # residual event time given survival past t; gain counts only if it lands past u
     cap = t + 100.0 * config.t_max
-    t_star, _ = _event_time_batch(cdata_t, th_b, b_b, t, rng, cap)
+    t_star, _ = _event_time_batch(cdata_t, th_b, b_b, rng, cap)
     gate = t_star > u
 
     # log predictive density of t_star under the augmented information set
@@ -351,8 +347,7 @@ def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig,
     return np.where(gate, values, 0.0)
 
 
-def ekl(history, u, samples, spec, assoc, config: ScheduleConfig,
-        proposal=None, rng=None, cdata_t=None) -> EklResult:
+def ekl(history, u, samples, spec, assoc, config: ScheduleConfig) -> EklResult:
     """Expected information gain from measuring at u.
 
     ``lower`` and ``upper`` are the 2.5th and 97.5th percentiles of the
@@ -360,10 +355,12 @@ def ekl(history, u, samples, spec, assoc, config: ScheduleConfig,
     (a mean).  Replications whose simulated event comes before u count as 0,
     so ``upper`` is often exactly 0.0.  Only the numerator term of the
     information-gain ratio is computed, so values are comparable across
-    candidate times for one subject and landmark but may be negative.
+    candidate times for one subject and landmark but may be negative.  Every
+    u draws from the one stream of ``config.seed``, so the candidate times of
+    a plan share their random numbers and ``schedule_next``'s k-th value is
+    ``ekl`` at its k-th grid point.
     """
-    values = _ekl_draws(history, u, samples, spec, assoc, config,
-                        proposal=proposal, rng=rng, cdata_t=cdata_t)
+    values = _ekl_draws(history, u, samples, spec, assoc, config)
     lower, upper = np.percentile(values, [2.5, 97.5])
     return EklResult(float(values.mean()), float(lower), float(upper))
 
@@ -422,11 +419,7 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
     step = span / config.grid_size
     grid = t + step * np.arange(1, config.grid_size + 1)
     pi_values = np.array([machine.pi(float(v)) for v in grid])
-    results = []
-    for k, v in enumerate(grid):
-        rng = _stream(config.seed, _EKL_STREAM, k, _float_key(float(v)))
-        results.append(ekl(history, float(v), samples, spec, assoc, config,
-                           proposal=machine.proposal, rng=rng, cdata_t=machine.cdata))
+    results = [ekl(history, float(v), samples, spec, assoc, config) for v in grid]
     estimates = np.array([r.estimate for r in results])
     choice = _select_candidate(estimates, pi_values, config.kappa)
     return SchedulePlan(

@@ -79,32 +79,6 @@ class McmcConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < iterations")
 
 
-@dataclass(frozen=True)
-class ReCondition:
-    """Conditioning information for random-effect draws: measurements plus
-    survival past ``survival_until`` (which may predate a hypothetical
-    measurement appended by the scheduling machinery)."""
-
-    survival_until: float
-    times: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float)) if np.size(self.times) else np.empty(0)
-        y = np.atleast_1d(np.asarray(self.y, dtype=float)) if np.size(self.y) else np.empty(0)
-        if times.shape != y.shape:
-            raise DataError("condition times and values differ in length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "survival_until", float(self.survival_until))
-
-    @classmethod
-    def from_history(cls, history, survival_until=None) -> "ReCondition":
-        if survival_until is None:
-            survival_until = history.t
-        return cls(survival_until, history.times, history.y)
-
-
 # ---------------------------------------------------------------------------
 # Posterior sample container
 # ---------------------------------------------------------------------------
@@ -218,16 +192,16 @@ class ThetaBatch:
 # ---------------------------------------------------------------------------
 
 class _ConditionData:
-    """Vectorized evaluator of p(b | survival past s, measurements, theta)."""
+    """Vectorized evaluator of p(b | the measurements of ``history``, survival
+    past ``history.t``, theta)."""
 
-    def __init__(self, spec, assoc, covariates, condition: ReCondition):
+    def __init__(self, spec, assoc, history: md.SubjectHistory):
         self.spec = spec
         self.assoc = assoc
         self.family = spec.longitudinal.family
-        self.family.check_response(condition.y)
-        self.covariates = covariates
-        self.condition = condition
-        self.meas = md.Design(spec, ("eta",), covariates, condition.times)
+        self.family.check_response(history.y)
+        self.history = history
+        self.meas = md.Design(spec, ("eta",), history.covariates, history.times)
         self._node_cache = {}
         self._point_cache = {}
 
@@ -236,14 +210,14 @@ class _ConditionData:
         if key not in self._node_cache:
             s, wq = span_nodes(lower, upper, self.spec.hazard_breakpoints, GK15)
             self._node_cache[key] = md.Design(self.spec, self.assoc.features,
-                                              self.covariates, s, weights=wq)
+                                              self.history.covariates, s, weights=wq)
         return self._node_cache[key]
 
     def point(self, t: float, features) -> md.Design:
         """The design of the given trajectory features at the single time t."""
         key = (t, features)
         if key not in self._point_cache:
-            self._point_cache[key] = md.Design(self.spec, features, self.covariates,
+            self._point_cache[key] = md.Design(self.spec, features, self.history.covariates,
                                                np.array([t]))
         return self._point_cache[key]
 
@@ -273,7 +247,7 @@ class _ConditionData:
     def _rows(self, times, repeats, width=1):
         """The design at ``times``, taken in groups of ``width``, with each group
         repeated ``repeats`` times in a row; each time's rows are built once."""
-        design = md.Design(self.spec, self.assoc.features, self.covariates, times)
+        design = md.Design(self.spec, self.assoc.features, self.history.covariates, times)
         if repeats == 1:
             return design
         groups = np.repeat(np.arange(times.size // width), repeats)
@@ -312,12 +286,12 @@ class _ConditionData:
             u, y_u = extra
             eta_u = md.features_in_b(self.point(u, ("eta",)), th.beta)
             y_u = np.broadcast_to(np.asarray(y_u, float), (th.size,))
-        cum = self._cum_hazard(th, self.condition.survival_until)
+        cum = self._cum_hazard(th, self.history.t)
 
         def log_target(b):
             out = th.re_log_prior(b)
             if eta_m is not None:
-                out = out + md.long_log_terms(self.family, self.condition.y[:, None],
+                out = out + md.long_log_terms(self.family, self.history.y[:, None],
                                               eta_m(b)["eta"], th.phi).sum(0)
             if extra is not None:
                 out = out + md.long_log_terms(self.family, y_u, eta_u(b)["eta"][0], th.phi)
@@ -346,10 +320,10 @@ class _ConditionData:
             eta = md.trajectory_features(self.meas, th.beta, b[None, :])["eta"][:, 0]
             mu = self.family.mean(eta)
             phi, var = (th.phi[0], 1.0) if self.family.has_dispersion else (1.0, mu * (1.0 - mu))
-            grad += Z.T @ (self.condition.y - mu) / phi
+            grad += Z.T @ (self.history.y - mu) / phi
             prec += (Z.T * var) @ Z / phi
-        if self.condition.survival_until > 0.0:
-            design = self._nodes(0.0, self.condition.survival_until)
+        if self.history.t > 0.0:
+            design = self._nodes(0.0, self.history.t)
             lh = self._log_hazard(design, th)(b[None, :])[:, 0]
             r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, design.weights * np.exp(lh), 0.0)
             units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
@@ -480,11 +454,12 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
     return b
 
 
-def sample_random_effects(history, condition: ReCondition, theta: md.Parameters,
+def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
                           spec: md.JointModelSpec, assoc: md.AssociationForm,
                           n_draws: int, seed=None, rng=None, warmup: int = RE_WARMUP
                           ) -> np.ndarray:
-    """MH chain targeting p(b | condition, theta); returns (n_draws, q).
+    """MH chain targeting p(b | the measurements of ``history``, survival past
+    ``history.t``, theta); returns (n_draws, q).
 
     The independence proposal is a multivariate Student-t (4 df) at the mode
     of the strictly concave log target, with the inverse of its exact
@@ -493,7 +468,7 @@ def sample_random_effects(history, condition: ReCondition, theta: md.Parameters,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    cdata = _ConditionData(spec, assoc, history.covariates, condition)
+    cdata = _ConditionData(spec, assoc, history)
     proposal = posterior_mode_re(cdata, theta)
     th = ThetaBatch.from_parameters(theta, 1)
     return _re_mh_draws(cdata, th, proposal, rng, warmup, n_keep=n_draws)

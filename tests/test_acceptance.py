@@ -27,7 +27,6 @@ from jmsched.mcmc import (
     McmcConfig,
     PosteriorSamples,
     PriorSet,
-    ReCondition,
     ThetaBatch,
     _ConditionData,
     dic,
@@ -207,8 +206,7 @@ def test_criterion_4_conjugate_oracle(report):
     times = [0.0, 0.7, 1.5, 2.2]
     y = [3.4, 3.3, 3.9, 3.6]
     history, m, v = conjugate_history(theta, times, y, t=2.5)
-    draws = sample_random_effects(history, ReCondition.from_history(history), theta,
-                                  spec, assoc, n_draws=5000, seed=4)
+    draws = sample_random_effects(history, theta, spec, assoc, n_draws=5000, seed=4)
     se = chain_se(draws[:, 0])
     mean_err = abs(draws.mean() - m)
     assert mean_err < 3.0 * se
@@ -227,10 +225,9 @@ def test_criterion_4_conjugate_oracle(report):
 def test_criterion_5_inversion_sampler_law(report):
     lam = 0.3
     spec, assoc, theta = flat_exponential_model(lam)
-    cond = ReCondition(1.0, np.empty(0), np.empty(0))
-    cdata = _ConditionData(spec, assoc, {"w": 0.0}, cond)
+    cdata = _ConditionData(spec, assoc, jm.SubjectHistory({"w": 0.0}, [], [], 1.0))
     th = ThetaBatch.from_parameters(theta, 10000)
-    times, capped = _event_time_batch(cdata, th, np.zeros((10000, 2)), 1.0,
+    times, capped = _event_time_batch(cdata, th, np.zeros((10000, 2)),
                                       np.random.default_rng(42), cap=501.0)
     assert not capped.any()
     res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))

@@ -547,6 +547,50 @@ predict.warmup=10
 """
 
 
+def _score_config(tmp, out):
+    """A one-model score config on the shared pipeline at landmark 3."""
+    return f"""
+seed=3
+out.prefix={out}/sc
+data.longitudinal={tmp}/sim_longitudinal.csv
+data.survival={tmp}/sim_survival.csv
+{MODEL_BLOCK}
+models=m1
+m1.draws={tmp}/fit1_draws.csv
+m1.ranef={tmp}/fit1_ranef.csv
+landmarks=3
+score.theta_draws=5
+score.re_draws=2
+score.warmup=10
+"""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("score", "score.re_draws", "0"), ("score", "score.re_draws", "-1"),
+    ("score", "score.theta_draws", "0"), ("score", "score.theta_draws", "-2"),
+    ("score", "score.warmup", "-1"), ("predict", "predict.g_pi", "0"),
+    ("predict", "predict.g_pi", "-1"), ("predict", "predict.points", "0"),
+    ("predict", "predict.warmup", "-1"),
+])
+def test_nonpositive_predict_or_score_count_is_an_error(pipeline, tmp_path, capsys, command,
+                                                        key, value):
+    """A draw count, point count or warm-up below 1 ends in an error and writes
+    no CSV, not a traceback or a nan in the output."""
+    if command == "predict":
+        text = _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv")
+        output = tmp_path / "pred_pi.csv"
+    else:
+        text = _score_config(pipeline, tmp_path)
+        output = tmp_path / "sc_scores.csv"
+    assert main([command, write_config(tmp_path / "ok.cfg", text)]) == 0
+    output.unlink()
+    lines = [line for line in text.splitlines() if not line.startswith(key + "=")]
+    cfg = write_config(tmp_path / "c.cfg", "\n".join(lines + [f"{key}={value}"]))
+    assert main([command, cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("what", ["config", "data", "draws"])
 def test_directory_as_input_is_an_error(pipeline, tmp_path, capsys, what):
     """A directory where a config, data or draws file belongs ends in an error

@@ -21,7 +21,7 @@ from jmsched.dynpred import (
     simulate_future_measurement,
 )
 from jmsched.errors import ConfigError, DomainError
-from jmsched.mcmc import PosteriorSamples, ReCondition, ThetaBatch, _ConditionData
+from jmsched.mcmc import PosteriorSamples, ThetaBatch, _ConditionData
 from jmsched.model import (
     BERNOULLI,
     Dataset,
@@ -86,6 +86,15 @@ def test_pi_curve_monotone_with_common_draws(small_joint):
     assert np.all((curve >= 0.0) & (curve <= 1.0))
 
 
+@pytest.mark.parametrize("kwargs", [dict(g_pi=0), dict(g_pi=-1), dict(warmup=0),
+                                    dict(warmup=-3)])
+def test_pi_curve_rejects_nonpositive_counts(kwargs):
+    spec, assoc, theta = flat_hazard_model()
+    samples = PosteriorSamples.degenerate(theta, 10)
+    with pytest.raises(ConfigError):
+        pi_curve(HIST, [0.5], samples, spec, assoc, **{"g_pi": 10, "warmup": 5, **kwargs})
+
+
 # --- event-time inversion sampler -------------------------------------------------
 
 class _FixedUniform:
@@ -131,10 +140,9 @@ def test_event_time_caps_with_flag():
 def test_event_time_exponential_law_batch():
     lam = 0.3
     spec, assoc, theta = flat_hazard_model(lam=lam)
-    cond = ReCondition(1.0, np.empty(0), np.empty(0))
-    cdata = _ConditionData(spec, assoc, {"w": 0.0}, cond)
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
     th = ThetaBatch.from_parameters(theta, 4000)
-    times, capped = _event_time_batch(cdata, th, np.zeros((4000, 2)), 1.0,
+    times, capped = _event_time_batch(cdata, th, np.zeros((4000, 2)),
                                       np.random.default_rng(8), cap=501.0)
     assert not capped.any()
     res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))
@@ -229,6 +237,16 @@ def test_cv_dcl_permutation_invariant(exponential_cohort):
     shuffled = Dataset(tuple(dataset.subjects[k] for k in perm))
     again = cv_dcl(samples, shuffled, 2.0, spec, assoc, **kwargs)
     assert again == pytest.approx(base, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_theta_draws=0), dict(n_re_draws=0),
+                                    dict(n_re_draws=-1), dict(warmup=0), dict(warmup=-1)])
+def test_cv_dcl_rejects_nonpositive_counts(exponential_cohort, kwargs):
+    _, spec, assoc, theta, dataset = exponential_cohort
+    samples = PosteriorSamples.degenerate(theta, 10)
+    with pytest.raises(ConfigError):
+        cv_dcl(samples, dataset, 2.0, spec, assoc,
+               **{"n_theta_draws": 5, "n_re_draws": 2, "warmup": 5, **kwargs})
 
 
 def test_cv_dcl_empty_landmark(exponential_cohort):
@@ -346,6 +364,18 @@ def test_schedule_deterministic(small_joint):
     assert a.ekl == b.ekl
     assert np.array_equal(a.pi, b.pi)
     assert a.selected == b.selected
+
+
+def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
+    """Every candidate time draws from the one stream of the seed, so each
+    value of a plan is what ``ekl`` gives at its grid point."""
+    history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, n_pi=120, re_warmup=50)
+    args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
+    plan = schedule_next(history, *args)
+    assert plan.t_up - plan.landmark > 1e-3
+    for u, result in zip(plan.grid, plan.ekl):
+        assert ekl(history, float(u), *args) == result
 
 
 def test_schedule_plan_validates_selected_feasibility():

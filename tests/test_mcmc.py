@@ -11,7 +11,6 @@ from jmsched.mcmc import (
     McmcConfig,
     PosteriorSamples,
     PriorSet,
-    ReCondition,
     ThetaBatch,
     _AdaptiveBlock,
     _ConditionData,
@@ -65,7 +64,7 @@ def intercept_model(lam=0.1, alpha=0.0, d=0.5, phi=0.2, beta0=3.0):
 # --- conditional random-effects mode ------------------------------------------
 
 def history_mode(history, theta, spec, assoc):
-    cdata = _ConditionData(spec, assoc, history.covariates, ReCondition.from_history(history))
+    cdata = _ConditionData(spec, assoc, history)
     return posterior_mode_re(cdata, theta)
 
 
@@ -109,7 +108,7 @@ def test_posterior_mode_falls_back_when_target_is_not_finite():
     """A hazard integral that overflows at b = 0 gives mean 0 and covariance D."""
     spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
     history = SubjectHistory({}, [], [], t=1e10)
-    cdata = _ConditionData(spec, assoc, {}, ReCondition.from_history(history))
+    cdata = _ConditionData(spec, assoc, history)
     target = cdata.log_target(np.zeros((1, 1)), ThetaBatch.from_parameters(theta))
     assert np.isneginf(target[0])
     prop = posterior_mode_re(cdata, theta)
@@ -127,8 +126,8 @@ def test_zero_survival_chain_rejects_every_candidate():
     history = SubjectHistory({}, [], [], t=1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        draws = sample_random_effects(history, ReCondition.from_history(history), theta,
-                                      spec, assoc, n_draws=50, seed=3, warmup=20)
+        draws = sample_random_effects(history, theta, spec, assoc, n_draws=50, seed=3,
+                                      warmup=20)
     assert np.array_equal(draws, np.zeros((50, 1)))
 
 
@@ -141,8 +140,7 @@ def chain_se(draws):
 def test_sample_random_effects_prior_recovery():
     spec, assoc, theta = intercept_model(d=0.6)
     history = SubjectHistory({}, [], [], t=0.0)
-    draws = sample_random_effects(history, ReCondition.from_history(history), theta,
-                                  spec, assoc, n_draws=4000, seed=21)
+    draws = sample_random_effects(history, theta, spec, assoc, n_draws=4000, seed=21)
     assert abs(draws.mean()) < 3.0 * chain_se(draws[:, 0])
     assert draws.var() == pytest.approx(0.6, rel=0.15)
 
@@ -152,8 +150,7 @@ def test_sample_random_effects_conjugate_moments():
     times = [0.0, 0.7, 1.5, 2.2]
     y = [3.4, 3.3, 3.9, 3.6]
     history, m, v = conjugate_history(theta, times, y, t=2.5)
-    draws = sample_random_effects(history, ReCondition.from_history(history), theta,
-                                  spec, assoc, n_draws=5000, seed=4)
+    draws = sample_random_effects(history, theta, spec, assoc, n_draws=5000, seed=4)
     assert draws.mean() == pytest.approx(m, abs=3.0 * chain_se(draws[:, 0]))
     assert draws.var() == pytest.approx(v, rel=0.10)
 
@@ -167,8 +164,7 @@ def grid_ks_distance(seed=31, n_draws=5000):
     y = np.array([3.3, 4.2, 4.4])
     t_land = 3.0
     history = SubjectHistory({"w": 1.0}, times, y, t=t_land)
-    draws = sample_random_effects(history, ReCondition.from_history(history), theta,
-                                  spec, assoc, n_draws=n_draws, seed=seed)
+    draws = sample_random_effects(history, theta, spec, assoc, n_draws=n_draws, seed=seed)
 
     # independent oracle: dense-grid posterior for (b0, b1)
     lam0 = math.exp(theta.gamma_h0[0])
@@ -569,9 +565,10 @@ def test_log_target_newton_matches_finite_differences(family_cohorts, family, va
             np.r_[math.log(0.1), 0.3 * rng.standard_normal(spec.n_baseline - 1)], 1.0))
     subject = next(s for s in dataset.subjects if s.event_time > 3.0 and s.n_obs > 2)
     history = SubjectHistory.from_subject(subject, 3.0)
-    condition = (ReCondition(4.5, np.append(history.times, 4.5), np.append(history.y, 1.0))
-                 if extra else ReCondition.from_history(history))
-    cdata = _ConditionData(spec, assoc, history.covariates, condition)
+    if extra:
+        history = SubjectHistory(history.covariates, np.append(history.times, 4.5),
+                                 np.append(history.y, 1.0), 4.5)
+    cdata = _ConditionData(spec, assoc, history)
     th = ThetaBatch.from_parameters(theta)
     b = rng.normal(size=2) * [0.5, 0.1]
     grad, prec = cdata.log_target_newton(b, th)

@@ -18,6 +18,7 @@ from jmsched.model import (
     PolynomialTime,
     SplineTime,
     Subject,
+    SubjectHistory,
     linear_predictor,
     log_hazard,
     log_posterior_unnormalized,
@@ -453,7 +454,7 @@ def cross_path_case(variant, family, time_key):
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
 @pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
 def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_key):
-    from jmsched.mcmc import ReCondition, ThetaBatch, _ConditionData, _FitData
+    from jmsched.mcmc import ThetaBatch, _ConditionData, _FitData
     from jmsched.model import cumulative_hazard
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, time_key)
@@ -462,8 +463,7 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
     ts = np.array([0.7, 2.2, 4.5, T])
     b1 = b[None, :]
     th1 = ThetaBatch.from_parameters(theta, 1)
-    cond = ReCondition(survival_until=T, times=subject.times, y=subject.y)
-    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+    cdata = _ConditionData(spec, assoc, SubjectHistory.from_subject(subject, T))
 
     # log hazard: scalar API, per-time batch, rowwise batch
     lh = np.array([log_hazard(theta, spec, assoc, subject, b, t) for t in ts])
@@ -518,22 +518,22 @@ def _theta_rows(theta, size, rng):
                       np.repeat(theta.D[None], size, axis=0))
 
 
-def _fresh_target(spec, assoc, subject, cond, b, th, extra):
+def _fresh_target(spec, assoc, history, b, th, extra):
     """The conditional log target at every row of (b, th), written out from
     the kernel with nothing computed ahead of b."""
     from jmsched.model import (LOG_HAZARD_BOUND, Design, log_hazard_rows, long_log_terms,
                                trajectory_features)
     from jmsched.numerics import GK15, span_nodes
 
-    family, cov = spec.longitudinal.family, subject.covariates
+    family, cov = spec.longitudinal.family, history.covariates
     out = th.re_log_prior(b)
-    eta = trajectory_features(Design(spec, ("eta",), cov, cond.times), th.beta, b)["eta"]
-    out = out + long_log_terms(family, cond.y[:, None], eta, th.phi).sum(0)
+    eta = trajectory_features(Design(spec, ("eta",), cov, history.times), th.beta, b)["eta"]
+    out = out + long_log_terms(family, history.y[:, None], eta, th.phi).sum(0)
     if extra is not None:
         u, y_u = extra
         eta_u = trajectory_features(Design(spec, ("eta",), cov, [u]), th.beta, b)["eta"][0]
         out = out + long_log_terms(family, np.broadcast_to(y_u, eta_u.shape), eta_u, th.phi)
-    s, w = span_nodes(0.0, cond.survival_until, spec.hazard_breakpoints, GK15)
+    s, w = span_nodes(0.0, history.t, spec.hazard_breakpoints, GK15)
     lh = log_hazard_rows(Design(spec, assoc.features, cov, s), assoc, th.gamma_h0, th.gamma,
                          th.beta, th.alpha, b)
     return out - w @ np.exp(np.clip(lh, -LOG_HAZARD_BOUND, LOG_HAZARD_BOUND))
@@ -547,11 +547,11 @@ def test_reused_condition_target_equals_fresh_evaluation(variant, family):
     one batch's evaluator reused across b, give the bits of a fresh
     evaluation of every row.  (Rows evaluated as one-row batches may differ
     in the last bit: BLAS sums a matrix-vector product in another order.)"""
-    from jmsched.mcmc import ReCondition, _ConditionData
+    from jmsched.mcmc import _ConditionData
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
-    cond = ReCondition(survival_until=5.0, times=subject.times, y=subject.y)
-    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+    history = SubjectHistory.from_subject(subject, 5.0)
+    cdata = _ConditionData(spec, assoc, history)
     rng = np.random.default_rng(8)
     th_a, th_b = _theta_rows(theta, 3, rng), _theta_rows(theta, 4, rng)
     y_u = np.array(CROSS_SUBJECT_Y[family.name])
@@ -559,7 +559,7 @@ def test_reused_condition_target_equals_fresh_evaluation(variant, family):
         target = cdata.target(th, extra)
         for _ in range(2):
             bs = b + 0.1 * rng.standard_normal((th.size, b.size))
-            fresh = _fresh_target(spec, assoc, subject, cond, bs, th, extra)
+            fresh = _fresh_target(spec, assoc, history, bs, th, extra)
             assert np.array_equal(target(bs), fresh)
             assert np.array_equal(cdata.log_target(bs, th, extra), fresh)
 
@@ -569,11 +569,11 @@ def test_reused_condition_target_equals_fresh_evaluation(variant, family):
 def test_gathered_rowwise_hazard_equals_expanded_rows(variant, family):
     """Design rows built once per time and gathered for its ``repeats`` draws
     give the bits of rows built for every draw."""
-    from jmsched.mcmc import ReCondition, _ConditionData
+    from jmsched.mcmc import _ConditionData
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
-    cond = ReCondition(survival_until=5.0, times=subject.times, y=subject.y)
-    cdata = _ConditionData(spec, assoc, subject.covariates, cond)
+    history = SubjectHistory.from_subject(subject, 5.0)
+    cdata = _ConditionData(spec, assoc, history)
     rng = np.random.default_rng(9)
     m = 4
     times = np.array([0.7, 2.2, 4.5])
