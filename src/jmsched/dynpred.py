@@ -38,6 +38,7 @@ _PI_STREAM = 1
 _EKL_STREAM = 2
 _CV_IDX_STREAM = 3
 _CV_RE_STREAM = 4
+_EKL_U_STREAM = 5
 
 
 # ---------------------------------------------------------------------------
@@ -288,81 +289,79 @@ def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float
 # Expected information gain for the next measurement
 # ---------------------------------------------------------------------------
 
-def _ekl_draws(history, u, samples, spec, assoc, config: ScheduleConfig) -> np.ndarray:
-    """Per-replication values of the information-gain Monte Carlo scheme."""
+def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.ndarray:
+    """Per-replication values of the information-gain scheme, one row per time in ``us``."""
     t = history.t
-    if not u > t:
-        raise DomainError(f"candidate time must exceed the landmark, got u={u} <= t={t}")
+    us = [float(u) for u in us]
+    if not us or not all(u > t for u in us):
+        raise DomainError(f"candidate times must be given and exceed the landmark t={t}, "
+                          f"got {us}")
     rng = _stream(config.seed, _EKL_STREAM)
     n_outer, n_inner = config.n_outer, config.n_inner
-    family = spec.longitudinal.family
+    gaussian = spec.longitudinal.family.name == "gaussian"
     cdata_t = _ConditionData(spec, assoc, history)
     proposal = posterior_mode_re(cdata_t, samples.mean_parameters(spec))
-    cdata_u = _ConditionData(spec, assoc, dataclasses.replace(history, t=u))
 
-    # parameter draws for the three roles
+    # one landmark draw (theta_a, b_a) per replication gives both y(u) and T*
     g = samples.n_draws
-    idx_a = rng.integers(0, g, size=n_outer)
-    idx_b = rng.integers(0, g, size=n_outer)
-    idx_c = rng.integers(0, g, size=n_outer * n_inner)
-    th_a = ThetaBatch.from_samples(samples, idx_a)
-    th_b = ThetaBatch.from_samples(samples, idx_b)
-    th_c = ThetaBatch.from_samples(samples, idx_c)
-
-    # current random effects and a hypothetical measurement at u
+    th_a = ThetaBatch.from_samples(samples, rng.integers(0, g, size=n_outer))
+    th_c = ThetaBatch.from_samples(samples, rng.integers(0, g, size=n_outer * n_inner))
     b_a = _re_mh_draws(cdata_t, th_a, proposal, rng, config.re_warmup)
-    eta_u = md.trajectory_features(cdata_t.point(u, ("eta",)), th_a.beta, b_a)["eta"][0]
-    if family.name == "gaussian":
-        y_u = eta_u + np.sqrt(th_a.phi) * rng.standard_normal(n_outer)
-    else:
-        y_u = (rng.random(n_outer) < expit(eta_u)).astype(float)
+    t_star, _ = _event_time_batch(cdata_t, th_a, b_a, rng, cap=t + 100.0 * config.t_max)
+    noise = rng.standard_normal(n_outer) if gaussian else rng.random(n_outer)
 
-    # random effects given the augmented data, surviving past t and past u
-    b_b = _re_mh_draws(cdata_t, th_b, proposal, rng, config.re_warmup, extra=(u, y_u))
-    y_rep = np.repeat(y_u, n_inner)
-    b_c = _re_mh_draws(cdata_u, th_c, proposal, rng, config.re_warmup, extra=(u, y_rep))
+    values = np.empty((len(us), n_outer))
+    for k, u in enumerate(us):
+        eta_u = md.trajectory_features(cdata_t.point(u, ("eta",)), th_a.beta, b_a)["eta"][0]
+        y_u = (eta_u + np.sqrt(th_a.phi) * noise if gaussian
+               else (noise < expit(eta_u)).astype(float))
 
-    # residual event time given survival past t; gain counts only if it lands past u
-    cap = t + 100.0 * config.t_max
-    t_star, _ = _event_time_batch(cdata_t, th_b, b_b, rng, cap)
-    gate = t_star > u
+        # random effects given the augmented data and survival past u, from a
+        # stream of the seed alone, so a value does not depend on the other times
+        cdata_u = _ConditionData(spec, assoc, dataclasses.replace(history, t=u))
+        b_c = _re_mh_draws(cdata_u, th_c, proposal, _stream(config.seed, _EKL_U_STREAM),
+                           config.re_warmup, extra=(u, np.repeat(y_u, n_inner)))
 
-    # log predictive density of t_star under the augmented information set
-    # each of the n_outer times serves the n_inner rows that follow it
-    t_out = np.maximum(t_star, u)
-    lh = cdata_u.log_hazard_rowwise(t_out, b_c, th_c, repeats=n_inner)
-    hi_edge = max(float(np.max(t_star)), u)
-    edges = np.unique(np.concatenate(
-        [[u], [c for c in spec.hazard_breakpoints if u < c < hi_edge], [hi_edge]]))
-    cum_edges = np.zeros((th_c.size, edges.size))
-    for j in range(1, edges.size):
-        cum_edges[:, j] = cum_edges[:, j - 1] + cdata_u.cum_hazard(
-            b_c, th_c, edges[j], lower=edges[j - 1])
-    pos = np.clip(np.searchsorted(edges, t_out, side="right") - 1, 0, edges.size - 1)
-    base = cum_edges[np.arange(th_c.size), np.repeat(pos, n_inner)]
-    remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_out, repeats=n_inner)
-    log_ratio = lh - (base + remainder)
+        # log predictive density of t_star under the augmented information set,
+        # which counts only if it lands past u; each of the n_outer times serves
+        # the n_inner rows that follow it
+        t_out = np.maximum(t_star, u)
+        lh = cdata_u.log_hazard_rowwise(t_out, b_c, th_c, repeats=n_inner)
+        hi_edge = max(float(np.max(t_star)), u)
+        edges = np.unique(np.concatenate(
+            [[u], [c for c in spec.hazard_breakpoints if u < c < hi_edge], [hi_edge]]))
+        cum_edges = np.zeros((th_c.size, edges.size))
+        for j in range(1, edges.size):
+            cum_edges[:, j] = cum_edges[:, j - 1] + cdata_u.cum_hazard(
+                b_c, th_c, edges[j], lower=edges[j - 1])
+        pos = np.clip(np.searchsorted(edges, t_out, side="right") - 1, 0, edges.size - 1)
+        base = cum_edges[np.arange(th_c.size), np.repeat(pos, n_inner)]
+        remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_out, repeats=n_inner)
+        log_ratio = lh - (base + remainder)
+        mean = logsumexp(log_ratio.reshape(n_outer, n_inner), axis=1) - math.log(n_inner)
+        values[k] = np.where(t_star > u, mean, 0.0)
+    return values
 
-    values = logsumexp(log_ratio.reshape(n_outer, n_inner), axis=1) - math.log(n_inner)
-    return np.where(gate, values, 0.0)
 
-
-def ekl(history, u, samples, spec, assoc, config: ScheduleConfig) -> EklResult:
-    """Expected information gain from measuring at u.
+def ekl(history, us, samples, spec, assoc, config: ScheduleConfig) -> tuple:
+    """Expected information gain from measuring at each time in ``us``: one
+    ``EklResult`` per time.
 
     ``lower`` and ``upper`` are the 2.5th and 97.5th percentiles of the
     per-replication values: their spread, not an interval for the estimate
     (a mean).  Replications whose simulated event comes before u count as 0,
     so ``upper`` is often exactly 0.0.  Only the numerator term of the
     information-gain ratio is computed, so values are comparable across
-    candidate times for one subject and landmark but may be negative.  Every
-    u draws from the one stream of ``config.seed``, so the candidate times of
-    a plan share their random numbers and ``schedule_next``'s k-th value is
-    ``ekl`` at its k-th grid point.
+    candidate times for one subject and landmark but may be negative.  One
+    landmark draw of (theta, b) per replication, made once for all of ``us``,
+    gives both y(u) and the residual event time T*, and every u draws from
+    streams of ``config.seed`` alone: a value does not depend on the other
+    times, and ``ekl(history, [plan.grid[k]], ...)[0]`` is ``plan.ekl[k]``.
     """
-    values = _ekl_draws(history, u, samples, spec, assoc, config)
-    lower, upper = np.percentile(values, [2.5, 97.5])
-    return EklResult(float(values.mean()), float(lower), float(upper))
+    values = _ekl_draws(history, us, samples, spec, assoc, config)
+    lower, upper = np.percentile(values, [2.5, 97.5], axis=1)
+    return tuple(EklResult(float(m), float(lo), float(hi))
+                 for m, lo, hi in zip(values.mean(axis=1), lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +418,12 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
     step = span / config.grid_size
     grid = t + step * np.arange(1, config.grid_size + 1)
     pi_values = np.array([machine.pi(float(v)) for v in grid])
-    results = [ekl(history, float(v), samples, spec, assoc, config) for v in grid]
+    results = ekl(history, grid, samples, spec, assoc, config)
     estimates = np.array([r.estimate for r in results])
     choice = _select_candidate(estimates, pi_values, config.kappa)
     return SchedulePlan(
         landmark=t, kappa=config.kappa, t_up=t + span, grid=grid,
-        ekl=tuple(results), pi=pi_values,
+        ekl=results, pi=pi_values,
         selected=float(grid[choice]) if choice is not None else None,
         advisory=None if choice is not None
         else "intervene: survival constraint immediately binding",

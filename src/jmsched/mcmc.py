@@ -456,8 +456,7 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
 
 def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
                           spec: md.JointModelSpec, assoc: md.AssociationForm,
-                          n_draws: int, seed=None, rng=None, warmup: int = RE_WARMUP
-                          ) -> np.ndarray:
+                          n_draws: int, seed=None, warmup: int = RE_WARMUP) -> np.ndarray:
     """MH chain targeting p(b | the measurements of ``history``, survival past
     ``history.t``, theta); returns (n_draws, q).
 
@@ -466,12 +465,11 @@ def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
     precision there as covariance (``posterior_mode_re``); the first draw is
     taken after the internal warm-up.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     cdata = _ConditionData(spec, assoc, history)
     proposal = posterior_mode_re(cdata, theta)
     th = ThetaBatch.from_parameters(theta, 1)
-    return _re_mh_draws(cdata, th, proposal, rng, warmup, n_keep=n_draws)
+    return _re_mh_draws(cdata, th, proposal, np.random.default_rng(seed), warmup,
+                        n_keep=n_draws)
 
 
 # ---------------------------------------------------------------------------

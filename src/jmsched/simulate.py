@@ -88,15 +88,15 @@ def generate_dataset(design: SimulationDesign) -> md.Dataset:
         covs = _draw_covariates(design, rng)
         b = chol @ rng.standard_normal(theta.n_random)
         cap = 100.0 * max(design.censor_admin or 0.0, max(design.visit_times), 5.0)
-        t_star, _ = simulate_event_time(theta, design.spec, design.assoc, covs, b,
-                                        0.0, rng, cap=cap)
+        t_star, capped = simulate_event_time(theta, design.spec, design.assoc, covs, b,
+                                             0.0, rng, cap=cap)
         censor = np.inf
         if design.censor_admin is not None:
             censor = design.censor_admin
         if design.censor_rate is not None:
             censor = min(censor, rng.exponential(1.0 / design.censor_rate))
         observed = min(t_star, censor)
-        event = int(t_star <= censor)
+        event = int(t_star <= censor and not capped)   # a capped draw is censored there
 
         visits = np.array(design.visit_times, dtype=float)
         if design.visit_jitter > 0:

@@ -371,7 +371,7 @@ def test_criterion_7_ekl_matches_quadrature_oracle(report):
 
     samples = PosteriorSamples.degenerate(theta, 1000)
     config = ScheduleConfig(seed=77, n_outer=2000, n_inner=50, n_pi=500)
-    values = _ekl_draws(history, u, samples, spec, assoc, config)
+    (values,) = _ekl_draws(history, [u], samples, spec, assoc, config)
     se = values.std() / math.sqrt(values.size)
     z = abs(values.mean() - ekl_true) / se
     assert z < EKL_SE_MULTIPLE, (
@@ -462,8 +462,8 @@ def test_criterion_9_determinism(scheduling_rig, report):
     history = jm.SubjectHistory.from_subject(new_subjects.subjects[0], 1.0)
     sched_config = ScheduleConfig(seed=2718, n_outer=30, n_inner=4, n_pi=150,
                                   re_warmup=60)
-    r1 = ekl(history, 2.0, samples, spec, assoc, sched_config)
-    r2 = ekl(history, 2.0, samples, spec, assoc, sched_config)
+    r1 = ekl(history, [2.0], samples, spec, assoc, sched_config)
+    r2 = ekl(history, [2.0], samples, spec, assoc, sched_config)
     assert r1 == r2
 
     p1 = schedule_next(history, samples, spec, assoc, sched_config)

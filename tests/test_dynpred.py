@@ -262,16 +262,16 @@ def test_ekl_zero_when_event_certain_before_u():
     spec, assoc, theta = flat_hazard_model(lam=25.0)
     samples = PosteriorSamples.degenerate(theta, 200)
     config = ScheduleConfig(seed=2, n_outer=120, n_inner=8, n_pi=100, re_warmup=40)
-    result = ekl(HIST, 1.3, samples, spec, assoc, config)
-    assert result == EklResult(0.0, 0.0, 0.0)
+    result = ekl(HIST, [1.3], samples, spec, assoc, config)
+    assert result == (EklResult(0.0, 0.0, 0.0),)
 
 
 def test_ekl_deterministic_given_seed(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
     config = ScheduleConfig(seed=6, n_outer=50, n_inner=6, n_pi=100, re_warmup=60)
-    a = ekl(history, 2.5, small_joint["samples"], small_joint["spec"],
+    a = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
             small_joint["assoc"], config)
-    b = ekl(history, 2.5, small_joint["samples"], small_joint["spec"],
+    b = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
             small_joint["assoc"], config)
     assert a == b
 
@@ -279,8 +279,8 @@ def test_ekl_deterministic_given_seed(small_joint):
 def test_ekl_interval_brackets_estimate(small_joint):
     history = SubjectHistory({"w": 0.0}, [0.0, 0.8], [3.7, 4.0], t=1.0)
     config = ScheduleConfig(seed=8, n_outer=80, n_inner=6, n_pi=100, re_warmup=60)
-    r = ekl(history, 2.0, small_joint["samples"], small_joint["spec"],
-            small_joint["assoc"], config)
+    (r,) = ekl(history, [2.0], small_joint["samples"], small_joint["spec"],
+               small_joint["assoc"], config)
     assert r.lower <= r.estimate <= r.upper
 
 
@@ -289,7 +289,28 @@ def test_ekl_requires_future_time():
     samples = PosteriorSamples.degenerate(theta, 10)
     config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, n_pi=10, re_warmup=5)
     with pytest.raises(DomainError):
-        ekl(HIST, 0.3, samples, spec, assoc, config)
+        ekl(HIST, [0.3], samples, spec, assoc, config)
+
+
+@pytest.mark.parametrize("us", [[], [1.3, 0.3], [1.3, HIST.t]])
+def test_ekl_rejects_empty_or_past_times(us):
+    spec, assoc, theta = flat_hazard_model()
+    samples = PosteriorSamples.degenerate(theta, 10)
+    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, n_pi=10, re_warmup=5)
+    with pytest.raises(DomainError):
+        ekl(HIST, us, samples, spec, assoc, config)
+
+
+def test_ekl_value_does_not_depend_on_other_times(small_joint):
+    history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
+    config = ScheduleConfig(seed=9, n_outer=40, n_inner=5, n_pi=100, re_warmup=50)
+    args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
+    us = [1.9, 2.6, 3.4]
+    together = ekl(history, us, *args)
+    assert len(together) == len(us)
+    for k, u in enumerate(us):
+        assert ekl(history, [u], *args)[0] == together[k]
+    assert ekl(history, us[::-1], *args) == together[::-1]
 
 
 def test_ekl_gating_fraction_matches_conditional_survival():
@@ -298,7 +319,7 @@ def test_ekl_gating_fraction_matches_conditional_survival():
     samples = PosteriorSamples.degenerate(theta, 500)
     config = ScheduleConfig(seed=12, n_outer=800, n_inner=4, n_pi=100, re_warmup=40)
     u = 1.3
-    values = _ekl_draws(HIST, u, samples, spec, assoc, config)
+    (values,) = _ekl_draws(HIST, [u], samples, spec, assoc, config)
     frac_zero = float(np.mean(values == 0.0))
     p_gate = 1.0 - math.exp(-lam * (u - HIST.t))
     se = math.sqrt(p_gate * (1.0 - p_gate) / config.n_outer)
@@ -367,15 +388,15 @@ def test_schedule_deterministic(small_joint):
 
 
 def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
-    """Every candidate time draws from the one stream of the seed, so each
-    value of a plan is what ``ekl`` gives at its grid point."""
+    """A plan scores its grid in one ``ekl`` call, and each value is what
+    ``ekl`` gives at that grid point alone."""
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
     config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, n_pi=120, re_warmup=50)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
     plan = schedule_next(history, *args)
     assert plan.t_up - plan.landmark > 1e-3
     for u, result in zip(plan.grid, plan.ekl):
-        assert ekl(history, float(u), *args) == result
+        assert ekl(history, [u], *args) == (result,)
 
 
 def test_schedule_plan_validates_selected_feasibility():

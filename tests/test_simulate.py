@@ -51,6 +51,16 @@ def test_no_censoring_all_events():
     assert all(s.event == 1 for s in dataset.subjects)
 
 
+def test_capped_event_time_is_censored_at_the_cap():
+    # with no censoring configured, a draw that never reaches its event
+    # before the cap (100 x 5 here) is censored there, not an event
+    dataset = generate_dataset(flat_design(n=20, lam=1e-4, seed=5))
+    capped = [s for s in dataset.subjects if s.event_time == 500.0]
+    assert len(capped) >= 15
+    assert all(s.event == 0 for s in capped)
+    assert all(s.event == 1 for s in dataset.subjects if s.event_time < 500.0)
+
+
 def test_kaplan_meier_matches_constant_hazard():
     dataset = generate_dataset(flat_design(lam=0.1, n=2000, seed=7))
     assert kaplan_meier_at(dataset, 5.0) == pytest.approx(math.exp(-0.5), abs=0.03)
