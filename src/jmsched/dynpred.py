@@ -31,7 +31,8 @@ from .mcmc import (
 from .model import SubjectHistory
 
 DEFAULT_T_MAX = 5.0
-EVENT_TIME_TOL = 1e-6   # width at which the event-time bisection stops
+EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
+EVENT_TIME_MAX_STEPS = 100
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
 _PI_STREAM = 1
@@ -233,43 +234,65 @@ def _event_time_edges(cdata, u: float, cap: float) -> np.ndarray:
     return np.array(sorted(points))
 
 
+def _running_hazard(cdata, b, th, edges) -> np.ndarray:
+    """Hazard integral from edges[0] to every edge, one column per edge, from
+    one design over the knot-free cells between them; an overflow is +inf."""
+    cells = cdata.cell_cum_hazard(b, th, edges)
+    with np.errstate(over="ignore"):
+        return np.cumsum(np.pad(cells, ((0, 0), (1, 0))), axis=1)
+
+
 def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, rng, cap: float):
     """Inversion draws T* with S(T*)/S(u) = v for every row, where u is
-    ``cdata.history.t``; (times, capped)."""
+    ``cdata.history.t``; (times, capped).  The running hazard over the cells
+    of ``_event_time_edges`` finds each row's cell [lo, hi]; inside it, Newton
+    on the hazard solves Lambda(lo -> T) = -log v - Lambda(u -> lo), bisecting
+    where a step would leave the row's bracket, until a step is at most
+    EVENT_TIME_TOL * max(1, T) or no float lies strictly inside the bracket."""
     u = cdata.history.t
     size = th.size
+    rows = np.arange(size)
     v = rng.random(size)
     with np.errstate(divide="ignore"):
         target = -np.log(v)
     edges = _event_time_edges(cdata, u, cap)
-    n_edges = edges.size
-    cum = np.zeros((size, n_edges))
-    for j in range(1, n_edges):
-        cum[:, j] = cum[:, j - 1] + cdata.cum_hazard(b, th, edges[j], lower=edges[j - 1])
+    cum = _running_hazard(cdata, b, th, edges)
     first = np.sum(cum < target[:, None], axis=1)
-    capped = first >= n_edges
-    cell = np.clip(first, 1, n_edges - 1)
-    lo = edges[cell - 1].copy()
-    hi = edges[cell].copy()
-    acc = cum[np.arange(size), cell - 1]
-    lo[capped] = hi[capped] = cap
-    mid = 0.5 * (lo + hi)
-    # a row is done at EVENT_TIME_TOL width or, past about 8.6e9, where no float lies between
-    while np.any((hi - lo > EVENT_TIME_TOL) & (lo < mid) & (mid < hi)):
-        inc = cdata.cum_hazard_rowwise(b, th, lo, mid)
-        go = (acc + inc) < target
-        acc = np.where(go, acc + inc, acc)
-        lo = np.where(go, mid, lo)
-        hi = np.where(go, hi, mid)
-        mid = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi), capped
+    capped = first >= edges.size
+    cell = np.clip(first, 1, edges.size - 1)
+    lo, hi = edges[cell - 1], edges[cell]
+    start = lo
+    goal = target - cum[rows, cell - 1]
+    times = np.where(capped, cap, np.nan)
+    active = ~capped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        guess = lo + (hi - lo) * (goal / (cum[rows, cell] - cum[rows, cell - 1]))
+        for _ in range(EVENT_TIME_MAX_STEPS):
+            tol = EVENT_TIME_TOL * np.maximum(1.0, times)
+            mid = 0.5 * (lo + hi)
+            split = (lo < mid) & (mid < hi)
+            inside = np.isfinite(guess) & (lo < guess) & (guess < hi)
+            # a Newton point within tol of T that rounds onto the bracket ends the row at T
+            stay = ~inside & (np.abs(guess - times) <= tol)
+            step = np.where(inside, guess, np.where(split, mid, hi))
+            done = ~split | stay | (np.abs(step - times) <= tol)
+            times = np.where(active & ~stay, step, times)
+            active &= ~done
+            if not active.any():
+                break
+            f = cdata.cum_hazard_rowwise(b, th, start, times) - goal
+            lo = np.where(active & (f < 0.0), times, lo)
+            hi = np.where(active & (f > 0.0), times, hi)
+            guess = times - f / np.exp(cdata.log_hazard_rowwise(times, b, th))
+    return times, capped
 
 
 def simulate_event_time(theta: md.Parameters, spec, assoc, covariates, b, u: float,
                         rng, cap: float = None):
     """One event time past u by inversion: draw v ~ U(0,1), solve
-    S(T*)/S(u) = v by bracketing and bisection.  Returns (time, capped);
-    capped means the survival ratio never fell to v before the cap."""
+    S(T*)/S(u) = v by safeguarded Newton inside the knot-free cell that
+    brackets it (``_event_time_batch``).  Returns (time, capped); capped
+    means the survival ratio never fell to v before the cap."""
     if cap is None:
         cap = u + 100.0 * DEFAULT_T_MAX
     cdata = _ConditionData(spec, assoc, SubjectHistory(covariates, (), (), u))
@@ -330,10 +353,7 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.
         hi_edge = max(float(np.max(t_star)), u)
         edges = np.unique(np.concatenate(
             [[u], [c for c in spec.hazard_breakpoints if u < c < hi_edge], [hi_edge]]))
-        cum_edges = np.zeros((th_c.size, edges.size))
-        for j in range(1, edges.size):
-            cum_edges[:, j] = cum_edges[:, j - 1] + cdata_u.cum_hazard(
-                b_c, th_c, edges[j], lower=edges[j - 1])
+        cum_edges = _running_hazard(cdata_u, b_c, th_c, edges)
         pos = np.clip(np.searchsorted(edges, t_out, side="right") - 1, 0, edges.size - 1)
         base = cum_edges[np.arange(th_c.size), np.repeat(pos, n_inner)]
         remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_out, repeats=n_inner)

@@ -24,7 +24,7 @@ from scipy.stats import invwishart
 
 from . import model as md
 from .errors import ConfigError, DataError, NumericError, SpecError
-from .numerics import GK15, span_nodes
+from .numerics import GK15, mapped_nodes, span_nodes
 
 BLOCK_TARGET_RATE = 0.234
 ADAPT_WINDOW = 50     # draws between updates of a block proposal's shape
@@ -240,6 +240,18 @@ class _ConditionData:
 
     def cum_hazard(self, b, th, upper, lower=0.0) -> np.ndarray:
         return self._cum_hazard(th, upper, lower)(b)
+
+    def cell_cum_hazard(self, b, th, edges) -> np.ndarray:
+        """Hazard integral over every cell [edges[j], edges[j + 1]] for every
+        draw, shape (th.size, edges.size - 1), from one design over all cells'
+        Gauss-Kronrod nodes.  Cells must not cross a hazard breakpoint; an
+        overflow is +inf."""
+        edges = np.asarray(edges, float)
+        s, wq = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
+        design = md.Design(self.spec, self.assoc.features, self.history.covariates, s.ravel())
+        lh = self._log_hazard(design, th)(b).reshape(*s.shape, th.size)
+        with np.errstate(over="ignore"):
+            return np.matmul(wq[:, None, :], np.exp(lh))[:, 0, :].T
 
     def log_hazard_at(self, t, b, th) -> np.ndarray:
         return self._log_hazard(self.point(t, self.assoc.features), th)(b)[0]

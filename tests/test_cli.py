@@ -755,11 +755,20 @@ SIMULATE_LINES = ["seed=1", *MODEL_BLOCK.split(), *TRUTH_BLOCK.split(), "sim.n_s
 @given(line=st.integers(0, len(SIMULATE_LINES) - 1), text=FIELD_TEXT)
 def test_any_simulate_config_value_ends_in_cohort_or_error(tmp_path_factory, line, text):
     """simulate with one config value replaced by any text either writes its
-    files or ends in a JmschedError (``out.prefix``, where files go, is kept)."""
+    files, every number in its CSVs finite, or ends in a JmschedError
+    (``out.prefix``, where files go, is kept)."""
     tmp = tmp_path_factory.mktemp("fuzz")
     lines = list(SIMULATE_LINES)
     key = lines[line].split("=", 1)[0]
     lines[line] = f"{key}={text}"
     cfg = tmp / "sim.cfg"
     cfg.write_text("\n".join([f"out.prefix={tmp}/sim", *lines]) + "\n", encoding="utf-8")
-    _main_outcome(["simulate", str(cfg)])
+    code, _ = _main_outcome(["simulate", str(cfg)])
+    if code == 0:
+        for name in ("sim_longitudinal.csv", "sim_survival.csv"):
+            for field in (f for row in read_rows(tmp / name)[1:] for f in row):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (name, field)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from jmsched.dynpred import (
     SchedulePlan,
     _ekl_draws,
     _event_time_batch,
+    _event_time_edges,
     _select_candidate,
     conditional_survival,
     cv_dcl,
@@ -24,6 +26,8 @@ from jmsched.errors import ConfigError, DomainError
 from jmsched.mcmc import PosteriorSamples, ThetaBatch, _ConditionData
 from jmsched.model import (
     BERNOULLI,
+    LOG_HAZARD_BOUND,
+    AssociationForm,
     Dataset,
     JointModelSpec,
     LinearTime,
@@ -159,6 +163,87 @@ def test_event_time_scalar_matches_law_loosely():
     ])
     res = stats.kstest(draws - 2.0, "expon", args=(0.0, 1.0 / lam))
     assert res.pvalue > 0.005
+
+
+def spline_hazard_model(association="current_value"):
+    """A baseline spline with knots at 2, 5 and 8 that is not flat, and an
+    association of the trajectory with the hazard."""
+    spec, _ = gaussian_joint_model()
+    assoc = AssociationForm(association)
+    gh = np.array([math.log(0.3), 0.4, -0.3, 0.5, 0.2, -0.4, 0.3, 0.1])
+    theta = Parameters(beta=np.array([3.6, 0.25]), phi=0.25, D=np.diag([0.35, 0.02]),
+                       gamma=np.array([0.5]), alpha=np.full(assoc.n_params, 0.25),
+                       baseline=spec.make_baseline(gh, 1.0))
+    return spec, assoc, theta
+
+
+def test_event_time_flat_hazard_is_exact():
+    lam, u = 0.3, 1.0
+    spec, assoc, theta = flat_hazard_model(lam=lam)
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
+    v = np.random.default_rng(21).random(2000)
+    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, v.size),
+                                      np.zeros((v.size, 2)), _FixedUniform(v), cap=u + 500.0)
+    assert not capped.any()
+    np.testing.assert_allclose(times, u - np.log(v) / lam, rtol=1e-9, atol=0.0)
+
+
+def test_event_time_solves_the_inversion_equation_across_cells():
+    """On a spline hazard with knots, current-value association and nonzero
+    b, each uncapped T* satisfies Lambda(u -> T*) = -log v."""
+    spec, assoc, theta = spline_hazard_model()
+    u, n = 0.5, 60
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], u))
+    b = np.random.default_rng(22).normal(scale=[0.6, 0.15], size=(n, 2))
+    v = np.random.default_rng(23).random(n)
+    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, n), b,
+                                      _FixedUniform(v), cap=u + 500.0)
+    edges = _event_time_edges(cdata, u, u + 500.0)
+    assert np.unique(np.searchsorted(edges, times[~capped])).size >= 3
+    th1 = ThetaBatch.from_parameters(theta, 1)
+    for r in np.flatnonzero(~capped):
+        got = cdata.cum_hazard(b[r:r + 1], th1, times[r], lower=u)[0]
+        assert got == pytest.approx(-math.log(v[r]), rel=1e-8)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_event_time_clamped_hazard_ends_just_past_u(u):
+    spec, assoc, theta = flat_hazard_model()
+    gh = np.zeros(spec.n_baseline)
+    gh[0] = LOG_HAZARD_BOUND + 100.0
+    theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
+    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
+                                      np.zeros((500, 2)), np.random.default_rng(24),
+                                      cap=u + 500.0)
+    assert not capped.any()
+    assert np.all((times > u) & (times <= u + 1e-6))
+
+
+def test_event_time_vanishing_hazard_is_capped():
+    spec, assoc, theta = flat_hazard_model()
+    gh = np.zeros(spec.n_baseline)
+    gh[0] = -LOG_HAZARD_BOUND - 100.0
+    theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
+    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
+                                      np.zeros((500, 2)), np.random.default_rng(25), cap=501.0)
+    assert capped.all()
+    assert np.all(times == 501.0)
+
+
+@pytest.mark.parametrize("association",
+                         ["current_value", "slope", "value_and_slope", "cumulative"])
+def test_cell_cum_hazard_matches_per_cell_integrals(association):
+    spec, assoc, theta = spline_hazard_model(association)
+    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], 0.5))
+    b = np.random.default_rng(26).normal(scale=[0.6, 0.15], size=(7, 2))
+    th = ThetaBatch.from_parameters(theta, 7)
+    edges = _event_time_edges(cdata, 0.5, 40.0)
+    got = cdata.cell_cum_hazard(b, th, edges)
+    want = np.column_stack([cdata.cum_hazard(b, th, hi, lower=lo)
+                            for lo, hi in zip(edges[:-1], edges[1:])])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # --- future measurement ------------------------------------------------------------
