@@ -9,7 +9,6 @@ residual event time subject to a conditional-survival constraint.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -29,17 +28,19 @@ from .mcmc import (
     posterior_mode_re,
 )
 from .model import SubjectHistory
+from .numerics import GK15
 
 DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
 EVENT_TIME_MAX_STEPS = 100
+HAZARD_NODE_BUDGET = 1 << 18   # Gauss-Kronrod nodes x draws in one design of _running_hazard
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
 _PI_STREAM = 1
 _EKL_STREAM = 2
 _CV_IDX_STREAM = 3
 _CV_RE_STREAM = 4
-_EKL_U_STREAM = 5
+_EKL_POOL_STREAM = 5
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ class ScheduleConfig:
     t_max: float = DEFAULT_T_MAX
     grid_size: int = 5
     n_outer: int = 2000     # outer replications of the information-gain scheme
-    n_inner: int = 50       # inner draws for the predictive density
+    n_inner: int = 50       # landmark pool that every outer replication reweights
     n_pi: int = 2000        # draws for the conditional survival estimate
     re_warmup: int = RE_WARMUP
 
@@ -148,13 +149,18 @@ class _PiMachine:
         proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
         self.b = _re_mh_draws(self.cdata, self.th, proposal, rng, warmup)
 
+    def curve(self, us) -> np.ndarray:
+        """pi at every horizon in ``us``, from one running hazard over
+        {t} and ``us`` and the knots between them."""
+        us = np.asarray(us, dtype=float)
+        if np.any(us < self.t):
+            raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {self.t}")
+        edges = _edges(self.cdata, self.t, us)
+        cum = _running_hazard(self.cdata, self.b, self.th, edges)
+        return np.exp(-cum).mean(axis=0)[np.searchsorted(edges, us)]
+
     def pi(self, u: float) -> float:
-        if u < self.t:
-            raise DomainError(f"conditional survival needs u >= t, got u={u} < t={self.t}")
-        if u == self.t:
-            return 1.0
-        cum = self.cdata.cum_hazard(self.b, self.th, u, lower=self.t)
-        return float(np.mean(np.exp(-cum)))
+        return float(self.curve([u])[0])
 
 
 def conditional_survival(history: SubjectHistory, u: float, samples: PosteriorSamples,
@@ -167,8 +173,7 @@ def conditional_survival(history: SubjectHistory, u: float, samples: PosteriorSa
 def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0,
              warmup: int = RE_WARMUP) -> np.ndarray:
     """Conditional survival at several horizons with common draws."""
-    machine = _PiMachine(history, samples, spec, assoc, g_pi, seed, warmup)
-    return np.array([machine.pi(float(u)) for u in us])
+    return _PiMachine(history, samples, spec, assoc, g_pi, seed, warmup).curve(us)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +230,28 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
 
 def _event_time_edges(cdata, u: float, cap: float) -> np.ndarray:
     """Bracketing grid: doubled horizons plus hazard knots, knot-free cells."""
-    points = {u, cap}
-    h = 1.0
-    while u + h < cap:
-        points.add(u + h)
-        h *= 2.0
-    points.update(c for c in cdata.spec.hazard_breakpoints if u < c < cap)
-    return np.array(sorted(points))
+    horizons = u + 2.0 ** np.arange(math.ceil(math.log2(max(cap - u, 1.0))) + 1)
+    return _edges(cdata, u, np.append(horizons[horizons < cap], cap))
+
+
+def _edges(cdata, t: float, times) -> np.ndarray:
+    """t, the given times and the hazard knots between them, sorted and unique:
+    the edges of knot-free cells."""
+    hi = np.max(times, initial=t)
+    knots = [c for c in cdata.spec.hazard_breakpoints if t < c < hi]
+    return np.unique(np.concatenate([[t], times, knots]))
 
 
 def _running_hazard(cdata, b, th, edges) -> np.ndarray:
     """Hazard integral from edges[0] to every edge, one column per edge, from
-    one design over the knot-free cells between them; an overflow is +inf."""
-    cells = cdata.cell_cum_hazard(b, th, edges)
+    designs over the knot-free cells between them, each over as many cells as
+    fit in HAZARD_NODE_BUDGET nodes x draws; an overflow is +inf."""
+    step = max(1, HAZARD_NODE_BUDGET // (GK15.nodes.size * th.size))
+    cells = [np.zeros((th.size, 1))]
+    cells += [cdata.cell_cum_hazard(b, th, edges[i:i + step + 1])
+              for i in range(0, edges.size - 1, step)]
     with np.errstate(over="ignore"):
-        return np.cumsum(np.pad(cells, ((0, 0), (1, 0))), axis=1)
+        return np.cumsum(np.concatenate(cells, axis=1), axis=1)
 
 
 def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, rng, cap: float):
@@ -313,53 +325,52 @@ def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float
 # ---------------------------------------------------------------------------
 
 def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.ndarray:
-    """Per-replication values of the information-gain scheme, one row per time in ``us``."""
+    """Per-replication values of the information-gain scheme, one row per time
+    in ``us``: the log density of T*_i under one landmark pool (theta_j, b_j)
+    reweighted by p(y_i(u) | theta_j, b_j) exp(-Lambda_j(t -> u)), or 0 where
+    T*_i <= u.  Given (theta, b), y(u) and T* are independent, so that pool
+    has the law of (theta, b) given y_i(u) and survival past u."""
     t = history.t
     us = [float(u) for u in us]
     if not us or not all(u > t for u in us):
         raise DomainError(f"candidate times must be given and exceed the landmark t={t}, "
                           f"got {us}")
     rng = _stream(config.seed, _EKL_STREAM)
-    n_outer, n_inner = config.n_outer, config.n_inner
-    gaussian = spec.longitudinal.family.name == "gaussian"
-    cdata_t = _ConditionData(spec, assoc, history)
-    proposal = posterior_mode_re(cdata_t, samples.mean_parameters(spec))
+    n_outer = config.n_outer
+    family = spec.longitudinal.family
+    gaussian = family.name == "gaussian"
+    cdata = _ConditionData(spec, assoc, history)
+    proposal = posterior_mode_re(cdata, samples.mean_parameters(spec))
 
     # one landmark draw (theta_a, b_a) per replication gives both y(u) and T*
     g = samples.n_draws
     th_a = ThetaBatch.from_samples(samples, rng.integers(0, g, size=n_outer))
-    th_c = ThetaBatch.from_samples(samples, rng.integers(0, g, size=n_outer * n_inner))
-    b_a = _re_mh_draws(cdata_t, th_a, proposal, rng, config.re_warmup)
-    t_star, _ = _event_time_batch(cdata_t, th_a, b_a, rng, cap=t + 100.0 * config.t_max)
+    b_a = _re_mh_draws(cdata, th_a, proposal, rng, config.re_warmup)
+    t_star, _ = _event_time_batch(cdata, th_a, b_a, rng, cap=t + 100.0 * config.t_max)
     noise = rng.standard_normal(n_outer) if gaussian else rng.random(n_outer)
+
+    # the pool (theta_j, b_j), j < n_inner, on a stream of its own
+    pool_rng = _stream(config.seed, _EKL_POOL_STREAM)
+    th_p = ThetaBatch.from_samples(samples, pool_rng.integers(0, g, size=config.n_inner))
+    b_p = _re_mh_draws(cdata, th_p, proposal, pool_rng, config.re_warmup)
+
+    # log h_j(T*_i) - Lambda_j(t -> T*_i), shape (n_outer, n_inner); its edges
+    # hold no candidate time, so a value does not depend on the other times
+    edges = _edges(cdata, t, t_star)
+    cum = _running_hazard(cdata, b_p, th_p, edges)
+    log_dens = cdata.log_hazard_grid(t_star, b_p, th_p) - cum[:, np.searchsorted(edges, t_star)].T
 
     values = np.empty((len(us), n_outer))
     for k, u in enumerate(us):
-        eta_u = md.trajectory_features(cdata_t.point(u, ("eta",)), th_a.beta, b_a)["eta"][0]
-        y_u = (eta_u + np.sqrt(th_a.phi) * noise if gaussian
-               else (noise < expit(eta_u)).astype(float))
-
-        # random effects given the augmented data and survival past u, from a
-        # stream of the seed alone, so a value does not depend on the other times
-        cdata_u = _ConditionData(spec, assoc, dataclasses.replace(history, t=u))
-        b_c = _re_mh_draws(cdata_u, th_c, proposal, _stream(config.seed, _EKL_U_STREAM),
-                           config.re_warmup, extra=(u, np.repeat(y_u, n_inner)))
-
-        # log predictive density of t_star under the augmented information set,
-        # which counts only if it lands past u; each of the n_outer times serves
-        # the n_inner rows that follow it
-        t_out = np.maximum(t_star, u)
-        lh = cdata_u.log_hazard_rowwise(t_out, b_c, th_c, repeats=n_inner)
-        hi_edge = max(float(np.max(t_star)), u)
-        edges = np.unique(np.concatenate(
-            [[u], [c for c in spec.hazard_breakpoints if u < c < hi_edge], [hi_edge]]))
-        cum_edges = _running_hazard(cdata_u, b_c, th_c, edges)
-        pos = np.clip(np.searchsorted(edges, t_out, side="right") - 1, 0, edges.size - 1)
-        base = cum_edges[np.arange(th_c.size), np.repeat(pos, n_inner)]
-        remainder = cdata_u.cum_hazard_rowwise(b_c, th_c, edges[pos], t_out, repeats=n_inner)
-        log_ratio = lh - (base + remainder)
-        mean = logsumexp(log_ratio.reshape(n_outer, n_inner), axis=1) - math.log(n_inner)
-        values[k] = np.where(t_star > u, mean, 0.0)
+        point = cdata.point(u, ("eta",))
+        eta_a = md.trajectory_features(point, th_a.beta, b_a)["eta"][0]
+        y_u = (eta_a + np.sqrt(th_a.phi) * noise if gaussian
+               else (noise < expit(eta_a)).astype(float))
+        eta_p = md.trajectory_features(point, th_p.beta, b_p)["eta"][0]
+        ll = md.long_log_terms(family, y_u[:, None], eta_p, th_p.phi)
+        survive = cdata.cum_hazard(b_p, th_p, u, lower=t)
+        numerator = logsumexp(ll + log_dens, axis=1) - logsumexp(ll - survive, axis=1)
+        values[k] = np.where(t_star > u, numerator, 0.0)
     return values
 
 
@@ -368,15 +379,16 @@ def ekl(history, us, samples, spec, assoc, config: ScheduleConfig) -> tuple:
     ``EklResult`` per time.
 
     ``lower`` and ``upper`` are the 2.5th and 97.5th percentiles of the
-    per-replication values: their spread, not an interval for the estimate
-    (a mean).  Replications whose simulated event comes before u count as 0,
-    so ``upper`` is often exactly 0.0.  Only the numerator term of the
-    information-gain ratio is computed, so values are comparable across
-    candidate times for one subject and landmark but may be negative.  One
-    landmark draw of (theta, b) per replication, made once for all of ``us``,
-    gives both y(u) and the residual event time T*, and every u draws from
-    streams of ``config.seed`` alone: a value does not depend on the other
-    times, and ``ekl(history, [plan.grid[k]], ...)[0]`` is ``plan.ekl[k]``.
+    per-replication values: their spread, not an interval for the estimate (a
+    mean), and blind to the error of the pool all replications share.
+    Replications whose simulated event comes before u count as 0, so ``upper``
+    is often exactly 0.0.  Only the numerator term of the information-gain
+    ratio is computed, so values are comparable across candidate times for one
+    subject and landmark but may be negative.  One landmark draw of (theta, b)
+    per replication gives y(u) and T*, one pool of ``config.n_inner`` landmark
+    draws their predictive density, both for all of ``us``: a value does not
+    depend on the other times, and ``ekl(history, [plan.grid[k]], ...)[0]`` is
+    ``plan.ekl[k]``.
     """
     values = _ekl_draws(history, us, samples, spec, assoc, config)
     lower, upper = np.percentile(values, [2.5, 97.5], axis=1)
@@ -430,14 +442,14 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
         return SchedulePlan(
             landmark=t, kappa=config.kappa, t_up=t + span, grid=grid,
             ekl=tuple(EklResult(0.0, 0.0, 0.0) for _ in grid),
-            pi=np.array([machine.pi(float(v)) for v in grid]),
+            pi=machine.curve(grid),
             selected=None,
             advisory="intervene: survival constraint immediately binding",
         )
 
     step = span / config.grid_size
     grid = t + step * np.arange(1, config.grid_size + 1)
-    pi_values = np.array([machine.pi(float(v)) for v in grid])
+    pi_values = machine.curve(grid)
     results = ekl(history, grid, samples, spec, assoc, config)
     estimates = np.array([r.estimate for r in results])
     choice = _select_candidate(estimates, pi_values, config.kappa)

@@ -248,31 +248,28 @@ class _ConditionData:
         overflow is +inf."""
         edges = np.asarray(edges, float)
         s, wq = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
-        design = md.Design(self.spec, self.assoc.features, self.history.covariates, s.ravel())
-        lh = self._log_hazard(design, th)(b).reshape(*s.shape, th.size)
+        lh = self._log_hazard(self._design(s.ravel()), th)(b).reshape(*s.shape, th.size)
         with np.errstate(over="ignore"):
             return np.matmul(wq[:, None, :], np.exp(lh))[:, 0, :].T
 
     def log_hazard_at(self, t, b, th) -> np.ndarray:
         return self._log_hazard(self.point(t, self.assoc.features), th)(b)[0]
 
-    def _rows(self, times, repeats, width=1):
-        """The design at ``times``, taken in groups of ``width``, with each group
-        repeated ``repeats`` times in a row; each time's rows are built once."""
-        design = md.Design(self.spec, self.assoc.features, self.history.covariates, times)
-        if repeats == 1:
-            return design
-        groups = np.repeat(np.arange(times.size // width), repeats)
-        return design.take((groups[:, None] * width + np.arange(width)).ravel())
+    def _design(self, times) -> md.Design:
+        return md.Design(self.spec, self.assoc.features, self.history.covariates, times)
 
-    def log_hazard_rowwise(self, times, b, th, repeats: int = 1) -> np.ndarray:
-        """log hazard at a per-draw time; draw r is at times[r // repeats]."""
-        return self._log_hazard(self._rows(np.asarray(times, float), repeats), th,
+    def log_hazard_rowwise(self, times, b, th) -> np.ndarray:
+        """log hazard at a per-draw time: draw r at times[r]."""
+        return self._log_hazard(self._design(np.asarray(times, float)), th,
                                 np.arange(th.size))(b)
 
-    def cum_hazard_rowwise(self, b, th, lower, upper, repeats: int = 1) -> np.ndarray:
+    def log_hazard_grid(self, times, b, th) -> np.ndarray:
+        """log hazard of every draw at every time, shape (times.size, th.size)."""
+        return self._log_hazard(self._design(np.asarray(times, float)), th)(b)
+
+    def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
         """Hazard integral over per-draw intervals: draw r integrates over
-        [lower[i], upper[i]] for i = r // repeats.
+        [lower[r], upper[r]].
 
         Single-span Gauss-Kronrod per row; callers must ensure each interval
         does not cross a hazard breakpoint.
@@ -283,21 +280,17 @@ class _ConditionData:
         center = 0.5 * (upper + lower)
         k = GK15.nodes.size
         s = (center[:, None] + half[:, None] * GK15.nodes[None, :]).ravel()
-        w = np.repeat(half[:, None] * GK15.weights[None, :], repeats, axis=0).ravel()
+        w = (half[:, None] * GK15.weights[None, :]).ravel()
         rows = np.repeat(np.arange(th.size), k)
-        lh = self._log_hazard(self._rows(s, repeats, width=k), th, rows)(b)
+        lh = self._log_hazard(self._design(s), th, rows)(b)
         vals = np.where(w != 0.0, w * np.exp(lh), 0.0)
         return np.bincount(rows, weights=vals, minlength=th.size)
 
-    def target(self, th, extra=None):
-        """``log_target`` at fixed ``th`` and ``extra`` as a function of b: the
-        terms free of b are computed once, here; each call adds the terms in b
-        in the order of a fresh evaluation."""
+    def target(self, th):
+        """``log_target`` at fixed ``th`` as a function of b: the terms free of b
+        are computed once, here; each call adds the terms in b in the order of
+        a fresh evaluation."""
         eta_m = md.features_in_b(self.meas, th.beta) if self.meas.times.size else None
-        if extra is not None:
-            u, y_u = extra
-            eta_u = md.features_in_b(self.point(u, ("eta",)), th.beta)
-            y_u = np.broadcast_to(np.asarray(y_u, float), (th.size,))
         cum = self._cum_hazard(th, self.history.t)
 
         def log_target(b):
@@ -305,19 +298,14 @@ class _ConditionData:
             if eta_m is not None:
                 out = out + md.long_log_terms(self.family, self.history.y[:, None],
                                               eta_m(b)["eta"], th.phi).sum(0)
-            if extra is not None:
-                out = out + md.long_log_terms(self.family, y_u, eta_u(b)["eta"][0], th.phi)
             return out - cum(b)
         return log_target
 
-    def log_target(self, b, th, extra=None, target=None) -> np.ndarray:
-        """Unnormalized log p(b | measurements, survival past condition time).
-
-        ``extra`` appends one hypothetical measurement as (time, values) where
-        values is scalar or per-draw; ``target`` is ``self.target(th, extra)``
-        when the caller evaluates many b at the same th and extra.
-        """
-        return (target or self.target(th, extra))(b)
+    def log_target(self, b, th, target=None) -> np.ndarray:
+        """Unnormalized log p(b | measurements, survival past condition time);
+        ``target`` is ``self.target(th)`` when the caller evaluates many b at
+        the same th."""
+        return (target or self.target(th))(b)
 
     def log_target_newton(self, b, th):
         """Gradient and precision (negative Hessian) of ``log_target`` at b (q,)
@@ -434,7 +422,7 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
 
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
-                 rng, warmup: int, extra=None, n_keep: int = 0):
+                 rng, warmup: int, n_keep: int = 0):
     """Vectorized independence Metropolis-Hastings for the conditional REs.
 
     Runs ``warmup`` iterations on th.size parallel rows and returns the final
@@ -443,15 +431,15 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
     rejected, even from a state of target -inf.
     """
     size = th.size
-    target = cdata.target(th, extra)
+    target = cdata.target(th)
     b = np.broadcast_to(proposal.mean, (size, proposal.mean.size)).copy()
-    lp = cdata.log_target(b, th, extra, target)
+    lp = cdata.log_target(b, th, target)
     lq = _mvt_logpdf(b, proposal)
     kept = []
     total = warmup + (n_keep if n_keep else 0)
     for it in range(total):
         cand = _mvt_draw(rng, proposal, size)
-        lp_c = cdata.log_target(cand, th, extra, target)
+        lp_c = cdata.log_target(cand, th, target)
         lq_c = _mvt_logpdf(cand, proposal)
         gain = np.subtract(lp_c, lp, out=np.full(size, -np.inf), where=lp_c > -np.inf)
         ratio = gain - (lq_c - lq)

@@ -827,13 +827,6 @@ class Design:
         cov_long = _covariate_row(self.covariates, lspec.covariates)
         return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
 
-    def take(self, idx) -> "Design":
-        """The design at times[idx], gathered from this one's rows, not rebuilt."""
-        out = Design(self.spec, self.features, self.covariates, self.times[idx])
-        out.H = self.H[idx]
-        out.pairs = {f: (X[idx], Z[idx]) for f, (X, Z) in self.pairs.items()}
-        return out
-
 
 def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
     """Design rows A (K, d) against parameter rows P (B, d).

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from jmsched.dynpred import (
     EklResult,
@@ -26,6 +27,7 @@ from jmsched.errors import ConfigError, DomainError
 from jmsched.mcmc import PosteriorSamples, ThetaBatch, _ConditionData
 from jmsched.model import (
     BERNOULLI,
+    GAUSSIAN,
     LOG_HAZARD_BOUND,
     AssociationForm,
     Dataset,
@@ -35,7 +37,7 @@ from jmsched.model import (
     Parameters,
     SubjectHistory,
 )
-from jmsched.numerics import BSplineBasis
+from jmsched.numerics import GK15, BSplineBasis, mapped_nodes
 from jmsched.simulate import SimulationDesign, generate_dataset
 
 from conftest import gaussian_joint_model
@@ -409,6 +411,67 @@ def test_ekl_gating_fraction_matches_conditional_survival():
     p_gate = 1.0 - math.exp(-lam * (u - HIST.t))
     se = math.sqrt(p_gate * (1.0 - p_gate) / config.n_outer)
     assert frac_zero == pytest.approx(p_gate, abs=3.0 * se)
+
+
+def intercept_toy(family, alpha, beta0, d, lam0, y, phi=1.0):
+    """A random-intercept model with a flat baseline and the current-value
+    association, a subject measured at 0, 0.5 and 1 and event-free at t = 1,
+    and the nested-quadrature value of the information-gain numerator at
+    u = 2 (the oracle of acceptance criterion 7, for either family).  Every
+    survival ratio is an explicit exponential in b, and y(u) is integrated on
+    a grid (gaussian) or summed over {0, 1} (bernoulli)."""
+    spec = JointModelSpec(LongitudinalSpec(family=family, time_effect=None),
+                          BSplineBasis(degree=3, interior_knots=(), boundary_knots=(0.0, 12.0)))
+    gh = np.zeros(spec.n_baseline)
+    gh[0] = math.log(lam0)
+    theta = Parameters(beta=np.array([beta0]), phi=phi, D=np.array([[d]]), gamma=np.empty(0),
+                       alpha=np.array([alpha]), baseline=spec.make_baseline(gh, 1.0))
+    t_land, u = 1.0, 2.0
+    history = SubjectHistory({}, [0.0, 0.5, 1.0], y, t=t_land)
+
+    bg = np.linspace(-6 * math.sqrt(d), 6 * math.sqrt(d), 301)
+    eta = beta0 + bg
+    lam_b = lam0 * np.exp(alpha * eta)
+    if family is GAUSSIAN:
+        loglik = stats.norm.logpdf(np.array(y)[:, None], eta, math.sqrt(phi)).sum(0)
+        sd_y = math.sqrt(phi + d)
+        yg = np.linspace(beta0 - 6 * sd_y, beta0 + 6 * sd_y, 161)
+        like_yu = stats.norm.pdf(yg[:, None], eta, math.sqrt(phi)) * (yg[1] - yg[0])
+    else:
+        loglik = (np.array(y)[:, None] * eta - np.logaddexp(0.0, eta)).sum(0)
+        like_yu = np.stack([1.0 - expit(eta), expit(eta)])
+    log_wt = loglik - lam_b * t_land + stats.norm.logpdf(bg, 0.0, math.sqrt(d))
+    wt = np.exp(log_wt - log_wt.max())
+    wt /= wt.sum()
+    p_y = like_yu @ wt
+    w_aug = like_yu * wt / p_y[:, None]
+    w_u = w_aug * np.exp(-lam_b * (u - t_land))
+    w_u /= w_u.sum(1, keepdims=True)
+    edges = np.concatenate([[0.0], np.geomspace(1e-3, 30.0 / lam_b.min(), 80)])
+    s_nodes, s_w = (a.ravel() for a in mapped_nodes(GK15, edges[:-1, None], edges[1:, None]))
+    decay = np.exp(-np.outer(s_nodes, lam_b))
+    log_pstar = np.log((decay * lam_b) @ w_u.T).T
+    p_t = ((decay * (lam_b * np.exp(-lam_b * (u - t_land)))) @ w_aug.T).T
+    oracle = float(p_y @ ((log_pstar * p_t) @ s_w))
+    return history, spec, AssociationForm("current_value"), theta, u, oracle
+
+
+@pytest.mark.parametrize("family, beta0, d, lam0, y, phi, n_outer, n_inner", [
+    (GAUSSIAN, 3.0, 0.3, 0.01, [3.1, 3.4, 3.2], 0.2, 2000, 50),
+    # one Bernoulli outcome says less about b than one gaussian one; more
+    # replications and a larger pool resolve a flipped y(u) (about -4 SE)
+    (BERNOULLI, 0.0, 4.0, 0.2, [1.0, 0.0, 1.0], 1.0, 8000, 200),
+], ids=["gaussian", "bernoulli"])
+def test_ekl_pool_matches_quadrature_oracle(family, beta0, d, lam0, y, phi, n_outer, n_inner):
+    """The pooled estimator against nested quadrature on the criterion-7 toy
+    at a strong association (alpha = 1.5), and on its Bernoulli-marker
+    version."""
+    history, spec, assoc, theta, u, oracle = intercept_toy(family, 1.5, beta0, d, lam0, y, phi)
+    samples = PosteriorSamples.degenerate(theta, 1000)
+    config = ScheduleConfig(seed=77, n_outer=n_outer, n_inner=n_inner, n_pi=500)
+    (values,) = _ekl_draws(history, [u], samples, spec, assoc, config)
+    z = abs(values.mean() - oracle) / (values.std() / math.sqrt(values.size))
+    assert z < 3.0, f"estimator {values.mean():.4f} vs oracle {oracle:.4f}, z = {z:.2f}"
 
 
 # --- scheduling -----------------------------------------------------------------------

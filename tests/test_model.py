@@ -501,12 +501,6 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
                    + cdata.cum_hazard(b1, th1, T)[0])
     np.testing.assert_allclose(long_target, long_scalar, **close)
 
-    # a hypothetical measurement at u adds its own log density
-    u, y_u = 5.3, subject.y[1]
-    eta_u = linear_predictor(spec.longitudinal, subject, b, theta.beta, u)
-    extra = cdata.log_target(b1, th1, extra=(u, y_u))[0] - cdata.log_target(b1, th1)[0]
-    np.testing.assert_allclose(extra, long_log_density(family, y_u, eta_u, theta.phi), **close)
-
 
 def _theta_rows(theta, size, rng):
     """A batch of ``size`` parameter rows scattered around theta."""
@@ -518,7 +512,7 @@ def _theta_rows(theta, size, rng):
                       np.repeat(theta.D[None], size, axis=0))
 
 
-def _fresh_target(spec, assoc, history, b, th, extra):
+def _fresh_target(spec, assoc, history, b, th):
     """The conditional log target at every row of (b, th), written out from
     the kernel with nothing computed ahead of b."""
     from jmsched.model import (LOG_HAZARD_BOUND, Design, log_hazard_rows, long_log_terms,
@@ -529,10 +523,6 @@ def _fresh_target(spec, assoc, history, b, th, extra):
     out = th.re_log_prior(b)
     eta = trajectory_features(Design(spec, ("eta",), cov, history.times), th.beta, b)["eta"]
     out = out + long_log_terms(family, history.y[:, None], eta, th.phi).sum(0)
-    if extra is not None:
-        u, y_u = extra
-        eta_u = trajectory_features(Design(spec, ("eta",), cov, [u]), th.beta, b)["eta"][0]
-        out = out + long_log_terms(family, np.broadcast_to(y_u, eta_u.shape), eta_u, th.phi)
     s, w = span_nodes(0.0, history.t, spec.hazard_breakpoints, GK15)
     lh = log_hazard_rows(Design(spec, assoc.features, cov, s), assoc, th.gamma_h0, th.gamma,
                          th.beta, th.alpha, b)
@@ -542,46 +532,43 @@ def _fresh_target(spec, assoc, history, b, th, extra):
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
 @pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
 def test_reused_condition_target_equals_fresh_evaluation(variant, family):
-    """One condition's target, reused across theta batches with and without a
-    hypothetical measurement (as the information-gain scheme reuses it), and
-    one batch's evaluator reused across b, give the bits of a fresh
-    evaluation of every row.  (Rows evaluated as one-row batches may differ
-    in the last bit: BLAS sums a matrix-vector product in another order.)"""
+    """One condition's target, reused across theta batches, and one batch's
+    evaluator reused across b, give the bits of a fresh evaluation of every
+    row.  (Rows evaluated as one-row batches may differ in the last bit: BLAS
+    sums a matrix-vector product in another order.)"""
     from jmsched.mcmc import _ConditionData
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
     history = SubjectHistory.from_subject(subject, 5.0)
     cdata = _ConditionData(spec, assoc, history)
     rng = np.random.default_rng(8)
-    th_a, th_b = _theta_rows(theta, 3, rng), _theta_rows(theta, 4, rng)
-    y_u = np.array(CROSS_SUBJECT_Y[family.name])
-    for th, extra in [(th_a, None), (th_b, None), (th_a, (5.3, y_u[1])), (th_b, (5.3, y_u))]:
-        target = cdata.target(th, extra)
+    for th in [_theta_rows(theta, 3, rng), _theta_rows(theta, 4, rng)]:
+        target = cdata.target(th)
         for _ in range(2):
             bs = b + 0.1 * rng.standard_normal((th.size, b.size))
-            fresh = _fresh_target(spec, assoc, history, bs, th, extra)
+            fresh = _fresh_target(spec, assoc, history, bs, th)
             assert np.array_equal(target(bs), fresh)
-            assert np.array_equal(cdata.log_target(bs, th, extra), fresh)
+            assert np.array_equal(cdata.log_target(bs, th), fresh)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
 @pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
 def test_gathered_rowwise_hazard_equals_expanded_rows(variant, family):
-    """Design rows built once per time and gathered for its ``repeats`` draws
-    give the bits of rows built for every draw."""
-    from jmsched.mcmc import _ConditionData
+    """The log hazard of every draw at every time, from one design row per
+    time (``log_hazard_grid``), equals the rowwise log hazard of the expanded
+    (time, draw) rows."""
+    from jmsched.mcmc import ThetaBatch, _ConditionData
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
     history = SubjectHistory.from_subject(subject, 5.0)
     cdata = _ConditionData(spec, assoc, history)
     rng = np.random.default_rng(9)
-    m = 4
     times = np.array([0.7, 2.2, 4.5])
-    lower, upper = np.array([0.3, 2.1, 5.2]), np.array([1.8, 2.9, 6.0])
-    th = _theta_rows(theta, times.size * m, rng)
+    th = _theta_rows(theta, 4, rng)
     bs = b + 0.1 * rng.standard_normal((th.size, b.size))
-    rep = lambda a: np.repeat(a, m)
-    assert np.array_equal(cdata.log_hazard_rowwise(times, bs, th, repeats=m),
-                          cdata.log_hazard_rowwise(rep(times), bs, th))
-    assert np.array_equal(cdata.cum_hazard_rowwise(bs, th, lower, upper, repeats=m),
-                          cdata.cum_hazard_rowwise(bs, th, rep(lower), rep(upper)))
+    grid = cdata.log_hazard_grid(times, bs, th)
+    assert grid.shape == (times.size, th.size)
+    k, r = np.divmod(np.arange(grid.size), th.size)
+    th_r = ThetaBatch(th.beta[r], th.gamma[r], th.alpha[r], th.gamma_h0[r], th.phi[r], th.D[r])
+    np.testing.assert_allclose(cdata.log_hazard_rowwise(times[k], bs[r], th_r), grid.ravel(),
+                               rtol=1e-13, atol=1e-13)
