@@ -34,6 +34,7 @@ DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
 EVENT_TIME_MAX_STEPS = 100
 HAZARD_NODE_BUDGET = 1 << 18   # Gauss-Kronrod nodes x draws in one design of _running_hazard
+PI_BISECTION_TOL = 1e-3   # |pi - kappa| that ends the bisection for t_up
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
 _PI_STREAM = 1
@@ -55,9 +56,8 @@ class ScheduleConfig:
     kappa: float = 0.8
     t_max: float = DEFAULT_T_MAX
     grid_size: int = 5
-    n_outer: int = 2000     # outer replications of the information-gain scheme
+    n_outer: int = 2000     # landmark draws: pi, t_up and the outer information-gain replications
     n_inner: int = 50       # landmark pool that every outer replication reweights
-    n_pi: int = 2000        # draws for the conditional survival estimate
     re_warmup: int = RE_WARMUP
 
     def __post_init__(self):
@@ -67,10 +67,10 @@ class ScheduleConfig:
             raise ConfigError(f"kappa must lie in (0, 1), got {self.kappa}")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be >= 2")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
-        _check_counts(n_outer=self.n_outer, n_inner=self.n_inner, n_pi=self.n_pi,
-                      re_warmup=self.re_warmup)
+        # the event-time cap of the information-gain scheme is t + 100 * t_max
+        if not (self.t_max > 0 and math.isfinite(100.0 * self.t_max)):
+            raise ConfigError(f"t_max must be positive with 100 * t_max finite, got {self.t_max}")
+        _check_counts(n_outer=self.n_outer, n_inner=self.n_inner, re_warmup=self.re_warmup)
 
 
 def _check_counts(**counts):
@@ -103,10 +103,8 @@ class SchedulePlan:
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pi", pi)
-        if self.selected is not None:
-            k = int(np.nonzero(grid == self.selected)[0][0])
-            if self.pi[k] < self.kappa:
-                raise ConfigError("selected time violates the survival constraint")
+        if self.selected is not None and not np.any(pi[grid == self.selected] >= self.kappa):
+            raise ConfigError(f"selected time {self.selected} is off the grid or has pi < kappa")
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,12 @@ def _stream(seed, *keys):
 # ---------------------------------------------------------------------------
 
 class _PiMachine:
-    """Shared (theta, b) draws for conditional-survival evaluation.
+    """Landmark draws (theta, b) from p(theta, b | Y(t), T* > t), with the
+    condition and the mode-centred proposal they were drawn with.
 
     The same draws serve every horizon u, so the estimated curve is
-    nonincreasing in u and deterministic given the seed.
+    nonincreasing in u and deterministic given the seed.  In a plan they are
+    also the outer replications of the information-gain scheme.
     """
 
     def __init__(self, history, samples, spec, assoc, g_pi, seed, warmup):
@@ -146,8 +146,8 @@ class _PiMachine:
         self.th = ThetaBatch.from_samples(samples, idx)
         self.t = history.t
         self.cdata = _ConditionData(spec, assoc, history)
-        proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
-        self.b = _re_mh_draws(self.cdata, self.th, proposal, rng, warmup)
+        self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
+        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, rng, warmup)
 
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
@@ -324,35 +324,37 @@ def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float
 # Expected information gain for the next measurement
 # ---------------------------------------------------------------------------
 
-def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.ndarray:
+def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
+               machine: _PiMachine = None) -> np.ndarray:
     """Per-replication values of the information-gain scheme, one row per time
     in ``us``: the log density of T*_i under one landmark pool (theta_j, b_j)
     reweighted by p(y_i(u) | theta_j, b_j) exp(-Lambda_j(t -> u)), or 0 where
     T*_i <= u.  Given (theta, b), y(u) and T* are independent, so that pool
-    has the law of (theta, b) given y_i(u) and survival past u."""
+    has the law of (theta, b) given y_i(u) and survival past u.  Replication
+    i takes row i of the landmark draw ``machine``: ``schedule_next``'s, or
+    the same draw built here when None."""
     t = history.t
     us = [float(u) for u in us]
     if not us or not all(u > t for u in us):
         raise DomainError(f"candidate times must be given and exceed the landmark t={t}, "
                           f"got {us}")
-    rng = _stream(config.seed, _EKL_STREAM)
-    n_outer = config.n_outer
+    if machine is None:
+        machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed,
+                             config.re_warmup)
+    cdata, th_a, b_a = machine.cdata, machine.th, machine.b
     family = spec.longitudinal.family
     gaussian = family.name == "gaussian"
-    cdata = _ConditionData(spec, assoc, history)
-    proposal = posterior_mode_re(cdata, samples.mean_parameters(spec))
 
-    # one landmark draw (theta_a, b_a) per replication gives both y(u) and T*
-    g = samples.n_draws
-    th_a = ThetaBatch.from_samples(samples, rng.integers(0, g, size=n_outer))
-    b_a = _re_mh_draws(cdata, th_a, proposal, rng, config.re_warmup)
+    # the landmark draw (theta_a, b_a) of replication i gives both y_i(u) and T*_i
+    rng = _stream(config.seed, _EKL_STREAM)
     t_star, _ = _event_time_batch(cdata, th_a, b_a, rng, cap=t + 100.0 * config.t_max)
-    noise = rng.standard_normal(n_outer) if gaussian else rng.random(n_outer)
+    noise = rng.standard_normal(th_a.size) if gaussian else rng.random(th_a.size)
 
     # the pool (theta_j, b_j), j < n_inner, on a stream of its own
     pool_rng = _stream(config.seed, _EKL_POOL_STREAM)
-    th_p = ThetaBatch.from_samples(samples, pool_rng.integers(0, g, size=config.n_inner))
-    b_p = _re_mh_draws(cdata, th_p, proposal, pool_rng, config.re_warmup)
+    idx = pool_rng.integers(0, samples.n_draws, size=config.n_inner)
+    th_p = ThetaBatch.from_samples(samples, idx)
+    b_p = _re_mh_draws(cdata, th_p, machine.proposal, pool_rng, config.re_warmup)
 
     # log h_j(T*_i) - Lambda_j(t -> T*_i), shape (n_outer, n_inner); its edges
     # hold no candidate time, so a value does not depend on the other times
@@ -360,7 +362,7 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.
     cum = _running_hazard(cdata, b_p, th_p, edges)
     log_dens = cdata.log_hazard_grid(t_star, b_p, th_p) - cum[:, np.searchsorted(edges, t_star)].T
 
-    values = np.empty((len(us), n_outer))
+    values = np.empty((len(us), th_a.size))
     for k, u in enumerate(us):
         point = cdata.point(u, ("eta",))
         eta_a = md.trajectory_features(point, th_a.beta, b_a)["eta"][0]
@@ -374,7 +376,8 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig) -> np.
     return values
 
 
-def ekl(history, us, samples, spec, assoc, config: ScheduleConfig) -> tuple:
+def ekl(history, us, samples, spec, assoc, config: ScheduleConfig, *,
+        _machine: _PiMachine = None) -> tuple:
     """Expected information gain from measuring at each time in ``us``: one
     ``EklResult`` per time.
 
@@ -384,13 +387,15 @@ def ekl(history, us, samples, spec, assoc, config: ScheduleConfig) -> tuple:
     Replications whose simulated event comes before u count as 0, so ``upper``
     is often exactly 0.0.  Only the numerator term of the information-gain
     ratio is computed, so values are comparable across candidate times for one
-    subject and landmark but may be negative.  One landmark draw of (theta, b)
-    per replication gives y(u) and T*, one pool of ``config.n_inner`` landmark
-    draws their predictive density, both for all of ``us``: a value does not
-    depend on the other times, and ``ekl(history, [plan.grid[k]], ...)[0]`` is
+    subject and landmark but may be negative.  Row i of the landmark draw
+    that gives a plan's pi and t_up (``config.n_outer`` rows of (theta, b),
+    handed over by ``schedule_next`` as ``_machine``) gives y(u) and T* of
+    replication i, one pool of ``config.n_inner`` landmark draws their
+    predictive density, both for all of ``us``: a value does not depend on
+    the other times, and ``ekl(history, [plan.grid[k]], ...)[0]`` is
     ``plan.ekl[k]``.
     """
-    values = _ekl_draws(history, us, samples, spec, assoc, config)
+    values = _ekl_draws(history, us, samples, spec, assoc, config, _machine)
     lower, upper = np.percentile(values, [2.5, 97.5], axis=1)
     return tuple(EklResult(float(m), float(lo), float(hi))
                  for m, lo, hi in zip(values.mean(axis=1), lower, upper))
@@ -410,21 +415,23 @@ def _select_candidate(ekl_values: np.ndarray, pi_values: np.ndarray, kappa: floa
 
 
 def _upper_limit(machine: _PiMachine, t: float, config: ScheduleConfig) -> float:
-    """min of the kappa-crossing time of the survival curve and t + t_max."""
+    """min of the kappa-crossing time of the survival curve and t + t_max, by
+    bisection until |pi - kappa| <= PI_BISECTION_TOL or no float lies strictly
+    inside the bracket."""
     horizon = t + config.t_max
     if machine.pi(horizon) >= config.kappa:
         return horizon
     lo, hi = t, horizon
-    mid = t
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         p = machine.pi(mid)
-        if abs(p - config.kappa) <= 1e-3:
+        if abs(p - config.kappa) <= PI_BISECTION_TOL:
             return mid
         if p > config.kappa:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     return lo
 
 
@@ -432,31 +439,24 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
                   config: ScheduleConfig) -> SchedulePlan:
     """Plan the next measurement for a subject event-free at the landmark."""
     t = history.t
-    machine = _PiMachine(history, samples, spec, assoc, config.n_pi, config.seed,
+    machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed,
                          config.re_warmup)
 
     t_up = _upper_limit(machine, t, config)
     span = min(t_up - t, config.t_max)
     if span <= 1e-3:
         grid = t + max(span, 1e-3) * np.arange(1, config.grid_size + 1) / config.grid_size
-        return SchedulePlan(
-            landmark=t, kappa=config.kappa, t_up=t + span, grid=grid,
-            ekl=tuple(EklResult(0.0, 0.0, 0.0) for _ in grid),
-            pi=machine.curve(grid),
-            selected=None,
-            advisory="intervene: survival constraint immediately binding",
-        )
-
-    step = span / config.grid_size
-    grid = t + step * np.arange(1, config.grid_size + 1)
-    pi_values = machine.curve(grid)
-    results = ekl(history, grid, samples, spec, assoc, config)
-    estimates = np.array([r.estimate for r in results])
-    choice = _select_candidate(estimates, pi_values, config.kappa)
+        pi_values = machine.curve(grid)
+        results, choice = tuple(EklResult(0.0, 0.0, 0.0) for _ in grid), None
+    else:
+        grid = t + span / config.grid_size * np.arange(1, config.grid_size + 1)
+        pi_values = machine.curve(grid)
+        results = ekl(history, grid, samples, spec, assoc, config, _machine=machine)
+        estimates = np.array([r.estimate for r in results])
+        choice = _select_candidate(estimates, pi_values, config.kappa)
     return SchedulePlan(
-        landmark=t, kappa=config.kappa, t_up=t + span, grid=grid,
-        ekl=results, pi=pi_values,
-        selected=float(grid[choice]) if choice is not None else None,
+        landmark=t, kappa=config.kappa, t_up=t + span, grid=grid, ekl=results, pi=pi_values,
+        selected=None if choice is None else float(grid[choice]),
         advisory=None if choice is not None
         else "intervene: survival constraint immediately binding",
     )

@@ -216,7 +216,6 @@ schedule.t_max=4
 schedule.grid_size=5
 schedule.outer=25
 schedule.inner=3
-schedule.g_pi=120
 schedule.warmup=40
 """)
     assert main(["schedule", cfg]) == 0
@@ -565,20 +564,48 @@ score.warmup=10
 """
 
 
+def _schedule_config(tmp, out):
+    """A small schedule config on the shared pipeline (subject s0000 is at
+    risk at 0.5)."""
+    return f"""
+seed=6
+out.prefix={out}/plan
+data.longitudinal={tmp}/sim_longitudinal.csv
+data.survival={tmp}/sim_survival.csv
+{MODEL_BLOCK}
+model.association=current_value
+schedule.draws={tmp}/fit1_draws.csv
+schedule.subject=s0000
+schedule.landmark=0.5
+schedule.t_max=2
+schedule.grid_size=3
+schedule.outer=10
+schedule.inner=2
+schedule.warmup=10
+"""
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("score", "score.re_draws", "0"), ("score", "score.re_draws", "-1"),
     ("score", "score.theta_draws", "0"), ("score", "score.theta_draws", "-2"),
     ("score", "score.warmup", "-1"), ("predict", "predict.g_pi", "0"),
     ("predict", "predict.g_pi", "-1"), ("predict", "predict.points", "0"),
     ("predict", "predict.warmup", "-1"),
+    ("schedule", "schedule.outer", "0"), ("schedule", "schedule.inner", "0"),
+    ("schedule", "schedule.warmup", "0"), ("schedule", "schedule.grid_size", "1"),
+    ("schedule", "schedule.t_max", "1e307"),
 ])
 def test_nonpositive_predict_or_score_count_is_an_error(pipeline, tmp_path, capsys, command,
                                                         key, value):
-    """A draw count, point count or warm-up below 1 ends in an error and writes
-    no CSV, not a traceback or a nan in the output."""
+    """A draw count, point count or warm-up below 1, a one-point schedule grid
+    or a schedule.t_max whose event-time cap t + 100 * t_max overflows ends in
+    an error and writes no CSV, not a traceback or a nan in the output."""
     if command == "predict":
         text = _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv")
         output = tmp_path / "pred_pi.csv"
+    elif command == "schedule":
+        text = _schedule_config(pipeline, tmp_path)
+        output = tmp_path / "plan_schedule.csv"
     else:
         text = _score_config(pipeline, tmp_path)
         output = tmp_path / "sc_scores.csv"

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import expit
 
 from jmsched.dynpred import (
+    PI_BISECTION_TOL,
     EklResult,
     ModelScore,
     ScheduleConfig,
@@ -41,6 +42,9 @@ from jmsched.numerics import GK15, BSplineBasis, mapped_nodes
 from jmsched.simulate import SimulationDesign, generate_dataset
 
 from conftest import gaussian_joint_model
+
+# an overflow or invalid value anywhere in prediction or scheduling is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def flat_hazard_model(lam=0.05, alpha=0.0, beta=(3.5, 0.2), d=(0.3, 0.02), phi=0.25):
@@ -348,14 +352,14 @@ def test_cv_dcl_empty_landmark(exponential_cohort):
 def test_ekl_zero_when_event_certain_before_u():
     spec, assoc, theta = flat_hazard_model(lam=25.0)
     samples = PosteriorSamples.degenerate(theta, 200)
-    config = ScheduleConfig(seed=2, n_outer=120, n_inner=8, n_pi=100, re_warmup=40)
+    config = ScheduleConfig(seed=2, n_outer=120, n_inner=8, re_warmup=40)
     result = ekl(HIST, [1.3], samples, spec, assoc, config)
     assert result == (EklResult(0.0, 0.0, 0.0),)
 
 
 def test_ekl_deterministic_given_seed(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
-    config = ScheduleConfig(seed=6, n_outer=50, n_inner=6, n_pi=100, re_warmup=60)
+    config = ScheduleConfig(seed=6, n_outer=50, n_inner=6, re_warmup=60)
     a = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
             small_joint["assoc"], config)
     b = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
@@ -365,7 +369,7 @@ def test_ekl_deterministic_given_seed(small_joint):
 
 def test_ekl_interval_brackets_estimate(small_joint):
     history = SubjectHistory({"w": 0.0}, [0.0, 0.8], [3.7, 4.0], t=1.0)
-    config = ScheduleConfig(seed=8, n_outer=80, n_inner=6, n_pi=100, re_warmup=60)
+    config = ScheduleConfig(seed=8, n_outer=80, n_inner=6, re_warmup=60)
     (r,) = ekl(history, [2.0], small_joint["samples"], small_joint["spec"],
                small_joint["assoc"], config)
     assert r.lower <= r.estimate <= r.upper
@@ -374,7 +378,7 @@ def test_ekl_interval_brackets_estimate(small_joint):
 def test_ekl_requires_future_time():
     spec, assoc, theta = flat_hazard_model()
     samples = PosteriorSamples.degenerate(theta, 10)
-    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, n_pi=10, re_warmup=5)
+    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, re_warmup=5)
     with pytest.raises(DomainError):
         ekl(HIST, [0.3], samples, spec, assoc, config)
 
@@ -383,14 +387,14 @@ def test_ekl_requires_future_time():
 def test_ekl_rejects_empty_or_past_times(us):
     spec, assoc, theta = flat_hazard_model()
     samples = PosteriorSamples.degenerate(theta, 10)
-    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, n_pi=10, re_warmup=5)
+    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, re_warmup=5)
     with pytest.raises(DomainError):
         ekl(HIST, us, samples, spec, assoc, config)
 
 
 def test_ekl_value_does_not_depend_on_other_times(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
-    config = ScheduleConfig(seed=9, n_outer=40, n_inner=5, n_pi=100, re_warmup=50)
+    config = ScheduleConfig(seed=9, n_outer=40, n_inner=5, re_warmup=50)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
     us = [1.9, 2.6, 3.4]
     together = ekl(history, us, *args)
@@ -404,7 +408,7 @@ def test_ekl_gating_fraction_matches_conditional_survival():
     lam = 0.15
     spec, assoc, theta = flat_hazard_model(lam=lam)
     samples = PosteriorSamples.degenerate(theta, 500)
-    config = ScheduleConfig(seed=12, n_outer=800, n_inner=4, n_pi=100, re_warmup=40)
+    config = ScheduleConfig(seed=12, n_outer=800, n_inner=4, re_warmup=40)
     u = 1.3
     (values,) = _ekl_draws(HIST, [u], samples, spec, assoc, config)
     frac_zero = float(np.mean(values == 0.0))
@@ -468,7 +472,7 @@ def test_ekl_pool_matches_quadrature_oracle(family, beta0, d, lam0, y, phi, n_ou
     version."""
     history, spec, assoc, theta, u, oracle = intercept_toy(family, 1.5, beta0, d, lam0, y, phi)
     samples = PosteriorSamples.degenerate(theta, 1000)
-    config = ScheduleConfig(seed=77, n_outer=n_outer, n_inner=n_inner, n_pi=500)
+    config = ScheduleConfig(seed=77, n_outer=n_outer, n_inner=n_inner)
     (values,) = _ekl_draws(history, [u], samples, spec, assoc, config)
     z = abs(values.mean() - oracle) / (values.std() / math.sqrt(values.size))
     assert z < 3.0, f"estimator {values.mean():.4f} vs oracle {oracle:.4f}, z = {z:.2f}"
@@ -490,7 +494,7 @@ def test_selection_rule_feasibility_and_ties():
 def test_schedule_grid_reproduces_full_horizon_shape():
     spec, assoc, theta = flat_hazard_model(lam=0.01)  # survival stays above kappa
     samples = PosteriorSamples.degenerate(theta, 300)
-    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4, n_pi=200, re_warmup=40)
+    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4, re_warmup=40)
     plan = schedule_next(HIST, samples, spec, assoc, config)
     assert plan.t_up - plan.landmark == 5.0
     assert np.array_equal(plan.grid, np.array([1.3, 2.3, 3.3, 4.3, 5.3]))
@@ -500,7 +504,7 @@ def test_schedule_grid_reproduces_full_horizon_shape():
 
 def test_schedule_respects_survival_constraint(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0, 2.0], [3.6, 4.0, 4.3], t=2.0)
-    config = ScheduleConfig(seed=4, n_outer=60, n_inner=6, n_pi=300, re_warmup=100)
+    config = ScheduleConfig(seed=4, n_outer=60, n_inner=6, re_warmup=100)
     plan = schedule_next(history, small_joint["samples"], small_joint["spec"],
                          small_joint["assoc"], config)
     assert plan.grid.size == config.grid_size
@@ -516,7 +520,7 @@ def test_schedule_respects_survival_constraint(small_joint):
 def test_schedule_immediately_binding_constraint():
     spec, assoc, theta = flat_hazard_model(lam=400.0)
     samples = PosteriorSamples.degenerate(theta, 100)
-    config = ScheduleConfig(seed=5, n_outer=20, n_inner=3, n_pi=150, re_warmup=30)
+    config = ScheduleConfig(seed=5, n_outer=20, n_inner=3, re_warmup=30)
     plan = schedule_next(HIST, samples, spec, assoc, config)
     assert plan.selected is None
     assert "intervene" in plan.advisory
@@ -524,7 +528,7 @@ def test_schedule_immediately_binding_constraint():
 
 def test_schedule_deterministic(small_joint):
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
-    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, n_pi=120, re_warmup=50)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
     a = schedule_next(history, small_joint["samples"], small_joint["spec"],
                       small_joint["assoc"], config)
     b = schedule_next(history, small_joint["samples"], small_joint["spec"],
@@ -539,7 +543,7 @@ def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
     """A plan scores its grid in one ``ekl`` call, and each value is what
     ``ekl`` gives at that grid point alone."""
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
-    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, n_pi=120, re_warmup=50)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
     plan = schedule_next(history, *args)
     assert plan.t_up - plan.landmark > 1e-3
@@ -547,11 +551,38 @@ def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
         assert ekl(history, [u], *args) == (result,)
 
 
+def test_schedule_pi_is_pi_curve_on_the_landmark_draw(small_joint):
+    """A plan's pi is predict's estimator on the plan's n_outer landmark draws."""
+    history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
+    args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"])
+    plan = schedule_next(history, *args, config)
+    assert np.array_equal(plan.pi, pi_curve(history, plan.grid, *args, g_pi=config.n_outer,
+                                            seed=config.seed, warmup=config.re_warmup))
+
+
+def test_schedule_upper_limit_at_huge_t_max_matches_closed_form():
+    """With a flat hazard lam, pi(u | t) = exp(-lam (u - t)) on every draw, so
+    the bisection for t_up ends within PI_BISECTION_TOL / (lam (kappa - tol))
+    of ln(1 / kappa) / lam however wide its first bracket."""
+    lam, kappa = 0.01, 0.8
+    spec, assoc, theta = flat_hazard_model(lam=lam)
+    samples = PosteriorSamples.degenerate(theta, 100)
+    config = ScheduleConfig(seed=3, kappa=kappa, t_max=1e300, n_outer=40, n_inner=4,
+                            re_warmup=40)
+    plan = schedule_next(HIST, samples, spec, assoc, config)
+    assert plan.t_up - plan.landmark == pytest.approx(
+        math.log(1.0 / kappa) / lam, abs=PI_BISECTION_TOL / (lam * (kappa - PI_BISECTION_TOL)))
+    assert plan.advisory is None
+
+
 def test_schedule_plan_validates_selected_feasibility():
-    with pytest.raises(ConfigError):
-        SchedulePlan(landmark=1.0, kappa=0.8, t_up=3.0, grid=np.array([2.0, 3.0]),
-                     ekl=(EklResult(0, 0, 0), EklResult(0, 0, 0)),
-                     pi=np.array([0.5, 0.9]), selected=2.0)
+    """A selected time must be a grid point whose pi is at least kappa."""
+    for selected in (2.0, 2.5):
+        with pytest.raises(ConfigError):
+            SchedulePlan(landmark=1.0, kappa=0.8, t_up=3.0, grid=np.array([2.0, 3.0]),
+                         ekl=(EklResult(0, 0, 0), EklResult(0, 0, 0)),
+                         pi=np.array([0.5, 0.9]), selected=selected)
 
 
 def test_schedule_config_validation():
@@ -561,6 +592,10 @@ def test_schedule_config_validation():
         ScheduleConfig(seed=1, grid_size=1)
     with pytest.raises(ConfigError):
         ScheduleConfig(seed=1, n_outer=0)
+    # the event-time cap t + 100 * t_max must be finite
+    for t_max in (math.inf, 1.7e308):
+        with pytest.raises(ConfigError):
+            ScheduleConfig(seed=1, t_max=t_max)
 
 
 def test_model_score_alignment_contract():
