@@ -341,10 +341,12 @@ def cmd_fit(cfg) -> list:
     return [draws_path, ranef_path, diag_path]
 
 
-def _load_samples(cfg, spec, draws_key, ranef_key=None):
+def _load_samples(cfg, spec, draws_key, ranef_key=None, dataset=None):
+    """Posterior draws, with those of ``ranef_key`` paired by draw and by subject id."""
     samples = mcmc.read_draws_csv(_get(cfg, draws_key), spec)
     if ranef_key is not None and ranef_key in cfg:
-        samples.subject_ids, samples.ranef = mcmc.read_ranef_csv(_get(cfg, ranef_key))
+        samples.subject_ids, samples.ranef = mcmc.read_ranef_csv(
+            _get(cfg, ranef_key), samples, [s.id for s in dataset.subjects])
     return samples
 
 
@@ -362,7 +364,7 @@ def cmd_score(cfg) -> list:
         variant = _get(cfg, f"{mid}.association", str, None)
         spec, assoc = build_model(cfg, observed_times=dataset.observed_times(),
                                   association=variant)
-        samples = _load_samples(cfg, spec, f"{mid}.draws", f"{mid}.ranef")
+        samples = _load_samples(cfg, spec, f"{mid}.draws", f"{mid}.ranef", dataset)
         if samples.ranef is None:
             raise ConfigError(f"score needs {mid}.ranef for the DIC computation")
         dic_value = mcmc.dic(samples, dataset, spec, assoc)

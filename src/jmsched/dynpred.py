@@ -217,7 +217,7 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
         b = _re_mh_draws(cdata, th, proposal, rng_i, warmup)
         ll = -cdata.cum_hazard(b, th, subject.event_time, lower=t)
         if subject.event:
-            ll = ll + cdata.log_hazard_at(subject.event_time, b, th)
+            ll = ll + cdata.log_hazard_grid([subject.event_time], b, th)[0]
         per_theta = logsumexp(ll.reshape(-1, m), axis=1) - math.log(m)
         log_cpo = -(logsumexp(-per_theta) - math.log(idx.size))
         total += float(log_cpo)
@@ -364,7 +364,7 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
 
     values = np.empty((len(us), th_a.size))
     for k, u in enumerate(us):
-        point = cdata.point(u, ("eta",))
+        point = md.Design(spec, ("eta",), history.covariates, np.array([u]))
         eta_a = md.trajectory_features(point, th_a.beta, b_a)["eta"][0]
         y_u = (eta_a + np.sqrt(th_a.phi) * noise if gaussian
                else (noise < expit(eta_a)).astype(float))

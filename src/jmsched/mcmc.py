@@ -203,7 +203,6 @@ class _ConditionData:
         self.history = history
         self.meas = md.Design(spec, ("eta",), history.covariates, history.times)
         self._node_cache = {}
-        self._point_cache = {}
 
     def _nodes(self, lower: float, upper: float) -> md.Design:
         key = (float(lower), float(upper))
@@ -212,14 +211,6 @@ class _ConditionData:
             self._node_cache[key] = md.Design(self.spec, self.assoc.features,
                                               self.history.covariates, s, weights=wq)
         return self._node_cache[key]
-
-    def point(self, t: float, features) -> md.Design:
-        """The design of the given trajectory features at the single time t."""
-        key = (t, features)
-        if key not in self._point_cache:
-            self._point_cache[key] = md.Design(self.spec, features, self.history.covariates,
-                                               np.array([t]))
-        return self._point_cache[key]
 
     def _log_hazard(self, design: md.Design, th, rows=None):
         """b -> the clamped log hazard on the design, its theta terms computed once."""
@@ -252,9 +243,6 @@ class _ConditionData:
         with np.errstate(over="ignore"):
             return np.matmul(wq[:, None, :], np.exp(lh))[:, 0, :].T
 
-    def log_hazard_at(self, t, b, th) -> np.ndarray:
-        return self._log_hazard(self.point(t, self.assoc.features), th)(b)[0]
-
     def _design(self, times) -> md.Design:
         return md.Design(self.spec, self.assoc.features, self.history.covariates, times)
 
@@ -274,14 +262,10 @@ class _ConditionData:
         Single-span Gauss-Kronrod per row; callers must ensure each interval
         does not cross a hazard breakpoint.
         """
-        lower = np.asarray(lower, float)
-        upper = np.asarray(upper, float)
-        half = 0.5 * (upper - lower)
-        center = 0.5 * (upper + lower)
-        k = GK15.nodes.size
-        s = (center[:, None] + half[:, None] * GK15.nodes[None, :]).ravel()
-        w = (half[:, None] * GK15.weights[None, :]).ravel()
-        rows = np.repeat(np.arange(th.size), k)
+        s, w = mapped_nodes(GK15, np.asarray(lower, float)[:, None],
+                            np.asarray(upper, float)[:, None])
+        s, w = s.ravel(), w.ravel()
+        rows = np.repeat(np.arange(th.size), GK15.nodes.size)
         lh = self._log_hazard(self._design(s), th, rows)(b)
         vals = np.where(w != 0.0, w * np.exp(lh), 0.0)
         return np.bincount(rows, weights=vals, minlength=th.size)
@@ -1011,18 +995,25 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
         raise SpecError("DIC needs per-subject random-effect draws")
     fd = _FitData(dataset, spec, assoc)
     devs = np.empty(samples.n_draws)
-    for g in range(samples.n_draws):
-        ll = fd.per_subject_loglik(samples.beta[g], samples.gamma[g], samples.alpha[g],
-                                   samples.gamma_h0[g], float(samples.phi[g]),
-                                   samples.ranef[g], strict=False).value
-        devs[g] = -2.0 * float(ll.sum())
-    dbar = float(devs.mean())
-    mean = samples.mean_parameters(spec)
-    ll_hat = fd.per_subject_loglik(mean.beta, mean.gamma, mean.alpha, mean.gamma_h0,
-                                   mean.phi, samples.ranef.mean(0), strict=False).value
-    d_hat = -2.0 * float(ll_hat.sum())
-    p_d = dbar - d_hat
-    return dbar + p_d
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        for g in range(samples.n_draws):
+            ll = fd.per_subject_loglik(samples.beta[g], samples.gamma[g], samples.alpha[g],
+                                       samples.gamma_h0[g], float(samples.phi[g]),
+                                       samples.ranef[g], strict=False).value
+            devs[g] = -2.0 * float(ll.sum())
+            if not math.isfinite(devs[g]):
+                raise NumericError(f"deviance is not finite at chain {samples.chain[g]} "
+                                   f"iteration {samples.iteration[g]}")
+        dbar = float(devs.mean())
+        mean = samples.mean_parameters(spec)
+        ll_hat = fd.per_subject_loglik(mean.beta, mean.gamma, mean.alpha, mean.gamma_h0,
+                                       mean.phi, samples.ranef.mean(0), strict=False).value
+        d_hat = -2.0 * float(ll_hat.sum())
+        p_d = dbar - d_hat
+        value = dbar + p_d
+    if not math.isfinite(value):
+        raise NumericError("deviance at the posterior mean, or DIC, is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1143,16 +1134,40 @@ def write_ranef_csv(samples: PosteriorSamples, path) -> None:
     _write_number_table(path, samples, names, samples.ranef.reshape(G, n * q))
 
 
-def read_ranef_csv(path):
-    """Returns (subject_ids, ranef array (G, n, q))."""
-    header, _, data = _read_number_table(path)
-    subject_ids = tuple(dict.fromkeys(name[2:].rpartition(",")[0] for name in header[2:]))
-    n = len(subject_ids)
+def read_ranef_csv(path, draws: PosteriorSamples, subject_ids):
+    """(subject_ids, ranef array (G, n, q)) paired with ``draws`` by row: row g
+    carries draw g's (chain, iteration) and q random effects; and with
+    ``subject_ids`` by id: columns are taken in that order, each id must have
+    columns and each column's subject be an id."""
+    header, lines, data = _read_number_table(path)
+    ids = tuple(dict.fromkeys(name[2:].rpartition(",")[0] for name in header[2:]))
+    n = len(ids)
     q = (len(header) - 2) // n if n else 1
-    if header[2:] != [f"b[{sid},{k}]" for sid in subject_ids for k in range(q)]:
+    if header[2:] != [f"b[{sid},{k}]" for sid in ids for k in range(q)]:
         raise DataError(f"{path} line 1: random-effect columns must be b[subject,k] "
                         f"for k = 0, 1, ... of every subject in turn")
-    return subject_ids, np.ascontiguousarray(data[:, 2:]).reshape(data.shape[0], n, q)
+    if n and q != draws.n_random:
+        raise DataError(f"{path} line 1: {q} random effects per subject, the draws "
+                        f"have {draws.n_random}")
+    keys = np.column_stack([draws.chain, draws.iteration])
+    m = min(len(lines), len(keys))
+    differ = np.flatnonzero(np.any(data[:m, :2] != keys[:m], axis=1))
+    if differ.size or len(lines) > m:
+        row = differ[0] if differ.size else m
+        raise DataError(f"{path} line {lines[row]}: chain,iteration must be those of "
+                        f"draw {row + 1} of the parameter draws")
+    if len(lines) < len(keys):
+        raise DataError(f"{path}: {len(lines)} random-effect draws for "
+                        f"{len(keys)} parameter draws")
+    column = {sid: k for k, sid in enumerate(ids)}
+    missing = [sid for sid in subject_ids if sid not in column]
+    if missing:
+        raise DataError(f"{path} line 1: no random-effect columns for subject {missing[0]!r}")
+    extra = [sid for sid in ids if sid not in set(subject_ids)]
+    if extra:
+        raise DataError(f"{path} line 1: subject {extra[0]!r} is not in the dataset")
+    ranef = data[:, 2:].reshape(data.shape[0], n, q)[:, [column[sid] for sid in subject_ids]]
+    return tuple(subject_ids), np.ascontiguousarray(ranef)
 
 
 def write_diagnostics_report(samples: PosteriorSamples, path) -> None:

@@ -181,10 +181,11 @@ class LongitudinalSpec:
     """Design builders for the mixed model, one row per time.
 
     The fixed row is [1, time features, covariates]; the random row is
-    [1, first `random_time_terms` time features], so the random design is a
-    sub-feature-set of the fixed one and supports derivative evaluation.
-    Every fixed builder takes (times, covariate values) and every random
-    builder takes times (see ``FEATURE_BUILDERS``).
+    [1, first `random_time_terms` time features], the leading ``n_random``
+    columns of the fixed row (and likewise for slopes and integrals), so
+    every random builder is a slice of its fixed one.  Every fixed builder
+    takes (times, covariate values) and every random builder takes times
+    (see ``FEATURE_BUILDERS``).
     """
 
     family: ExponentialFamily
@@ -231,32 +232,20 @@ class LongitudinalSpec:
         return np.asarray(self.time_effect.derivs_matrix(ts), dtype=float)
 
     def _time_integrals(self, ts) -> np.ndarray:
-        """Cumulative integrals of each time feature from 0 to every t."""
+        """Cumulative integrals of each time feature from 0 to every t, by the
+        composite Gauss-Kronrod rule over the cells between 0, the times and
+        the time knots."""
         ts = np.asarray(ts, dtype=float)
-        if self.n_time_terms == 0:
-            return np.zeros((ts.size, 0))
         edges = np.unique(np.concatenate(
             [[0.0], ts, [c for c in self.time_breakpoints if 0.0 < c < ts.max(initial=0.0)]]))
         edges = edges[edges >= 0.0]
-        nodes, widths = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x, w = mapped_nodes(GK15, lo, hi)
-            nodes.append(x)
-            widths.append(w)
-        if nodes:
-            all_nodes = np.concatenate(nodes)
-            all_w = np.concatenate(widths)
-            vals = self._time_terms_matrix(all_nodes)
-            k = GK15.nodes.size
-            seg = np.repeat(np.arange(len(nodes)), k)
-            increments = np.zeros((len(nodes), self.n_time_terms))
-            np.add.at(increments, seg, all_w[:, None] * vals)
-            cum = np.concatenate([np.zeros((1, self.n_time_terms)),
-                                  np.cumsum(increments, axis=0)])
-        else:
-            cum = np.zeros((1, self.n_time_terms))
-        pos = np.searchsorted(edges, ts)
-        return cum[pos]
+        nodes, widths = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
+        terms = widths[..., None] * self._time_terms_matrix(nodes.ravel()).reshape(
+            nodes.shape + (self.n_time_terms,))
+        # node by node: .sum(axis=1) sums one time term pairwise, in other bits
+        cells = sum(terms[:, k] for k in range(GK15.nodes.size))
+        cum = np.cumsum(np.concatenate([np.zeros((1, self.n_time_terms)), cells]), axis=0)
+        return cum[np.searchsorted(edges, ts)]
 
     def fixed_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -265,20 +254,10 @@ class LongitudinalSpec:
         covs = np.broadcast_to(cov_values, (ts.size, cov_values.size))
         return np.column_stack([ones, self._time_terms_matrix(ts), covs])
 
-    def random_matrix(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.column_stack([np.ones((ts.size, 1)),
-                                self._time_terms_matrix(ts)[:, : self.random_time_terms]])
-
     def fixed_deriv_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.column_stack([np.zeros((ts.size, 1)), self._time_derivs_matrix(ts),
                                 np.zeros((ts.size, np.size(cov_values)))])
-
-    def random_deriv_matrix(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.column_stack([np.zeros((ts.size, 1)),
-                                self._time_derivs_matrix(ts)[:, : self.random_time_terms]])
 
     def fixed_integral_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -286,10 +265,14 @@ class LongitudinalSpec:
         ints = self._time_integrals(ts)
         return np.column_stack([ts[:, None], ints, np.outer(ts, cov_values)])
 
+    def random_matrix(self, ts) -> np.ndarray:
+        return self.fixed_matrix(ts, ())[:, : self.n_random]
+
+    def random_deriv_matrix(self, ts) -> np.ndarray:
+        return self.fixed_deriv_matrix(ts, ())[:, : self.n_random]
+
     def random_integral_matrix(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        ints = self._time_integrals(ts)[:, : self.random_time_terms]
-        return np.column_stack([ts[:, None], ints])
+        return self.fixed_integral_matrix(ts, ())[:, : self.n_random]
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +750,8 @@ class SubjectHistory:
         y = np.atleast_1d(np.asarray(self.y, dtype=float)) if np.size(self.y) else np.empty(0)
         if times.shape != y.shape:
             raise DataError("history times and values differ in length")
+        if not self.t >= 0.0:
+            raise DomainError(f"a landmark is a time >= 0, got {self.t}")
         if times.size and times[-1] > self.t:
             raise DataError(f"history has a measurement at {times[-1]} after the landmark {self.t}")
         object.__setattr__(self, "times", times)
@@ -786,17 +771,18 @@ class SubjectHistory:
 # Design rows and the log-hazard kernel
 # ---------------------------------------------------------------------------
 
-# trajectory feature -> LongitudinalSpec builders of its (fixed, random) rows
+# trajectory feature -> the LongitudinalSpec builder of its fixed rows
 FEATURE_BUILDERS = {
-    "eta": ("fixed_matrix", "random_matrix"),
-    "slope": ("fixed_deriv_matrix", "random_deriv_matrix"),
-    "integral": ("fixed_integral_matrix", "random_integral_matrix"),
+    "eta": "fixed_matrix",
+    "slope": "fixed_deriv_matrix",
+    "integral": "fixed_integral_matrix",
 }
 
 
 def _feature_rows(lspec: LongitudinalSpec, feature: str, times, cov_long):
-    fixed, rand = FEATURE_BUILDERS[feature]
-    return getattr(lspec, fixed)(times, cov_long), getattr(lspec, rand)(times)
+    """(X_f, Z_f) from one builder call: Z_f is the leading n_random columns of X_f."""
+    X = getattr(lspec, FEATURE_BUILDERS[feature])(times, cov_long)
+    return X, np.ascontiguousarray(X[:, : lspec.n_random])
 
 
 class Design:

@@ -28,7 +28,6 @@ __all__ = [
     "ncs_deriv_matrix",
     "penalty_matrix",
     "integrate",
-    "integrate_composite",
     "span_nodes",
 ]
 
@@ -385,8 +384,9 @@ class QuadratureRule:
 GK15 = QuadratureRule.gauss_kronrod_15()
 
 
-def mapped_nodes(rule: QuadratureRule, a: float, b: float):
-    """Quadrature nodes and weights transported to [a, b]."""
+def mapped_nodes(rule: QuadratureRule, a, b):
+    """Quadrature nodes and weights transported to [a, b]; with column arrays
+    of cell ends, one row of nodes per cell."""
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * rule.nodes, half * rule.weights
 
@@ -405,24 +405,11 @@ def integrate(f, a: float, b: float, rule: QuadratureRule = GK15) -> float:
     return float(ws @ vals)
 
 
-def integrate_composite(f, a: float, b: float, breakpoints=(), rule: QuadratureRule = GK15) -> float:
-    """Composite rule: [a, b] split at the interior breakpoints."""
-    if a > b:
-        raise DomainError(f"integration bounds must satisfy a <= b, got ({a}, {b})")
-    cuts = [c for c in sorted(set(breakpoints)) if a < c < b]
-    edges = [a, *cuts, b]
-    return float(sum(integrate(f, lo, hi, rule) for lo, hi in zip(edges[:-1], edges[1:])))
-
-
 def span_nodes(a: float, b: float, breakpoints=(), rule: QuadratureRule = GK15):
-    """Stacked mapped nodes/weights of the composite rule over [a, b]."""
+    """Stacked mapped nodes/weights of the composite rule over [a, b], split at
+    the breakpoints strictly inside it."""
     if b <= a:
         return np.empty(0), np.empty(0)
-    cuts = [c for c in sorted(set(breakpoints)) if a < c < b]
-    edges = [a, *cuts, b]
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = mapped_nodes(rule, lo, hi)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.array([a, *[c for c in sorted(set(breakpoints)) if a < c < b], b], dtype=float)
+    xs, ws = mapped_nodes(rule, edges[:-1, None], edges[1:, None])
+    return xs.ravel(), ws.ravel()

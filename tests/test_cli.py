@@ -546,8 +546,9 @@ predict.warmup=10
 """
 
 
-def _score_config(tmp, out):
-    """A one-model score config on the shared pipeline at landmark 3."""
+def _score_config(tmp, out, draws=None, ranef=None):
+    """A one-model score config on the shared pipeline at landmark 3, with the
+    given draws and ranef CSVs in place of the fit's."""
     return f"""
 seed=3
 out.prefix={out}/sc
@@ -555,10 +556,10 @@ data.longitudinal={tmp}/sim_longitudinal.csv
 data.survival={tmp}/sim_survival.csv
 {MODEL_BLOCK}
 models=m1
-m1.draws={tmp}/fit1_draws.csv
-m1.ranef={tmp}/fit1_ranef.csv
+m1.draws={draws or tmp / "fit1_draws.csv"}
+m1.ranef={ranef or tmp / "fit1_ranef.csv"}
 landmarks=3
-score.theta_draws=5
+score.theta_draws=4
 score.re_draws=2
 score.warmup=10
 """
@@ -577,6 +578,7 @@ model.association=current_value
 schedule.draws={tmp}/fit1_draws.csv
 schedule.subject=s0000
 schedule.landmark=0.5
+schedule.kappa=0.8
 schedule.t_max=2
 schedule.grid_size=3
 schedule.outer=10
@@ -664,6 +666,82 @@ score.re_draws=2
     assert main(["score", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad} line 1" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "schedule", "score"])
+def test_negative_landmark_is_an_error(pipeline, tmp_path, capsys, command):
+    """Time starts at 0: a landmark before it is an error, not a cvDCL of -inf."""
+    text = {"predict": _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv"),
+            "schedule": _schedule_config(pipeline, tmp_path),
+            "score": _score_config(pipeline, tmp_path)}[command]
+    text = text.replace("landmark=0.5", "landmark=-2").replace("landmarks=3", "landmarks=-2")
+    assert main([command, write_config(tmp_path / "c.cfg", text)]) == 1
+    assert capsys.readouterr().err.startswith("error: a landmark is a time >= 0, got -2.0")
+
+
+def _drop_last_draws(rows):
+    del rows[-3:]
+
+
+def _drop_subject(rows):
+    for row in rows:
+        del row[4:6]
+
+
+def _rename_subject(rows):
+    rows[0][4:6] = ["b[zz,0]", "b[zz,1]"]
+
+
+def _shift_iterations(rows):
+    for row in rows[1:]:
+        row[1] = str(int(row[1]) + 1000)
+
+
+RANEF_MISMATCH = {
+    "fewer-draws": (_drop_last_draws, "197 random-effect draws for 200 parameter draws"),
+    "subject-missing": (_drop_subject, "line 1: no random-effect columns for subject 's0001'"),
+    "extra-rows": (lambda rows: rows.extend(rows[1:3]), "line 202: chain,iteration"),
+    "subject-renamed": (_rename_subject, "no random-effect columns for subject 's0001'"),
+    "iterations-shifted": (_shift_iterations, "line 2: chain,iteration"),
+}
+
+
+def _score_with_ranef(pipeline, tmp_path, rows):
+    """main's exit code for the shared score config with the given ranef rows."""
+    bad = tmp_path / "other_ranef.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return main(["score", write_config(tmp_path / "score.cfg",
+                                       _score_config(pipeline, tmp_path, ranef=bad))])
+
+
+@pytest.mark.parametrize("case", sorted(RANEF_MISMATCH))
+def test_ranef_that_does_not_pair_with_draws_or_dataset_is_an_error(pipeline, tmp_path,
+                                                                     capsys, case):
+    """Random-effect draws pair with the parameter draws by (chain, iteration)
+    and with the dataset by subject id; a ranef CSV that does not is an error
+    naming the file and where it differs, not a traceback or a DIC of the
+    wrong pairs."""
+    edit, where = RANEF_MISMATCH[case]
+    rows = read_rows(pipeline / "fit1_ranef.csv")
+    edit(rows)
+    assert _score_with_ranef(pipeline, tmp_path, rows) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "other_ranef.csv" in err and where in err
+    assert not (tmp_path / "sc_scores.csv").exists()
+
+
+def test_ranef_columns_pair_by_subject_id_not_position(pipeline, tmp_path):
+    """Two subjects' columns swapped in the ranef CSV give the same scores, byte
+    for byte."""
+    assert main(["score", write_config(tmp_path / "ok.cfg",
+                                       _score_config(pipeline, tmp_path))]) == 0
+    original = (tmp_path / "sc_scores.csv").read_bytes()
+    rows = read_rows(pipeline / "fit1_ranef.csv")
+    for row in rows:
+        row[2:4], row[6:8] = row[6:8], row[2:4]
+    assert _score_with_ranef(pipeline, tmp_path, rows) == 0
+    assert (tmp_path / "sc_scores.csv").read_bytes() == original
 
 
 def test_missing_report_is_an_error(tmp_path):
@@ -792,10 +870,63 @@ def test_any_simulate_config_value_ends_in_cohort_or_error(tmp_path_factory, lin
     cfg.write_text("\n".join([f"out.prefix={tmp}/sim", *lines]) + "\n", encoding="utf-8")
     code, _ = _main_outcome(["simulate", str(cfg)])
     if code == 0:
-        for name in ("sim_longitudinal.csv", "sim_survival.csv"):
-            for field in (f for row in read_rows(tmp / name)[1:] for f in row):
-                try:
-                    value = float(field)
-                except ValueError:
-                    continue
-                assert math.isfinite(value), (name, field)
+        _assert_numbers_finite(tmp / "sim_longitudinal.csv", tmp / "sim_survival.csv")
+
+
+def _assert_numbers_finite(*paths):
+    """Every field of the CSVs' data rows that parses as a number is finite."""
+    for path in paths:
+        for field in (f for row in read_rows(path)[1:] for f in row):
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (path, field)
+
+
+FUZZ_RUNS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@FUZZ_RUNS
+@given(command=st.sampled_from(["schedule", "score"]), pick=st.integers(0, 99),
+       text=FIELD_TEXT)
+def test_any_schedule_or_score_config_value_ends_in_output_or_error(pipeline,
+                                                                    tmp_path_factory,
+                                                                    command, pick, text):
+    """schedule or score with one of its own config values (a ``schedule.*`` or
+    ``score.*`` key, or ``landmarks``) replaced by any text either writes its
+    CSV, every number in it finite, or ends in a JmschedError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config, out = {"schedule": (_schedule_config, "plan_schedule"),
+                   "score": (_score_config, "sc_scores")}[command]
+    lines = config(pipeline, tmp).strip().splitlines()
+    own = [k for k, line in enumerate(lines)
+           if line.startswith(("schedule.", "score.", "landmarks="))]
+    k = own[pick % len(own)]
+    lines[k] = f"{lines[k].split('=', 1)[0]}={text}"
+    cfg = tmp / "c.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _ = _main_outcome([command, str(cfg)])
+    if code == 0:
+        _assert_numbers_finite(tmp / f"{out}.csv")
+
+
+@FUZZ_RUNS
+@given(row=st.integers(0, 8), column=st.integers(0, 51), text=FIELD_TEXT)
+def test_any_ranef_field_ends_in_scores_or_error(pipeline, tmp_path_factory, row, column,
+                                                 text):
+    """score on 8 paired draws whose ranef CSV has one field replaced by any
+    text either writes finite scores or ends in a JmschedError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    tables = {}
+    for name in ("draws", "ranef"):
+        rows = read_rows(pipeline / f"fit1_{name}.csv")[:9]
+        if name == "ranef":
+            rows[row][column % len(rows[0])] = text
+        tables[name] = tmp / f"{name}.csv"
+        with open(tables[name], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp / "score.cfg", _score_config(pipeline, tmp, **tables))
+    code, _ = _main_outcome(["score", cfg])
+    if code == 0:
+        _assert_numbers_finite(tmp / "sc_scores.csv")

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import invgamma
 
-from jmsched.errors import ConfigError, SpecError
+from jmsched.errors import ConfigError, NumericError, SpecError
 from jmsched.mcmc import (
     McmcConfig,
     PosteriorSamples,
@@ -45,6 +46,8 @@ from jmsched.numerics import BSplineBasis
 from jmsched.simulate import SimulationDesign, generate_dataset
 
 from conftest import gaussian_joint_model, true_parameters
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def intercept_model(lam=0.1, alpha=0.0, d=0.5, phi=0.2, beta0=3.0):
@@ -634,6 +637,18 @@ def test_dic_invariant_to_draw_order(small_joint):
     assert take(sub) == pytest.approx(take(perm), abs=1e-8)
 
 
+@pytest.mark.parametrize("value", [1e300, -1e300])
+def test_dic_with_a_non_finite_deviance_is_a_numeric_error(small_joint, value):
+    """A huge but finite random effect overflows one draw's deviance; DIC
+    names that draw's chain and iteration instead of returning nan."""
+    samples = copy.copy(small_joint["samples"])
+    samples.ranef = samples.ranef.copy()
+    samples.ranef[7, 2, 0] = value
+    with pytest.raises(NumericError, match=f"chain {samples.chain[7]} "
+                                           f"iteration {samples.iteration[7]}"):
+        dic(samples, small_joint["dataset"], small_joint["spec"], small_joint["assoc"])
+
+
 # --- diagnostics and persistence ----------------------------------------------------
 
 def test_split_rhat_far_apart_chains():
@@ -690,7 +705,7 @@ def test_ranef_csv_round_trip(tmp_path, small_joint):
     samples = small_joint["samples"]
     path = tmp_path / "ranef.csv"
     write_ranef_csv(samples, path)
-    ids, ranef = read_ranef_csv(path)
+    ids, ranef = read_ranef_csv(path, samples, samples.subject_ids)
     assert ids == samples.subject_ids
     assert np.array_equal(ranef, samples.ranef)
 

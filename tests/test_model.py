@@ -29,7 +29,9 @@ from jmsched.model import (
     surv_log_density,
     survival,
 )
-from jmsched.numerics import BSplineBasis, NaturalCubicBasis
+from jmsched.numerics import BSplineBasis, NaturalCubicBasis, integrate
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_spec(time_effect=LinearTime(), covariates=(), hazard_covariates=(),
@@ -137,6 +139,75 @@ def test_integral_linear_predictor_analytic():
     a, slope = 1.3, 0.7
     got = predictor_integral(spec.longitudinal, SUBJ, np.zeros(2), np.array([a, slope]), 2.0)
     assert got == pytest.approx(2 * a + 2 * slope, abs=1e-10)
+
+
+def _integral_oracle(time_effect, ts):
+    """Integral of each time feature (for a spline, of ``ncs_matrix``) from 0
+    to every t, by ``integrate`` over the cells between 0, the interior knots
+    and t; no design builder is involved."""
+    out = np.zeros((ts.size, time_effect.n_terms))
+    for i, t in enumerate(ts):
+        edges = [0.0, *[c for c in time_effect.breakpoints if 0.0 < c < t], t]
+        for j in range(time_effect.n_terms):
+            f = lambda s: time_effect.terms_matrix(np.array([s]))[0, j]
+            out[i, j] = sum(integrate(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    return out
+
+
+ROW_TIME_EFFECTS = {
+    "none": (None, 0),
+    "linear": (LinearTime(), 1),
+    "poly3": (PolynomialTime(3), 1),
+    "ncs": (SplineTime(NaturalCubicBasis((0.0, 8.0), (2.0, 4.0))), 1),
+}
+
+
+@pytest.mark.parametrize("time_key", sorted(ROW_TIME_EFFECTS))
+def test_random_rows_are_the_leading_columns_of_the_fixed_rows(time_key):
+    """Each feature's Z is [1 | time terms[:, :rt]] (value), [0 | derivatives]
+    (slope) or [t | integrals] (integral), built here from the time effect
+    alone; the kernel's Z is a contiguous copy of X's leading columns."""
+    from jmsched.model import _feature_rows
+
+    time_effect, rt = ROW_TIME_EFFECTS[time_key]
+    lspec = LongitudinalSpec(family=GAUSSIAN, time_effect=time_effect, covariates=("age",),
+                             random_time_terms=rt)
+    ts = np.array([3.3, 0.0, 1.0, 4.5, 2.0, 1.0, 7.9])
+    n = ts.size
+    if time_effect is None:
+        terms = derivs = ints = np.zeros((n, 0))
+    else:
+        terms, derivs = time_effect.terms_matrix(ts), time_effect.derivs_matrix(ts)
+        ints = _integral_oracle(time_effect, ts)
+    expected = {"eta": np.column_stack([np.ones(n), terms[:, :rt]]),
+                "slope": np.column_stack([np.zeros(n), derivs[:, :rt]]),
+                "integral": np.column_stack([ts, ints[:, :rt]])}
+    builders = {"eta": lspec.random_matrix, "slope": lspec.random_deriv_matrix,
+                "integral": lspec.random_integral_matrix}
+    for feature, Z_expected in expected.items():
+        X, Z = _feature_rows(lspec, feature, ts, np.array([40.0]))
+        assert Z.flags.c_contiguous and np.array_equal(Z, X[:, : lspec.n_random])
+        np.testing.assert_allclose(Z, Z_expected, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(builders[feature](ts), Z)
+
+
+def test_fixed_integral_matrix_at_unsorted_repeated_times_across_knots():
+    """Times out of order, repeated, at 0, at and between the spline knots:
+    polynomial terms integrate to t^(k+1)/(k+1), spline terms to the sum of
+    ``integrate`` over the knot cells (GK15 is exact on each cubic piece),
+    covariate columns to t times the covariate."""
+    ts = np.array([4.5, 1.0, 2.0, 4.5, 0.0, 3.3, 7.5, 2.0, 1.0, 4.0])
+    poly = LongitudinalSpec(family=GAUSSIAN, time_effect=PolynomialTime(3),
+                            covariates=("age",))
+    got = poly.fixed_integral_matrix(ts, np.array([40.0]))
+    exact = np.column_stack([ts, *[ts ** (k + 1) / (k + 1) for k in (1, 2, 3)], 40.0 * ts])
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-13)
+
+    spline = SplineTime(NaturalCubicBasis((0.0, 8.0), (2.0, 4.0)))
+    got = LongitudinalSpec(family=GAUSSIAN, time_effect=spline).fixed_integral_matrix(
+        ts, np.empty(0))
+    np.testing.assert_allclose(got, np.column_stack([ts, _integral_oracle(spline, ts)]),
+                               rtol=1e-13, atol=1e-13)
 
 
 # --- hazard ---------------------------------------------------------------------
@@ -467,7 +538,8 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
 
     # log hazard: scalar API, per-time batch, rowwise batch
     lh = np.array([log_hazard(theta, spec, assoc, subject, b, t) for t in ts])
-    np.testing.assert_allclose([cdata.log_hazard_at(t, b1, th1)[0] for t in ts], lh, **close)
+    np.testing.assert_allclose([cdata.log_hazard_grid([t], b1, th1)[0, 0] for t in ts], lh,
+                               **close)
     th_rows = ThetaBatch.from_parameters(theta, ts.size)
     b_rows = np.repeat(b1, ts.size, axis=0)
     np.testing.assert_allclose(cdata.log_hazard_rowwise(ts, b_rows, th_rows), lh, **close)

@@ -11,11 +11,14 @@ from jmsched.numerics import (
     bspline_deriv,
     bspline_eval,
     integrate,
-    integrate_composite,
+    mapped_nodes,
     ncs_deriv,
     ncs_eval,
     penalty_matrix,
+    span_nodes,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # --- independent oracle: textbook recursive B-spline evaluation -------------
@@ -243,7 +246,22 @@ def test_integrate_nonfinite_carries_node():
     assert "s=" in str(err.value)
 
 
-def test_composite_matches_plain_on_smooth_function():
-    plain = integrate(np.sin, 0.0, 3.0)
-    comp = integrate_composite(np.sin, 0.0, 3.0, breakpoints=(1.0, 2.0))
-    assert comp == pytest.approx(plain, abs=1e-12)
+@pytest.mark.parametrize("a, b, breakpoints, cells", [
+    (0.0, 3.0, (), [(0.0, 3.0)]),
+    (0.0, 3.0, (2.0, 1.0, 5.0, -1.0), [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]),
+    (0.0, 3.0, (0.0, 3.0), [(0.0, 3.0)]),
+    (0.5, 3.0, (1.0, 1.0, 2.5, 2.5, 0.5), [(0.5, 1.0), (1.0, 2.5), (2.5, 3.0)]),
+    (2.0, 2.0, (1.0, 2.0), []),
+], ids=["no-breakpoint", "unsorted-and-outside", "at-the-ends", "repeated", "empty"])
+def test_span_nodes_maps_each_cell_like_mapped_nodes(a, b, breakpoints, cells):
+    """span_nodes holds, cell by cell, the nodes and weights mapped_nodes gives
+    that cell alone; breakpoints at a or b, repeated or outside add no cell,
+    and the weights sum to b - a."""
+    xs, ws = span_nodes(a, b, breakpoints)
+    k = GK15.nodes.size
+    assert xs.shape == ws.shape == (k * len(cells),)
+    for i, (lo, hi) in enumerate(cells):
+        x, w = mapped_nodes(GK15, lo, hi)
+        assert np.array_equal(xs[i * k:(i + 1) * k], x)
+        assert np.array_equal(ws[i * k:(i + 1) * k], w)
+    assert ws.sum() == pytest.approx(b - a, rel=1e-14, abs=0.0)

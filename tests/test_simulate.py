@@ -15,6 +15,8 @@ from jmsched.simulate import (
 
 from conftest import gaussian_joint_model
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def flat_design(lam=0.1, n=200, seed=1, censor_admin=None, censor_rate=None,
                 alpha=0.0, jitter=0.0, visits=(0.0, 1.0, 2.0, 3.0, 4.0)):
