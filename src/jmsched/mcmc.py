@@ -1163,7 +1163,8 @@ def read_ranef_csv(path, draws: PosteriorSamples, subject_ids):
     missing = [sid for sid in subject_ids if sid not in column]
     if missing:
         raise DataError(f"{path} line 1: no random-effect columns for subject {missing[0]!r}")
-    extra = [sid for sid in ids if sid not in set(subject_ids)]
+    known = set(subject_ids)
+    extra = [sid for sid in ids if sid not in known]
     if extra:
         raise DataError(f"{path} line 1: subject {extra[0]!r} is not in the dataset")
     ranef = data[:, 2:].reshape(data.shape[0], n, q)[:, [column[sid] for sid in subject_ids]]
