@@ -25,15 +25,16 @@ from .mcmc import (
     ThetaBatch,
     _ConditionData,
     _re_mh_draws,
+    _Streams,
     posterior_mode_re,
 )
 from .model import SubjectHistory
-from .numerics import GK15
+from .numerics import GK15, span_nodes
 
 DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
 EVENT_TIME_MAX_STEPS = 100
-HAZARD_NODE_BUDGET = 1 << 18   # Gauss-Kronrod nodes x draws in one design of _running_hazard
+HAZARD_NODE_BUDGET = 1 << 18   # nodes x draws in one design of _running_hazard or a cv_dcl chunk
 PI_BISECTION_TOL = 1e-3   # |pi - kappa| that ends the bisection for t_up
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
@@ -190,6 +191,13 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     ``n_re_draws`` fresh conditional random-effect draws per posterior draw,
     and the per-subject predictive density is the harmonic-mean combination
     over posterior draws (conditional predictive ordinate).  Higher is better.
+
+    The subjects at risk are scored in chunks: one conditional-RE chain over
+    a chunk's stacked histories (one mode search, one MH sampler, one final
+    density), with as many subjects as keep its nodes x rows within
+    HAZARD_NODE_BUDGET; with every posterior draw a chunk holds one subject.
+    Each subject draws on its own stream, so its value does not depend on
+    the chunks or on the other subjects.
     """
     _check_counts(n_re_draws=n_re_draws, warmup=warmup)
     if n_theta_draws is not None:
@@ -207,20 +215,27 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     m = int(n_re_draws)
     th = ThetaBatch.from_samples(samples, np.repeat(idx, m))
     theta_hat = samples.mean_parameters(spec)
+    histories = [SubjectHistory.from_subject(s, t) for s in at_risk]
+    # a chunk's widest design: the nodes of [0, t] or of some [t, T_i], or the measurements
+    spans = [(0.0, t)] + [(t, s.event_time) for s in at_risk]
+    width = max([span_nodes(lo, hi, spec.hazard_breakpoints, GK15)[0].size for lo, hi in spans]
+                + [h.times.size for h in histories])
+    size = max(1, HAZARD_NODE_BUDGET // (width * th.size))
 
     total = 0.0
-    for subject in at_risk:
-        history = SubjectHistory.from_subject(subject, t)
-        cdata = _ConditionData(spec, assoc, history)
+    for start in range(0, n_t, size):
+        chunk = at_risk[start:start + size]
+        cdata = _ConditionData(spec, assoc, histories[start:start + size])
         proposal = posterior_mode_re(cdata, theta_hat)
-        rng_i = _stream(seed, _CV_RE_STREAM, zlib.crc32(subject.id.encode()))
-        b = _re_mh_draws(cdata, th, proposal, rng_i, warmup)
-        ll = -cdata.cum_hazard(b, th, subject.event_time, lower=t)
-        if subject.event:
-            ll = ll + cdata.log_hazard_grid([subject.event_time], b, th)[0]
-        per_theta = logsumexp(ll.reshape(-1, m), axis=1) - math.log(m)
-        log_cpo = -(logsumexp(-per_theta) - math.log(idx.size))
-        total += float(log_cpo)
+        rng = _Streams(_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk)
+        b = _re_mh_draws(cdata, th, proposal, rng, warmup)
+        T = np.array([s.event_time for s in chunk])
+        event = np.array([s.event == 1 for s in chunk])
+        ll = -cdata.cum_hazard(b, th, T, lower=t)
+        ll = np.where(event[:, None], ll + cdata.log_hazard_grid(T[:, None], b, th)[:, 0], ll)
+        per_theta = logsumexp(ll.reshape(len(chunk), idx.size, m), axis=2) - math.log(m)
+        log_cpo = -(logsumexp(-per_theta, axis=1) - math.log(idx.size))
+        total = sum(log_cpo.tolist(), total)
     return total / n_t
 
 
@@ -256,12 +271,12 @@ def _running_hazard(cdata, b, th, edges) -> np.ndarray:
 
 def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, rng, cap: float):
     """Inversion draws T* with S(T*)/S(u) = v for every row, where u is
-    ``cdata.history.t``; (times, capped).  The running hazard over the cells
+    ``cdata.t``; (times, capped).  The running hazard over the cells
     of ``_event_time_edges`` finds each row's cell [lo, hi]; inside it, Newton
     on the hazard solves Lambda(lo -> T) = -log v - Lambda(u -> lo), bisecting
     where a step would leave the row's bracket, until a step is at most
     EVENT_TIME_TOL * max(1, T) or no float lies strictly inside the bracket."""
-    u = cdata.history.t
+    u = cdata.t
     size = th.size
     rows = np.arange(size)
     v = rng.random(size)

@@ -181,8 +181,8 @@ class ThetaBatch:
                    rep(theta.gamma_h0), np.full(size, theta.phi), rep(theta.D))
 
     def re_log_prior(self, b: np.ndarray) -> np.ndarray:
-        """log N(b; 0, D) row by row."""
-        quad = np.einsum("bi,bij,bj->b", b, self.inv_D, b)
+        """log N(b; 0, D) row by row; b is (size, q), or (..., size, q)."""
+        quad = np.einsum("...bi,bij,...bj->...b", b, self.inv_D, b)
         q = self.n_random
         return -0.5 * (q * math.log(2.0 * math.pi) + self.logdet_D + quad)
 
@@ -193,23 +193,53 @@ class ThetaBatch:
 
 class _ConditionData:
     """Vectorized evaluator of p(b | the measurements of ``history``, survival
-    past ``history.t``, theta)."""
+    past its landmark t, theta), for one history or for each of a sequence of
+    histories at one landmark.
 
-    def __init__(self, spec, assoc, history: md.SubjectHistory):
+    With one history b is (B, q) and an output holds one value per draw.
+    With S histories (``lead`` = (S,)) b and every output of ``target``,
+    ``log_target_newton``, ``cum_hazard`` and ``log_hazard_grid`` carry a
+    leading history axis; the measurements are padded to the longest history
+    and masked, so each history's values are those of its own condition.
+    """
+
+    def __init__(self, spec, assoc, history):
         self.spec = spec
         self.assoc = assoc
         self.family = spec.longitudinal.family
-        self.family.check_response(history.y)
-        self.history = history
-        self.meas = md.Design(spec, ("eta",), history.covariates, history.times)
+        single = isinstance(history, md.SubjectHistory)
+        histories = [history] if single else list(history)
+        self.t = histories[0].t
+        if any(h.t != self.t for h in histories):
+            raise SpecError("stacked histories must share one landmark")
+        self.lead = () if single else (len(histories),)
+        if single:
+            self.covariates, times, self.y = history.covariates, history.times, history.y
+            self.observed = None
+        else:
+            self.covariates = [h.covariates for h in histories]
+            times, self.observed = _padded([h.times for h in histories], self.t)
+            self.y, _ = _padded([h.y for h in histories], 0.0)
+        self.family.check_response(self.y)
+        self.meas = md.Design(spec, ("eta",), self.covariates, times)
         self._node_cache = {}
 
-    def _nodes(self, lower: float, upper: float) -> md.Design:
-        key = (float(lower), float(upper))
+    def _nodes(self, lower: float, upper) -> md.Design:
+        """Design over the Gauss-Kronrod nodes of [lower, upper]; with one
+        upper per history, each history's nodes padded with zero weights to
+        the longest span."""
+        scalar = np.ndim(upper) == 0
+        key = (float(lower), float(upper) if scalar else tuple(upper))
         if key not in self._node_cache:
-            s, wq = span_nodes(lower, upper, self.spec.hazard_breakpoints, GK15)
+            spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
+                     for u in np.ravel(upper)]
+            if scalar:
+                s, wq = spans[0]
+            else:
+                s, _ = _padded([nodes for nodes, _ in spans], lower)
+                wq, _ = _padded([weights for _, weights in spans], 0.0)
             self._node_cache[key] = md.Design(self.spec, self.assoc.features,
-                                              self.history.covariates, s, weights=wq)
+                                              self.covariates, s, weights=wq)
         return self._node_cache[key]
 
     def _log_hazard(self, design: md.Design, th, rows=None):
@@ -219,14 +249,15 @@ class _ConditionData:
         return lambda b: np.clip(lh(b), -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
 
     def _cum_hazard(self, th, upper, lower=0.0):
-        """b -> the hazard integral over [lower, upper]; an overflow is +inf."""
-        if upper <= lower:
-            return lambda b: np.zeros(th.size)
+        """b -> the hazard integral over [lower, upper], ``upper`` one time or
+        one per history; an overflow is +inf."""
+        if np.ndim(upper) == 0 and upper <= lower:
+            return lambda b: np.zeros(b.shape[:-1])
         design = self._nodes(lower, upper)
         lh = self._log_hazard(design, th)
         def cum(b):
             with np.errstate(over="ignore"):
-                return design.weights @ np.exp(lh(b))
+                return np.matmul(design.weights[..., None, :], np.exp(lh(b)))[..., 0, :]
         return cum
 
     def cum_hazard(self, b, th, upper, lower=0.0) -> np.ndarray:
@@ -244,7 +275,7 @@ class _ConditionData:
             return np.matmul(wq[:, None, :], np.exp(lh))[:, 0, :].T
 
     def _design(self, times) -> md.Design:
-        return md.Design(self.spec, self.assoc.features, self.history.covariates, times)
+        return md.Design(self.spec, self.assoc.features, self.covariates, times)
 
     def log_hazard_rowwise(self, times, b, th) -> np.ndarray:
         """log hazard at a per-draw time: draw r at times[r]."""
@@ -252,7 +283,8 @@ class _ConditionData:
                                 np.arange(th.size))(b)
 
     def log_hazard_grid(self, times, b, th) -> np.ndarray:
-        """log hazard of every draw at every time, shape (times.size, th.size)."""
+        """log hazard of every draw at every time, shape (times.size, th.size);
+        with S histories, times (S, K) and b (S, th.size, q) give (S, K, th.size)."""
         return self._log_hazard(self._design(np.asarray(times, float)), th)(b)
 
     def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
@@ -275,13 +307,15 @@ class _ConditionData:
         are computed once, here; each call adds the terms in b in the order of
         a fresh evaluation."""
         eta_m = md.features_in_b(self.meas, th.beta) if self.meas.times.size else None
-        cum = self._cum_hazard(th, self.history.t)
+        cum = self._cum_hazard(th, self.t)
 
         def log_target(b):
             out = th.re_log_prior(b)
             if eta_m is not None:
-                out = out + md.long_log_terms(self.family, self.history.y[:, None],
-                                              eta_m(b)["eta"], th.phi).sum(0)
+                terms = md.long_log_terms(self.family, self.y[..., None], eta_m(b)["eta"], th.phi)
+                if self.observed is not None:
+                    terms = np.where(self.observed[..., None], terms, 0.0)
+                out = out + terms.sum(-2)
             return out - cum(b)
         return log_target
 
@@ -292,30 +326,49 @@ class _ConditionData:
         return (target or self.target(th))(b)
 
     def log_target_newton(self, b, th):
-        """Gradient and precision (negative Hessian) of ``log_target`` at b (q,)
-        for the single theta row of ``th``: -D^-1 b and D^-1 from the prior;
-        Z'(y - mu)/phi and Z'V(mu)Z/phi from the measurements (canonical links);
-        and, as log h = c + A b is affine in b (A: the association at unit b),
-        -A'r and A' diag(r) A with r = w exp(log h), 0 where clamped."""
+        """Gradient and precision (negative Hessian) of ``log_target`` at b (q,),
+        or (S, q) with S histories, for the single theta row of ``th``: -D^-1 b
+        and D^-1 from the prior; Z'(y - mu)/phi and Z'V(mu)Z/phi from the
+        measurements (canonical links); and, as log h = c + A b is affine in b
+        (A: the association at unit b), -A'r and A' diag(r) A with
+        r = w exp(log h), 0 where clamped."""
         inv_D = th.inv_D[0]
-        grad, prec = -inv_D @ b, inv_D.copy()
+        q = b.shape[-1]
+        grad = (-inv_D @ b[..., None])[..., 0]
+        prec = np.broadcast_to(inv_D, b.shape + (q,)).copy()
         if self.meas.times.size:
             Z = self.meas.pairs["eta"][1]
-            eta = md.trajectory_features(self.meas, th.beta, b[None, :])["eta"][:, 0]
+            Zt = np.swapaxes(Z, -1, -2)
+            eta = md.trajectory_features(self.meas, th.beta, b[..., None, :])["eta"][..., 0]
             mu = self.family.mean(eta)
-            phi, var = (th.phi[0], 1.0) if self.family.has_dispersion else (1.0, mu * (1.0 - mu))
-            grad += Z.T @ (self.history.y - mu) / phi
-            prec += (Z.T * var) @ Z / phi
-        if self.history.t > 0.0:
-            design = self._nodes(0.0, self.history.t)
-            lh = self._log_hazard(design, th)(b[None, :])[:, 0]
+            phi, var = ((th.phi[0], np.ones_like(mu)) if self.family.has_dispersion
+                        else (1.0, mu * (1.0 - mu)))
+            resid = self.y - mu
+            if self.observed is not None:
+                resid, var = resid * self.observed, var * self.observed
+            grad += (Zt @ resid[..., None])[..., 0] / phi
+            prec += (Zt * var[..., None, :]) @ Z / phi
+        if self.t > 0.0:
+            design = self._nodes(0.0, self.t)
+            lh = self._log_hazard(design, th)(b[..., None, :])[..., 0]
             r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, design.weights * np.exp(lh), 0.0)
             units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
-            A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(b.size)),
-                                (lh.size, b.size))
-            grad -= A.T @ r
-            prec += (A.T * r) @ A
+            A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(q)),
+                                lh.shape + (q,))
+            At = np.swapaxes(A, -1, -2)
+            grad -= (At @ r[..., None])[..., 0]
+            prec += (At * r[..., None, :]) @ A
         return grad, prec
+
+
+def _padded(rows, fill: float):
+    """Rows of unequal lengths as one (len(rows), longest) array, ``fill`` past
+    each row's end, and the mask of the given entries."""
+    sizes = np.array([np.size(r) for r in rows], dtype=int)
+    given = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    out = np.full(given.shape, fill, dtype=float)
+    out[given] = np.concatenate([np.ravel(r) for r in rows])
+    return out, given
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +378,8 @@ class _ConditionData:
 @dataclass(frozen=True)
 class ReProposal:
     """Independence-proposal parameters: multivariate t(PROPOSAL_DF) at the target mode;
-    ``fallback``: the mode search met a target or precision that is not finite."""
+    ``fallback``: the mode search met a target or precision that is not finite.
+    For a condition on S histories every field has a leading history axis."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -337,14 +391,35 @@ class ReProposal:
         return np.linalg.cholesky(self.cov)
 
 
+class _Streams:
+    """One generator per history of a stacked condition, drawn from like one:
+    each draw is made on every generator in turn and stacked on a leading
+    axis, so a history's draws do not depend on the other histories."""
+
+    def __init__(self, rngs):
+        self.rngs = list(rngs)
+
+    def standard_normal(self, size):
+        return np.stack([rng.standard_normal(size) for rng in self.rngs])
+
+    def chisquare(self, df, size):
+        return np.stack([rng.chisquare(df, size) for rng in self.rngs])
+
+    def random(self, size):
+        return np.stack([rng.random(size) for rng in self.rngs])
+
+
 def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chol^-1 rhs for a C-ordered lower-triangular chol, by one LAPACK call.
+    """chol^-1 rhs for a C-ordered lower-triangular chol, by one LAPACK call
+    (one per matrix when chol and rhs carry a leading axis).
 
     chol.T is the Fortran-ordered upper factor U, so this solves U^T x = rhs:
     the call ``scipy.linalg.solve_triangular`` makes for such a chol, without
     its checks.  The literal lower-triangular call rounds differently for a
     single right-hand side.
     """
+    if chol.ndim > 2:
+        return np.stack([_solve_lower(c, r) for c, r in zip(chol, rhs)])
     x, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
     if info != 0:
         raise NumericError(f"triangular solve failed (LAPACK info {info})")
@@ -352,22 +427,23 @@ def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
-    q = proposal.mean.size
+    q = proposal.mean.shape[-1]
     z = rng.standard_normal((size, q))
     g = rng.chisquare(PROPOSAL_DF, size)
-    return proposal.mean + (z @ proposal.chol.T) * np.sqrt(PROPOSAL_DF / g)[:, None]
+    return (proposal.mean[..., None, :]
+            + (z @ np.swapaxes(proposal.chol, -1, -2)) * np.sqrt(PROPOSAL_DF / g)[..., None])
 
 
 def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
-    q = proposal.mean.size
+    q = proposal.mean.shape[-1]
     df = PROPOSAL_DF
     chol = proposal.chol
-    dev = np.atleast_2d(x) - proposal.mean
-    u = _solve_lower(chol, dev.T)
-    maha = np.sum(u * u, axis=0)
-    const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0)
-             - 0.5 * q * math.log(df * math.pi) - np.sum(np.log(np.diag(chol))))
-    return const - 0.5 * (df + q) * np.log1p(maha / df)
+    dev = np.atleast_2d(x) - proposal.mean[..., None, :]
+    u = _solve_lower(chol, np.swapaxes(dev, -1, -2))
+    maha = np.sum(u * u, axis=-2)
+    const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0) - 0.5 * q * math.log(df * math.pi)
+             - np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1))
+    return const[..., None] - 0.5 * (df + q) * np.log1p(maha / df)
 
 
 def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal:
@@ -378,31 +454,58 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
     from 0 on its exact gradient and precision, each halved until the target
     does not decrease, find the mode; the covariance is the inverse precision
     there.  A target or precision that is not finite falls back to mean 0, cov D.
+    With S histories the searches share each stacked evaluation, and each
+    history halves its own step, stops and falls back on its own; the q x q
+    factorizations run history by history, as for one.
     """
     th1 = ThetaBatch.from_parameters(theta, 1)
     target = cdata.target(th1)
     q = theta.n_random
-    fallback = ReProposal(mean=np.zeros(q), cov=theta.D.copy(), fallback=True)
-    b = np.zeros(q)
-    value = cdata.log_target(b[None, :], th1, target=target)[0]
-    if not np.isfinite(value):
-        return fallback
-    for steps in range(MODE_MAX_STEPS + 1):
-        grad, prec = cdata.log_target_newton(b, th1)
-        chol, info = dpotrf(prec, lower=1)
-        if info != 0 or not np.all(np.isfinite(prec)):
-            return fallback
-        step, _ = dpotrs(chol, grad, lower=1)
-        if steps == MODE_MAX_STEPS or step @ grad < MODE_STEP_TOL**2:
-            break
-        while True:
-            cand_value = cdata.log_target((b + step)[None, :], th1, target=target)[0]
-            if cand_value >= value or step @ grad < MODE_STEP_TOL**2:
-                break
-            step = 0.5 * step
-        b, value = b + step, cand_value
-    cov, _ = dpotrs(chol, np.eye(q), lower=1)
-    return ReProposal(mean=b, cov=0.5 * (cov + cov.T), iterations=steps)
+    lead = cdata.lead
+    b = np.zeros(lead + (q,))
+    value = cdata.log_target(b[..., None, :], th1, target=target)[..., 0]
+    fallback = np.array(~np.isfinite(value))    # arrays, also with no history axis
+    searching = np.array(~fallback)
+    steps = np.zeros(lead, dtype=int)
+    chol = np.zeros(lead + (q, q))
+    while searching.any():
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: a fallback below
+            grad, prec = cdata.log_target_newton(b, th1)
+        step = np.zeros_like(b)
+        for s in np.ndindex(lead):
+            if not searching[s]:
+                continue
+            chol_s, info = dpotrf(prec[s], lower=1)
+            if info != 0 or not np.all(np.isfinite(prec[s])):
+                fallback[s], searching[s] = True, False
+                continue
+            chol[s] = chol_s
+            step[s], _ = dpotrs(chol_s, grad[s], lower=1)
+            if steps[s] == MODE_MAX_STEPS or step[s] @ grad[s] < MODE_STEP_TOL**2:
+                searching[s] = False
+        halving, cand_value = searching.copy(), value.copy()
+        while halving.any():
+            values = cdata.log_target((b + step)[..., None, :], th1, target=target)[..., 0]
+            for s in np.ndindex(lead):
+                if not halving[s]:
+                    continue
+                if values[s] >= value[s] or step[s] @ grad[s] < MODE_STEP_TOL**2:
+                    halving[s], cand_value[s] = False, values[s]
+                else:
+                    step[s] = 0.5 * step[s]
+        b = np.where(searching[..., None], b + step, b)
+        value = np.where(searching, cand_value, value)
+        steps += searching
+    cov = np.broadcast_to(theta.D, lead + (q, q)).copy()
+    for s in np.ndindex(lead):
+        if not fallback[s]:
+            inv, _ = dpotrs(chol[s], np.eye(q), lower=1)
+            cov[s] = 0.5 * (inv + inv.T)
+    b = np.where(fallback[..., None], 0.0, b)
+    steps = np.where(fallback, 0, steps)
+    if not lead:
+        return ReProposal(mean=b, cov=cov, fallback=bool(fallback), iterations=int(steps))
+    return ReProposal(mean=b, cov=cov, fallback=fallback, iterations=steps)
 
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
@@ -412,11 +515,14 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
     Runs ``warmup`` iterations on th.size parallel rows and returns the final
     states; with ``n_keep`` > 0 also collects that many post-warmup states of
     the (single-row) chain.  A candidate of target -inf (zero survival) is
-    rejected, even from a state of target -inf.
+    rejected, even from a state of target -inf.  For a condition on S
+    histories every history runs its rows on its own generator of ``rng``
+    (a ``_Streams``) with its own proposal, and b is (S, th.size, q).
     """
     size = th.size
     target = cdata.target(th)
-    b = np.broadcast_to(proposal.mean, (size, proposal.mean.size)).copy()
+    mean = proposal.mean[..., None, :]
+    b = np.broadcast_to(mean, mean.shape[:-2] + (size, mean.shape[-1])).copy()
     lp = cdata.log_target(b, th, target)
     lq = _mvt_logpdf(b, proposal)
     kept = []
@@ -425,7 +531,7 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
         cand = _mvt_draw(rng, proposal, size)
         lp_c = cdata.log_target(cand, th, target)
         lq_c = _mvt_logpdf(cand, proposal)
-        gain = np.subtract(lp_c, lp, out=np.full(size, -np.inf), where=lp_c > -np.inf)
+        gain = np.subtract(lp_c, lp, out=np.full(lp.shape, -np.inf), where=lp_c > -np.inf)
         ratio = gain - (lq_c - lq)
         accept = np.log(rng.random(size)) < ratio
         b[accept] = cand[accept]
@@ -434,7 +540,7 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
         if n_keep and it >= warmup:
             kept.append(b.copy())
     if n_keep:
-        return np.concatenate(kept, axis=0)
+        return np.concatenate(kept, axis=-2)
     return b
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,7 +164,9 @@ class SplineTime:
 
     @property
     def breakpoints(self):
-        return self.basis.interior_knots
+        """Every knot, the boundary ones too: past them the spline is linear."""
+        lo, hi = self.basis.boundary_knots
+        return (lo, *self.basis.interior_knots, hi)
 
     def terms_matrix(self, ts):
         return ncs_matrix(self.basis, ts)
@@ -184,8 +187,8 @@ class LongitudinalSpec:
     [1, first `random_time_terms` time features], the leading ``n_random``
     columns of the fixed row (and likewise for slopes and integrals), so
     every random builder is a slice of its fixed one.  Every fixed builder
-    takes (times, covariate values) and every random builder takes times
-    (see ``FEATURE_BUILDERS``).
+    takes (times, covariate values: one row for all times, or one row per
+    time) and every random builder takes times (see ``FEATURE_BUILDERS``).
     """
 
     family: ExponentialFamily
@@ -251,19 +254,19 @@ class LongitudinalSpec:
         ts = np.asarray(ts, dtype=float)
         cov_values = np.asarray(cov_values, dtype=float)
         ones = np.ones((ts.size, 1))
-        covs = np.broadcast_to(cov_values, (ts.size, cov_values.size))
+        covs = np.broadcast_to(cov_values, (ts.size, cov_values.shape[-1]))
         return np.column_stack([ones, self._time_terms_matrix(ts), covs])
 
     def fixed_deriv_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.column_stack([np.zeros((ts.size, 1)), self._time_derivs_matrix(ts),
-                                np.zeros((ts.size, np.size(cov_values)))])
+                                np.zeros((ts.size, np.shape(cov_values)[-1]))])
 
     def fixed_integral_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         cov_values = np.asarray(cov_values, dtype=float)
         ints = self._time_integrals(ts)
-        return np.column_stack([ts[:, None], ints, np.outer(ts, cov_values)])
+        return np.column_stack([ts[:, None], ints, ts[:, None] * cov_values])
 
     def random_matrix(self, ts) -> np.ndarray:
         return self.fixed_matrix(ts, ())[:, : self.n_random]
@@ -786,12 +789,16 @@ def _feature_rows(lspec: LongitudinalSpec, feature: str, times, cov_long):
 
 
 class Design:
-    """Design rows at a set of times for one covariate profile.
+    """Design rows at a set of times for one covariate profile, or for each
+    of a sequence of profiles.
 
     ``w`` is the hazard covariate row.  ``H`` (the baseline-hazard rows) and
     ``pairs`` (each requested trajectory feature's (X_f, Z_f) rows) are built
     on first use, so a one-off design over many times never holds rows it
-    has not reached yet.
+    has not reached yet.  With S profiles ``w`` is (S, pw), ``times`` is one
+    row of K times per profile or one row for all, and ``pairs`` gain a
+    leading profile axis, each feature's rows coming from one builder call
+    over all S x K times; ``H`` follows the shape of ``times``.
     """
 
     def __init__(self, spec: JointModelSpec, features, covariates, times,
@@ -801,27 +808,45 @@ class Design:
         self.covariates = covariates
         self.times = np.asarray(times, dtype=float)
         self.weights = weights
-        self.w = _covariate_row(covariates, spec.hazard_covariates)
+        self.w = _covariate_rows(covariates, spec.hazard_covariates)
 
     @cached_property
     def H(self) -> np.ndarray:
-        return self.spec.baseline_matrix(self.times)
+        return self.spec.baseline_matrix(self.times.ravel()).reshape(
+            self.times.shape + (self.spec.n_baseline,))
 
     @cached_property
     def pairs(self) -> dict:
         lspec = self.spec.longitudinal
-        cov_long = _covariate_row(self.covariates, lspec.covariates)
-        return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
+        cov_long = _covariate_rows(self.covariates, lspec.covariates)
+        times = np.broadcast_to(self.times, cov_long.shape[:-1] + self.times.shape[-1:])
+        if cov_long.ndim > 1:
+            cov_long = np.repeat(cov_long, times.shape[-1], axis=0)
+
+        def rows(feature):
+            built = _feature_rows(lspec, feature, times.ravel(), cov_long)
+            return tuple(m.reshape(times.shape + m.shape[-1:]) for m in built)
+        return {f: rows(f) for f in self.features}
+
+
+def _covariate_rows(covariates, names) -> np.ndarray:
+    """The covariate row of one profile (a mapping), or (S, len(names)) for a
+    sequence of S profiles."""
+    if isinstance(covariates, Mapping):
+        return _covariate_row(covariates, names)
+    return np.array([_covariate_row(c, names) for c in covariates]).reshape(
+        len(covariates), len(names))
 
 
 def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
-    """Design rows A (K, d) against parameter rows P (B, d).
+    """Design rows A (..., K, d) against parameter rows P (..., B, d).
 
     Without ``rows`` every parameter row is evaluated at every time, shape
-    (K, B); with ``rows``, time k belongs to parameter row rows[k], shape (K,).
+    (..., K, B), the leading axes broadcast; with ``rows``, time k belongs to
+    parameter row rows[k], shape (K,).
     """
     if rows is None:
-        return A @ P.T
+        return A @ np.swapaxes(P, -1, -2)
     return np.einsum("kp,kp->k", A, P[rows])
 
 
@@ -843,13 +868,19 @@ def log_hazard_in_b(design: Design, assoc: AssociationForm, gamma_h0, gamma, bet
 
     The terms free of b are computed once, here, so a caller that evaluates
     many b at fixed parameters pays only for the rest.  Every parameter
-    argument holds B rows; the shapes follow ``_contract``.  The caller
-    guards the bound: raise, reject or clamp.
+    argument holds B rows, and b (B, q) a leading profile axis as well when
+    the design has one; the shapes follow ``_contract``.  The caller guards
+    the bound: raise, reject or clamp.
     """
-    pick = (lambda a: a) if rows is None else (lambda a: a[rows])
-    offset = _contract(design.H, gamma_h0, rows) + pick(gamma @ design.w)
-    feats, alpha = features_in_b(design, beta, rows), pick(alpha)
-    return lambda b: offset + assoc.value(alpha, **feats(b), b=pick(b))
+    w_gamma = (gamma @ design.w.T).T
+    if rows is None:
+        offset = _contract(design.H, gamma_h0) + w_gamma[..., None, :]
+        b_at = lambda b: b[..., None, :, :]     # each draw's b at every time
+    else:
+        offset = _contract(design.H, gamma_h0, rows) + w_gamma[rows]
+        alpha, b_at = alpha[rows], lambda b: b[rows]
+    feats = features_in_b(design, beta, rows)
+    return lambda b: offset + assoc.value(alpha, **feats(b), b=b_at(b))
 
 
 def log_hazard_rows(design: Design, assoc: AssociationForm, gamma_h0, gamma, beta,

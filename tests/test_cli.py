@@ -834,7 +834,8 @@ mcmc.burn_in=2
 def test_any_draws_field_ends_in_samples_or_error(pipeline, tmp_path_factory, row, column,
                                                   text):
     """read_draws_csv and predict on a draws CSV with one field replaced by any
-    text either succeed or end in a JmschedError."""
+    text either succeed, every number of the curve finite, or end in a
+    JmschedError."""
     tmp = tmp_path_factory.mktemp("fuzz")
     rows = read_rows(pipeline / "fit1_draws.csv")[:9]
     rows[row][column % len(rows[0])] = text
@@ -848,7 +849,9 @@ def test_any_draws_field_ends_in_samples_or_error(pipeline, tmp_path_factory, ro
     except JmschedError:
         pass
     cfg = write_config(tmp / "pred.cfg", _predict_config(pipeline, tmp, draws))
-    _main_outcome(["predict", cfg])
+    code, _ = _main_outcome(["predict", cfg])
+    if code == 0:
+        _assert_numbers_finite(tmp / "pred_pi.csv")
 
 
 SIMULATE_LINES = ["seed=1", *MODEL_BLOCK.split(), *TRUTH_BLOCK.split(), "sim.n_subjects=2",
@@ -909,6 +912,26 @@ def test_any_schedule_or_score_config_value_ends_in_output_or_error(pipeline,
     code, _ = _main_outcome([command, str(cfg)])
     if code == 0:
         _assert_numbers_finite(tmp / f"{out}.csv")
+
+
+@FUZZ_RUNS
+@given(pick=st.integers(0, 99), text=FIELD_TEXT)
+def test_any_predict_config_value_ends_in_curve_or_error(pipeline, tmp_path_factory, pick,
+                                                         text):
+    """predict with one of its own config values (a ``predict.*`` key, the
+    horizon included) replaced by any text either writes its curve, every
+    number in it finite, or ends in a JmschedError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    lines = _predict_config(pipeline, tmp, pipeline / "fit1_draws.csv").strip().splitlines()
+    lines.append("predict.horizon=2")
+    own = [k for k, line in enumerate(lines) if line.startswith("predict.")]
+    k = own[pick % len(own)]
+    lines[k] = f"{lines[k].split('=', 1)[0]}={text}"
+    cfg = tmp / "pred.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _ = _main_outcome(["predict", str(cfg)])
+    if code == 0:
+        _assert_numbers_finite(tmp / "pred_pi.csv")
 
 
 @FUZZ_RUNS

@@ -347,6 +347,69 @@ def test_cv_dcl_empty_landmark(exponential_cohort):
         cv_dcl(samples, dataset, 100.0, spec, assoc, n_theta_draws=5, n_re_draws=2)
 
 
+CV_CASES = [(GAUSSIAN, "current_value"), (GAUSSIAN, "slope"), (BERNOULLI, "current_value")]
+CV_LANDMARK = 1.5
+CV_KWARGS = dict(n_theta_draws=6, n_re_draws=3, seed=5, warmup=15)
+
+
+def _cv_cohort(family, variant):
+    """24 subjects of a linear-time model with a random slope, and 12
+    posterior draws scattered about the truth."""
+    lspec = LongitudinalSpec(family=family, time_effect=LinearTime())
+    basis = BSplineBasis(degree=3, interior_knots=(2.0, 5.0), boundary_knots=(0.0, 12.0))
+    spec = JointModelSpec(longitudinal=lspec, baseline_basis=basis, hazard_covariates=("w",))
+    assoc = AssociationForm(variant)
+    gh = np.zeros(spec.n_baseline)
+    gh[0] = math.log(0.15)
+    theta = Parameters(beta=np.array([3.5, 0.2] if family is GAUSSIAN else [0.4, -0.3]),
+                       phi=0.25 if family is GAUSSIAN else 1.0, D=np.diag([0.3, 0.05]),
+                       gamma=np.array([0.4]), alpha=np.array([0.3]),
+                       baseline=spec.make_baseline(gh, 1.0))
+    dataset = generate_dataset(SimulationDesign(
+        n_subjects=24, parameters=theta, spec=spec, assoc=assoc,
+        visit_times=(0.0, 0.5, 1.0, 2.0), seed=31, censor_admin=8.0,
+        covariates={"w": ("bernoulli", 0.5)}))
+    samples = PosteriorSamples.degenerate(theta, 12)
+    rng = np.random.default_rng(8)
+    for name in ("beta", "gamma", "alpha", "gamma_h0"):
+        block = getattr(samples, name)
+        setattr(samples, name, block + 0.05 * rng.standard_normal(block.shape))
+    return spec, assoc, samples, dataset
+
+
+@pytest.mark.parametrize("family, variant", CV_CASES)
+def test_cv_dcl_is_the_mean_of_its_one_subject_scores(monkeypatch, family, variant):
+    """Subjects scored in stacked chunks (at least three here, by a small
+    node budget) score as each does alone: every subject keeps its stream,
+    and the padding of shorter histories and spans changes nothing."""
+    import jmsched.dynpred as dynpred
+
+    spec, assoc, samples, dataset = _cv_cohort(family, variant)
+    rows = CV_KWARGS["n_theta_draws"] * CV_KWARGS["n_re_draws"]
+    widest = GK15.nodes.size * (1 + len(spec.hazard_breakpoints))
+    monkeypatch.setattr(dynpred, "HAZARD_NODE_BUDGET", 3 * widest * rows)
+    chunks = []
+    monkeypatch.setattr(dynpred, "_ConditionData", lambda spec, assoc, histories: (
+        chunks.append(len(histories)) or _ConditionData(spec, assoc, histories)))
+    whole = cv_dcl(samples, dataset, CV_LANDMARK, spec, assoc, **CV_KWARGS)
+    assert len(chunks) >= 3 and max(chunks) >= 2
+
+    at_risk = [s for s in dataset.subjects if s.event_time > CV_LANDMARK]
+    alone = [cv_dcl(samples, Dataset((s,)), CV_LANDMARK, spec, assoc, **CV_KWARGS)
+             for s in at_risk]
+    assert whole == pytest.approx(np.mean(alone), abs=1e-10)
+
+
+@pytest.mark.parametrize("case, expected", zip(CV_CASES, [
+    -1.86602130138783, -1.9404917036019702, -1.4712490750354923]))
+def test_cv_dcl_keeps_its_values(case, expected):
+    """cvDCL as computed one subject at a time, with each subject's own
+    stream: stacking the subjects moves it by rounding only."""
+    spec, assoc, samples, dataset = _cv_cohort(*case)
+    got = cv_dcl(samples, dataset, CV_LANDMARK, spec, assoc, **CV_KWARGS)
+    assert got == pytest.approx(expected, abs=1e-8)
+
+
 # --- expected information gain -------------------------------------------------------
 
 def test_ekl_zero_when_event_certain_before_u():

@@ -119,6 +119,30 @@ def test_posterior_mode_falls_back_when_target_is_not_finite():
     assert np.array_equal(prop.mean, [0.0]) and np.array_equal(prop.cov, theta.D)
 
 
+def test_stacked_mode_search_gives_each_history_its_own_proposal():
+    """Histories of unequal lengths searched in one stack, one with a target
+    that is not finite at b = 0 and one whose search halves a step: each gets
+    the mode, covariance, iteration count and fallback it gets alone."""
+    from conftest import gaussian_joint_model, true_parameters
+
+    spec, assoc = gaussian_joint_model()
+    theta = true_parameters(spec, alpha=0.8)
+    histories = [SubjectHistory({"w": 1.0}, [0.0, 0.5, 1.5], [3.5, 3.9, 4.6], 2.0),
+                 SubjectHistory({"w": 0.0}, [], [], 2.0),
+                 SubjectHistory({"w": 0.0}, [0.0], [1e200], 2.0),
+                 SubjectHistory({"w": 1.0}, [0.0, 1.0], [6.0, 7.4], 2.0),
+                 SubjectHistory({"w": 1.0}, [0.0, 1.0], [12.0, 16.0], 2.0)]  # halves a step
+    with np.errstate(over="ignore"):  # the third history's squared residual
+        stacked = posterior_mode_re(_ConditionData(spec, assoc, histories), theta)
+        alone = [posterior_mode_re(_ConditionData(spec, assoc, h), theta) for h in histories]
+    assert stacked.fallback.tolist() == [False, False, True, False, False]
+    for s, prop in enumerate(alone):
+        assert stacked.fallback[s] == prop.fallback
+        assert stacked.iterations[s] == prop.iterations
+        np.testing.assert_allclose(stacked.mean[s], prop.mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(stacked.cov[s], prop.cov, rtol=1e-12, atol=1e-14)
+
+
 # --- conditional random-effects draws -------------------------------------------
 
 def test_zero_survival_chain_rejects_every_candidate():

@@ -19,6 +19,7 @@ from jmsched.model import (
     SplineTime,
     Subject,
     SubjectHistory,
+    cumulative_hazard,
     linear_predictor,
     log_hazard,
     log_posterior_unnormalized,
@@ -208,6 +209,34 @@ def test_fixed_integral_matrix_at_unsorted_repeated_times_across_knots():
         ts, np.empty(0))
     np.testing.assert_allclose(got, np.column_stack([ts, _integral_oracle(spline, ts)]),
                                rtol=1e-13, atol=1e-13)
+
+
+def test_integrals_across_the_spline_boundary_match_integrate_split_there():
+    """Past its upper boundary knot a natural cubic spline is linear, so a
+    Gauss-Kronrod cell must end there: the time integrals and the hazard
+    integral up to times past the boundary equal ``integrate`` over cells
+    split at every knot, the boundary one named here."""
+    spline = SplineTime(NaturalCubicBasis((0.0, 6.0), (2.0, 4.0)))
+    ts = np.array([5.5, 6.0, 7.5, 9.0])
+    lspec = LongitudinalSpec(family=GAUSSIAN, time_effect=spline)
+    got = lspec.fixed_integral_matrix(ts, np.empty(0))[:, 1:]
+    for i, t in enumerate(ts):
+        edges = [c for c in (0.0, 2.0, 4.0, 6.0) if c < t] + [t]
+        for j in range(spline.n_terms):
+            f = lambda s: spline.terms_matrix(np.array([s]))[0, j]
+            want = sum(integrate(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+            assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    spec = make_spec(time_effect=spline, interior=(3.0, 5.0))
+    for variant, alpha in (("current_value", [0.3]), ("cumulative", [0.05])):
+        assoc = AssociationForm(variant)
+        theta = make_theta(spec, beta=[0.2, 0.5, -0.4, 0.3], alpha=alpha, D=np.eye(4))
+        b = np.array([0.1, -0.2, 0.3, 0.1])
+        f = lambda s: math.exp(log_hazard(theta, spec, assoc, SUBJ, b, s))
+        edges = [0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5]
+        want = sum(integrate(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+        got = cumulative_hazard(theta, spec, assoc, SUBJ, b, 7.5)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # --- hazard ---------------------------------------------------------------------
