@@ -338,7 +338,7 @@ class _ConditionData:
         prec = np.broadcast_to(inv_D, b.shape + (q,)).copy()
         if self.meas.times.size:
             Z = self.meas.pairs["eta"][1]
-            Zt = np.swapaxes(Z, -1, -2)
+            Zt = Z.swapaxes(-1, -2)
             eta = md.trajectory_features(self.meas, th.beta, b[..., None, :])["eta"][..., 0]
             mu = self.family.mean(eta)
             phi, var = ((th.phi[0], np.ones_like(mu)) if self.family.has_dispersion
@@ -355,7 +355,7 @@ class _ConditionData:
             units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
             A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(q)),
                                 lh.shape + (q,))
-            At = np.swapaxes(A, -1, -2)
+            At = A.swapaxes(-1, -2)
             grad -= (At @ r[..., None])[..., 0]
             prec += (At * r[..., None, :]) @ A
         return grad, prec
@@ -431,7 +431,7 @@ def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
     z = rng.standard_normal((size, q))
     g = rng.chisquare(PROPOSAL_DF, size)
     return (proposal.mean[..., None, :]
-            + (z @ np.swapaxes(proposal.chol, -1, -2)) * np.sqrt(PROPOSAL_DF / g)[..., None])
+            + (z @ proposal.chol.swapaxes(-1, -2)) * np.sqrt(PROPOSAL_DF / g)[..., None])
 
 
 def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
@@ -439,10 +439,10 @@ def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
     df = PROPOSAL_DF
     chol = proposal.chol
     dev = np.atleast_2d(x) - proposal.mean[..., None, :]
-    u = _solve_lower(chol, np.swapaxes(dev, -1, -2))
+    u = _solve_lower(chol, dev.swapaxes(-1, -2))
     maha = np.sum(u * u, axis=-2)
     const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0) - 0.5 * q * math.log(df * math.pi)
-             - np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1))
+             - np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(-1))
     return const[..., None] - 0.5 * (df + q) * np.log1p(maha / df)
 
 
@@ -468,11 +468,12 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
     searching = np.array(~fallback)
     steps = np.zeros(lead, dtype=int)
     chol = np.zeros(lead + (q, q))
+    histories = list(np.ndindex(lead))
     while searching.any():
         with np.errstate(over="ignore", invalid="ignore"):  # not finite: a fallback below
             grad, prec = cdata.log_target_newton(b, th1)
         step = np.zeros_like(b)
-        for s in np.ndindex(lead):
+        for s in histories:
             if not searching[s]:
                 continue
             chol_s, info = dpotrf(prec[s], lower=1)
@@ -486,7 +487,7 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
         halving, cand_value = searching.copy(), value.copy()
         while halving.any():
             values = cdata.log_target((b + step)[..., None, :], th1, target=target)[..., 0]
-            for s in np.ndindex(lead):
+            for s in histories:
                 if not halving[s]:
                     continue
                 if values[s] >= value[s] or step[s] @ grad[s] < MODE_STEP_TOL**2:
@@ -497,7 +498,7 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
         value = np.where(searching, cand_value, value)
         steps += searching
     cov = np.broadcast_to(theta.D, lead + (q, q)).copy()
-    for s in np.ndindex(lead):
+    for s in histories:
         if not fallback[s]:
             inv, _ = dpotrs(chol[s], np.eye(q), lower=1)
             cov[s] = 0.5 * (inv + inv.T)

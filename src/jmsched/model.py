@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -790,7 +789,7 @@ def _feature_rows(lspec: LongitudinalSpec, feature: str, times, cov_long):
 
 class Design:
     """Design rows at a set of times for one covariate profile, or for each
-    of a sequence of profiles.
+    of a list of profiles.
 
     ``w`` is the hazard covariate row.  ``H`` (the baseline-hazard rows) and
     ``pairs`` (each requested trajectory feature's (X_f, Z_f) rows) are built
@@ -812,16 +811,17 @@ class Design:
 
     @cached_property
     def H(self) -> np.ndarray:
-        return self.spec.baseline_matrix(self.times.ravel()).reshape(
-            self.times.shape + (self.spec.n_baseline,))
+        H = self.spec.baseline_matrix(self.times.ravel())
+        return H.reshape(self.times.shape + H.shape[-1:])
 
     @cached_property
     def pairs(self) -> dict:
         lspec = self.spec.longitudinal
         cov_long = _covariate_rows(self.covariates, lspec.covariates)
-        times = np.broadcast_to(self.times, cov_long.shape[:-1] + self.times.shape[-1:])
-        if cov_long.ndim > 1:
-            cov_long = np.repeat(cov_long, times.shape[-1], axis=0)
+        if cov_long.ndim == 1:
+            return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
+        times = np.broadcast_to(self.times, cov_long.shape[:1] + self.times.shape[-1:])
+        cov_long = np.repeat(cov_long, times.shape[1], axis=0)
 
         def rows(feature):
             built = _feature_rows(lspec, feature, times.ravel(), cov_long)
@@ -831,8 +831,8 @@ class Design:
 
 def _covariate_rows(covariates, names) -> np.ndarray:
     """The covariate row of one profile (a mapping), or (S, len(names)) for a
-    sequence of S profiles."""
-    if isinstance(covariates, Mapping):
+    list of S profiles."""
+    if not isinstance(covariates, list):
         return _covariate_row(covariates, names)
     return np.array([_covariate_row(c, names) for c in covariates]).reshape(
         len(covariates), len(names))
@@ -846,7 +846,7 @@ def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
     parameter row rows[k], shape (K,).
     """
     if rows is None:
-        return A @ np.swapaxes(P, -1, -2)
+        return A @ P.swapaxes(-1, -2)
     return np.einsum("kp,kp->k", A, P[rows])
 
 
