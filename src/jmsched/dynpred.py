@@ -258,42 +258,44 @@ def _edges(cdata, t: float, times) -> np.ndarray:
 
 
 def _running_hazard(cdata, b, th, edges) -> np.ndarray:
-    """Hazard integral from edges[0] to every edge, one column per edge, from
-    designs over the knot-free cells between them, each over as many cells as
-    fit in HAZARD_NODE_BUDGET nodes x draws; an overflow is +inf."""
-    step = max(1, HAZARD_NODE_BUDGET // (GK15.nodes.size * th.size))
-    cells = [np.zeros((th.size, 1))]
+    """Hazard integral from edges[0] to every edge, one column per edge after
+    the axes of b.shape[:-1], from designs over the knot-free cells between
+    them, each over as many cells as fit in HAZARD_NODE_BUDGET nodes x rows;
+    an overflow is +inf."""
+    step = max(1, HAZARD_NODE_BUDGET // (GK15.nodes.size * b[..., 0].size))
+    cells = [np.zeros(b.shape[:-1] + (1,))]
     cells += [cdata.cell_cum_hazard(b, th, edges[i:i + step + 1])
               for i in range(0, edges.size - 1, step)]
     with np.errstate(over="ignore"):
-        return np.cumsum(np.concatenate(cells, axis=1), axis=1)
+        return np.cumsum(np.concatenate(cells, axis=-1), axis=-1)
 
 
-def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, rng, cap: float):
-    """Inversion draws T* with S(T*)/S(u) = v for every row, where u is
-    ``cdata.t``; (times, capped).  The running hazard over the cells
-    of ``_event_time_edges`` finds each row's cell [lo, hi]; inside it, Newton
-    on the hazard solves Lambda(lo -> T) = -log v - Lambda(u -> lo), bisecting
-    where a step would leave the row's bracket, until a step is at most
-    EVENT_TIME_TOL * max(1, T) or no float lies strictly inside the bracket."""
+def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, v: np.ndarray, cap: float):
+    """Inversion draws T* with S(T*)/S(u) = v for every row of b (every
+    (history, draw) of a stacked ``cdata``), where u is ``cdata.t`` and v
+    (shaped b.shape[:-1]) holds the uniforms; (times, capped), shaped as v.
+    The running hazard over the cells of ``_event_time_edges`` finds each
+    row's cell [lo, hi]; inside it, Newton on the hazard solves
+    Lambda(lo -> T) = -log v - Lambda(u -> lo), bisecting where a step would
+    leave the row's bracket, until a step is at most EVENT_TIME_TOL * max(1, T)
+    or no float lies strictly inside the bracket.  A row's time does not
+    depend on the other rows."""
     u = cdata.t
-    size = th.size
-    rows = np.arange(size)
-    v = rng.random(size)
     with np.errstate(divide="ignore"):
         target = -np.log(v)
     edges = _event_time_edges(cdata, u, cap)
     cum = _running_hazard(cdata, b, th, edges)
-    first = np.sum(cum < target[:, None], axis=1)
+    at = lambda k: np.take_along_axis(cum, k[..., None], axis=-1)[..., 0]
+    first = np.sum(cum < target[..., None], axis=-1)
     capped = first >= edges.size
     cell = np.clip(first, 1, edges.size - 1)
     lo, hi = edges[cell - 1], edges[cell]
     start = lo
-    goal = target - cum[rows, cell - 1]
+    goal = target - at(cell - 1)
     times = np.where(capped, cap, np.nan)
     active = ~capped
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        guess = lo + (hi - lo) * (goal / (cum[rows, cell] - cum[rows, cell - 1]))
+        guess = lo + (hi - lo) * (goal / (at(cell) - at(cell - 1)))
         for _ in range(EVENT_TIME_MAX_STEPS):
             tol = EVENT_TIME_TOL * np.maximum(1.0, times)
             mid = 0.5 * (lo + hi)
@@ -325,7 +327,7 @@ def simulate_event_time(theta: md.Parameters, spec, assoc, covariates, b, u: flo
     cdata = _ConditionData(spec, assoc, SubjectHistory(covariates, (), (), u))
     th = ThetaBatch.from_parameters(theta, 1)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    times, capped = _event_time_batch(cdata, th, b, rng, cap)
+    times, capped = _event_time_batch(cdata, th, b, rng.random(1), cap)
     return float(times[0]), bool(capped[0])
 
 
@@ -362,7 +364,8 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
 
     # the landmark draw (theta_a, b_a) of replication i gives both y_i(u) and T*_i
     rng = _stream(config.seed, _EKL_STREAM)
-    t_star, _ = _event_time_batch(cdata, th_a, b_a, rng, cap=t + 100.0 * config.t_max)
+    t_star, _ = _event_time_batch(cdata, th_a, b_a, rng.random(th_a.size),
+                                  cap=t + 100.0 * config.t_max)
     noise = rng.standard_normal(th_a.size) if gaussian else rng.random(th_a.size)
 
     # the pool (theta_j, b_j), j < n_inner, on a stream of its own

@@ -197,10 +197,10 @@ class _ConditionData:
     histories at one landmark.
 
     With one history b is (B, q) and an output holds one value per draw.
-    With S histories (``lead`` = (S,)) b and every output of ``target``,
-    ``log_target_newton``, ``cum_hazard`` and ``log_hazard_grid`` carry a
-    leading history axis; the measurements are padded to the longest history
-    and masked, so each history's values are those of its own condition.
+    With S histories (``lead`` = (S,)) b and every output carry a leading
+    history axis, as do the per-draw times of the rowwise methods; the
+    measurements are padded to the longest history and masked, so each
+    history's values are those of its own condition.
     """
 
     def __init__(self, spec, assoc, history):
@@ -243,10 +243,13 @@ class _ConditionData:
         return self._node_cache[key]
 
     def _log_hazard(self, design: md.Design, th, rows=None):
-        """b -> the clamped log hazard on the design, its theta terms computed once."""
-        lh = md.log_hazard_in_b(design, self.assoc, th.gamma_h0, th.gamma, th.beta,
-                                th.alpha, rows)
-        return lambda b: np.clip(lh(b), -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+        """b -> the clamped log hazard on the design, its theta terms computed
+        once; a term that overflows is clamped with it, without a warning."""
+        with np.errstate(over="ignore"):
+            lh = md.log_hazard_in_b(design, self.assoc, th.gamma_h0, th.gamma, th.beta,
+                                    th.alpha, rows)
+        return np.errstate(over="ignore")(
+            lambda b: np.clip(lh(b), -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND))
 
     def _cum_hazard(self, th, upper, lower=0.0):
         """b -> the hazard integral over [lower, upper], ``upper`` one time or
@@ -265,14 +268,14 @@ class _ConditionData:
 
     def cell_cum_hazard(self, b, th, edges) -> np.ndarray:
         """Hazard integral over every cell [edges[j], edges[j + 1]] for every
-        draw, shape (th.size, edges.size - 1), from one design over all cells'
-        Gauss-Kronrod nodes.  Cells must not cross a hazard breakpoint; an
-        overflow is +inf."""
+        draw, shape b.shape[:-1] + (edges.size - 1,), from one design over all
+        cells' Gauss-Kronrod nodes.  Cells must not cross a hazard breakpoint;
+        an overflow is +inf."""
         edges = np.asarray(edges, float)
         s, wq = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
-        lh = self._log_hazard(self._design(s.ravel()), th)(b).reshape(*s.shape, th.size)
+        lh = self._log_hazard(self._design(s.ravel()), th)(b).reshape(*self.lead, *s.shape, -1)
         with np.errstate(over="ignore"):
-            return np.matmul(wq[:, None, :], np.exp(lh))[:, 0, :].T
+            return np.matmul(wq[:, None, :], np.exp(lh))[..., 0, :].swapaxes(-1, -2)
 
     def _design(self, times) -> md.Design:
         return md.Design(self.spec, self.assoc.features, self.covariates, times)
@@ -289,18 +292,17 @@ class _ConditionData:
 
     def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
         """Hazard integral over per-draw intervals: draw r integrates over
-        [lower[r], upper[r]].
+        [lower[r], upper[r]] (lower and upper shaped as b.shape[:-1]).
 
         Single-span Gauss-Kronrod per row; callers must ensure each interval
         does not cross a hazard breakpoint.
         """
-        s, w = mapped_nodes(GK15, np.asarray(lower, float)[:, None],
-                            np.asarray(upper, float)[:, None])
-        s, w = s.ravel(), w.ravel()
+        s, w = mapped_nodes(GK15, np.asarray(lower, float)[..., None],
+                            np.asarray(upper, float)[..., None])
         rows = np.repeat(np.arange(th.size), GK15.nodes.size)
-        lh = self._log_hazard(self._design(s), th, rows)(b)
-        vals = np.where(w != 0.0, w * np.exp(lh), 0.0)
-        return np.bincount(rows, weights=vals, minlength=th.size)
+        lh = self._log_hazard(self._design(s.reshape(*self.lead, -1)), th, rows)(b)
+        vals = np.where(w != 0.0, w * np.exp(lh.reshape(w.shape)), 0.0)
+        return np.cumsum(vals, axis=-1)[..., -1]     # summed node by node, in order
 
     def target(self, th):
         """``log_target`` at fixed ``th`` as a function of b: the terms free of b
@@ -1220,6 +1222,11 @@ def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
     if header[2:] != expected:
         raise DataError(f"{path} line 1: the model's parameter columns are "
                         f"chain,iteration,{','.join(expected)}")
+    keys = data[:, :2]
+    whole = np.all((keys == np.floor(keys)) & (np.abs(keys) < 2.0**63), axis=1)
+    if not whole.all():
+        raise DataError(f"{path} line {lines[np.argmin(whole)]}: chain and iteration "
+                        f"must be integers")
     cols = {name: data[:, j] for j, name in enumerate(header)}
     v = md.unflatten(cols)
     valid = (v["sigma2"] > 0) & (v["tau_h"] > 0) & (np.linalg.eigvalsh(v["D"])[:, 0] > 0)
@@ -1229,7 +1236,7 @@ def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
     return PosteriorSamples(
         beta=v["beta"], gamma=v["gamma"], alpha=v["alpha"], gamma_h0=v["gamma_h0"],
         phi=v["sigma2"], tau_h=v["tau_h"], tau_hdelta=np.ones(data.shape[0]), D=v["D"],
-        chain=cols["chain"].astype(int), iteration=cols["iteration"].astype(int),
+        chain=keys[:, 0].astype(int), iteration=keys[:, 1].astype(int),
     )
 
 

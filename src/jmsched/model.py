@@ -843,11 +843,11 @@ def _contract(A: np.ndarray, P: np.ndarray, rows=None) -> np.ndarray:
 
     Without ``rows`` every parameter row is evaluated at every time, shape
     (..., K, B), the leading axes broadcast; with ``rows``, time k belongs to
-    parameter row rows[k], shape (K,).
+    parameter row rows[k], shape (..., K).
     """
     if rows is None:
         return A @ P.swapaxes(-1, -2)
-    return np.einsum("kp,kp->k", A, P[rows])
+    return np.einsum("...kp,...kp->...k", A, P[..., rows, :])
 
 
 def features_in_b(design: Design, beta, rows=None):
@@ -877,8 +877,8 @@ def log_hazard_in_b(design: Design, assoc: AssociationForm, gamma_h0, gamma, bet
         offset = _contract(design.H, gamma_h0) + w_gamma[..., None, :]
         b_at = lambda b: b[..., None, :, :]     # each draw's b at every time
     else:
-        offset = _contract(design.H, gamma_h0, rows) + w_gamma[rows]
-        alpha, b_at = alpha[rows], lambda b: b[rows]
+        offset = _contract(design.H, gamma_h0, rows) + w_gamma[..., rows]
+        alpha, b_at = alpha[rows], lambda b: b[..., rows, :]
     feats = features_in_b(design, beta, rows)
     return lambda b: offset + assoc.value(alpha, **feats(b), b=b_at(b))
 

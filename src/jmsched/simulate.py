@@ -2,7 +2,12 @@
 
 Event times come from the same inversion sampler used for prediction, so a
 simulated cohort follows the model exactly and parameter-recovery and
-scheduling tests have a ground truth to compare against.
+scheduling tests have a ground truth to compare against.  A cohort is drawn
+in two phases: each subject draws its covariates, random effects and
+inversion uniform on its own stream, then one inversion over the stacked
+subjects gives every event time, and each stream goes on with that
+subject's censoring, visit jitter and measurements.  A subject's record
+depends only on the seed and its index, not on the other subjects.
 """
 
 from __future__ import annotations
@@ -11,9 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dynpred
 from . import model as md
-from .dynpred import simulate_event_time, simulate_future_measurement
+from .dynpred import _event_time_batch, _event_time_edges, simulate_future_measurement
 from .errors import ConfigError, DataError
+from .mcmc import ThetaBatch, _ConditionData
+from .numerics import GK15
 
 # covariate kind -> number of parameters it takes
 COVARIATE_KINDS = {"bernoulli": 1, "normal": 2, "uniform": 2, "constant": 1}
@@ -78,18 +86,36 @@ def _draw_covariates(design: SimulationDesign, rng) -> dict:
     return out
 
 
+def _event_times(design: SimulationDesign, covs: list, b: np.ndarray, v: np.ndarray, cap):
+    """Every subject's event time past 0 from its b and inversion uniform v:
+    one ``_event_time_batch`` per chunk of stacked histories, a chunk holding
+    as many subjects as keep the cells' nodes x rows within HAZARD_NODE_BUDGET;
+    (times, capped)."""
+    histories = [md.SubjectHistory(c, (), (), 0.0) for c in covs]
+    th = ThetaBatch.from_parameters(design.parameters, 1)
+    cdata = lambda part: _ConditionData(design.spec, design.assoc, part)
+    cells = _event_time_edges(cdata(histories[0]), 0.0, cap).size - 1
+    size = max(1, dynpred.HAZARD_NODE_BUDGET // (GK15.nodes.size * cells))
+    parts = [_event_time_batch(cdata(histories[k:k + size]), th, b[k:k + size, None],
+                               v[k:k + size, None], cap) for k in range(0, len(covs), size)]
+    return tuple(np.concatenate(out).ravel() for out in zip(*parts))
+
+
 def generate_dataset(design: SimulationDesign) -> md.Dataset:
-    """Draw the cohort; per-subject RNG substreams keep generation order-free."""
+    """Draw the cohort in two phases (see the module docstring); per-subject
+    RNG substreams keep generation order-free."""
     theta = design.parameters
     chol = np.linalg.cholesky(theta.D)
+    rngs = [np.random.default_rng([design.seed, i]) for i in range(design.n_subjects)]
+    covs, b, v = [], [], []
+    for rng in rngs:
+        covs.append(_draw_covariates(design, rng))
+        b.append(chol @ rng.standard_normal(theta.n_random))
+        v.append(rng.random())
+    cap = 100.0 * max(design.censor_admin or 0.0, max(design.visit_times), 5.0)
+    t_stars, cappeds = _event_times(design, covs, np.array(b), np.array(v), cap)
     subjects = []
-    for i in range(design.n_subjects):
-        rng = np.random.default_rng([design.seed, i])
-        covs = _draw_covariates(design, rng)
-        b = chol @ rng.standard_normal(theta.n_random)
-        cap = 100.0 * max(design.censor_admin or 0.0, max(design.visit_times), 5.0)
-        t_star, capped = simulate_event_time(theta, design.spec, design.assoc, covs, b,
-                                             0.0, rng, cap=cap)
+    for i, (rng, t_star, capped) in enumerate(zip(rngs, t_stars.tolist(), cappeds.tolist())):
         censor = np.inf
         if design.censor_admin is not None:
             censor = design.censor_admin
@@ -104,14 +130,14 @@ def generate_dataset(design: SimulationDesign) -> md.Dataset:
                                           size=visits.size)
         visits = np.unique(np.clip(visits, 0.0, None))
         visits = visits[visits <= observed]
-        holder = md.SubjectHistory(covs, np.empty(0), np.empty(0), t=0.0)
+        holder = md.SubjectHistory(covs[i], np.empty(0), np.empty(0), t=0.0)
         values = np.array([
-            simulate_future_measurement(design.spec, holder, b, theta, float(v), rng)
-            for v in visits
+            simulate_future_measurement(design.spec, holder, b[i], theta, float(u), rng)
+            for u in visits
         ])
         subjects.append(md.Subject(
             id=f"s{i:04d}", times=visits, y=values,
-            event_time=float(observed), event=event, covariates=covs,
+            event_time=float(observed), event=event, covariates=covs[i],
         ))
     return md.Dataset(tuple(subjects))
 

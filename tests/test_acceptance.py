@@ -228,7 +228,7 @@ def test_criterion_5_inversion_sampler_law(report):
     cdata = _ConditionData(spec, assoc, jm.SubjectHistory({"w": 0.0}, [], [], 1.0))
     th = ThetaBatch.from_parameters(theta, 10000)
     times, capped = _event_time_batch(cdata, th, np.zeros((10000, 2)),
-                                      np.random.default_rng(42), cap=501.0)
+                                      np.random.default_rng(42).random(10000), cap=501.0)
     assert not capped.any()
     res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))
     assert res.pvalue > KS_ALPHA

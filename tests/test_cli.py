@@ -276,22 +276,38 @@ def _inf_ranef(rows):
     rows[5][7] = "-inf"
 
 
+def _fractional_chain(rows):
+    rows[3][0] = "1.5"
+
+
+def _huge_iteration(rows):
+    rows[5][1] = "1e300"
+
+
 DRAWS_FAULT = ("draws", _corrupt_draws, "line 4 column gamma[0]: could not parse 'x'")
 RANEF_FAULT = ("ranef", _truncate_ranef, "line 6 column 52: expected 52 fields")
 NAN_DRAWS_FAULT = ("draws", _nan_draws, "line 4 column gamma[0]: could not parse 'nan'")
 INF_RANEF_FAULT = ("ranef", _inf_ranef, "line 6 column b[s0002,1]: could not parse '-inf'")
+FRACTIONAL_CHAIN_FAULT = ("draws", _fractional_chain,
+                          "line 4: chain and iteration must be integers")
+HUGE_ITERATION_FAULT = ("draws", _huge_iteration, "line 6: chain and iteration must be integers")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, name, corrupt, where", [
     ("predict", *DRAWS_FAULT), ("schedule", *DRAWS_FAULT), ("score", *DRAWS_FAULT),
     ("score", *RANEF_FAULT), ("predict", *NAN_DRAWS_FAULT), ("score", *NAN_DRAWS_FAULT),
-    ("score", *INF_RANEF_FAULT),
+    ("score", *INF_RANEF_FAULT), ("predict", *FRACTIONAL_CHAIN_FAULT),
+    ("score", *HUGE_ITERATION_FAULT),
 ], ids=["predict-draws", "schedule-draws", "score-draws", "score-ranef",
-        "predict-draws-nan", "score-draws-nan", "score-ranef-inf"])
+        "predict-draws-nan", "score-draws-nan", "score-ranef-inf",
+        "predict-draws-fractional-chain", "score-draws-huge-iteration"])
 def test_malformed_draws_or_ranef_csv_is_an_error(pipeline, tmp_path, capsys, command,
                                                   name, corrupt, where):
-    """A draws or random-effects CSV with a non-number or a short row ends in
-    an error naming the file, line and column, not a traceback."""
+    """A draws or random-effects CSV with a non-number, a short row or a
+    chain or iteration that is not an int64 integer ends in an error naming
+    the file and line (and column, where one field is at fault), not a
+    traceback or a silent cast."""
     tmp = pipeline
     rows = read_rows(tmp / f"fit1_{name}.csv")
     corrupt(rows)

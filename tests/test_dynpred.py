@@ -153,7 +153,7 @@ def test_event_time_exponential_law_batch():
     cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
     th = ThetaBatch.from_parameters(theta, 4000)
     times, capped = _event_time_batch(cdata, th, np.zeros((4000, 2)),
-                                      np.random.default_rng(8), cap=501.0)
+                                      np.random.default_rng(8).random(4000), cap=501.0)
     assert not capped.any()
     res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))
     assert res.pvalue > 0.01
@@ -189,7 +189,7 @@ def test_event_time_flat_hazard_is_exact():
     cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
     v = np.random.default_rng(21).random(2000)
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, v.size),
-                                      np.zeros((v.size, 2)), _FixedUniform(v), cap=u + 500.0)
+                                      np.zeros((v.size, 2)), v, cap=u + 500.0)
     assert not capped.any()
     np.testing.assert_allclose(times, u - np.log(v) / lam, rtol=1e-9, atol=0.0)
 
@@ -203,7 +203,7 @@ def test_event_time_solves_the_inversion_equation_across_cells():
     b = np.random.default_rng(22).normal(scale=[0.6, 0.15], size=(n, 2))
     v = np.random.default_rng(23).random(n)
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, n), b,
-                                      _FixedUniform(v), cap=u + 500.0)
+                                      v, cap=u + 500.0)
     edges = _event_time_edges(cdata, u, u + 500.0)
     assert np.unique(np.searchsorted(edges, times[~capped])).size >= 3
     th1 = ThetaBatch.from_parameters(theta, 1)
@@ -220,7 +220,7 @@ def test_event_time_clamped_hazard_ends_just_past_u(u):
     theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
     cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
-                                      np.zeros((500, 2)), np.random.default_rng(24),
+                                      np.zeros((500, 2)), np.random.default_rng(24).random(500),
                                       cap=u + 500.0)
     assert not capped.any()
     assert np.all((times > u) & (times <= u + 1e-6))
@@ -233,7 +233,8 @@ def test_event_time_vanishing_hazard_is_capped():
     theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
     cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
-                                      np.zeros((500, 2)), np.random.default_rng(25), cap=501.0)
+                                      np.zeros((500, 2)), np.random.default_rng(25).random(500),
+                                      cap=501.0)
     assert capped.all()
     assert np.all(times == 501.0)
 
