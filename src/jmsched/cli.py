@@ -64,6 +64,22 @@ _KIND_NAMES = {_number: "a finite number", int: "an integer",
 _REQUIRED = object()
 
 
+class _ReadKeys(dict):
+    """A config that records every key looked up in it, under ``read``."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def _get(cfg, key, kind=str, default=_REQUIRED):
     """The value under ``key`` converted by ``kind``; an empty value counts as
     missing, and a missing required key or a malformed value is a ``ConfigError``."""
@@ -499,10 +515,13 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="flat key=value configuration file")
     args = parser.parse_args(argv)
     try:
-        emitted = run(RunConfig.from_file(args.command, args.config))
+        cfg = _ReadKeys(load_config(args.config))
+        emitted = run(RunConfig(args.command, cfg))
     except (JmschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for key in [k for k in cfg if k not in cfg.read]:
+        print(f"warning: config key {key!r} is not read by {args.command}", file=sys.stderr)
     for path in emitted:
         print(path)
     return 0

@@ -334,7 +334,7 @@ def simulate_event_time(theta: md.Parameters, spec, assoc, covariates, b, u: flo
 def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float, rng):
     """One draw of the longitudinal outcome at time u from the mixed model."""
     eta = md.linear_predictor(spec.longitudinal, subject, b, theta.beta, u)
-    return spec.longitudinal.family.sample(rng, eta, theta.phi)
+    return float(spec.longitudinal.family.sample(rng, eta, theta.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -379,9 +379,9 @@ def _padded(rows, fill: float):
 
 @dataclass(frozen=True)
 class ReProposal:
-    """Independence-proposal parameters: multivariate t(PROPOSAL_DF) at the target mode;
-    ``fallback``: the mode search met a target or precision that is not finite.
-    For a condition on S histories every field has a leading history axis."""
+    """Independence-proposal parameters: multivariate t(PROPOSAL_DF) at the target mode,
+    cov's Cholesky factor and inverse cached; ``fallback``: the mode search found no
+    usable precision.  With S histories every field has a leading history axis."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -391,6 +391,10 @@ class ReProposal:
     @cached_property
     def chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.cov)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return np.linalg.inv(self.cov)
 
 
 class _Streams:
@@ -411,23 +415,6 @@ class _Streams:
         return np.stack([rng.random(size) for rng in self.rngs])
 
 
-def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chol^-1 rhs for a C-ordered lower-triangular chol, by one LAPACK call
-    (one per matrix when chol and rhs carry a leading axis).
-
-    chol.T is the Fortran-ordered upper factor U, so this solves U^T x = rhs:
-    the call ``scipy.linalg.solve_triangular`` makes for such a chol, without
-    its checks.  The literal lower-triangular call rounds differently for a
-    single right-hand side.
-    """
-    if chol.ndim > 2:
-        return np.stack([_solve_lower(c, r) for c, r in zip(chol, rhs)])
-    x, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
-    if info != 0:
-        raise NumericError(f"triangular solve failed (LAPACK info {info})")
-    return x
-
-
 def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
     q = proposal.mean.shape[-1]
     z = rng.standard_normal((size, q))
@@ -437,14 +424,14 @@ def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
 
 
 def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
+    """Log density at x (B, q), or (S, B, q) with S histories: one batched
+    Mahalanobis product over every history and row, by the cached inverse cov."""
     q = proposal.mean.shape[-1]
     df = PROPOSAL_DF
-    chol = proposal.chol
     dev = np.atleast_2d(x) - proposal.mean[..., None, :]
-    u = _solve_lower(chol, dev.swapaxes(-1, -2))
-    maha = np.sum(u * u, axis=-2)
+    maha = np.sum((dev @ proposal.inv) * dev, axis=-1)
     const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0) - 0.5 * q * math.log(df * math.pi)
-             - np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(-1))
+             - np.log(proposal.chol.diagonal(axis1=-2, axis2=-1)).sum(-1))
     return const[..., None] - 0.5 * (df + q) * np.log1p(maha / df)
 
 
@@ -455,60 +442,46 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
     both families are log-concave, the prior is Gaussian), so Newton steps
     from 0 on its exact gradient and precision, each halved until the target
     does not decrease, find the mode; the covariance is the inverse precision
-    there.  A target or precision that is not finite falls back to mean 0, cov D.
-    With S histories the searches share each stacked evaluation, and each
-    history halves its own step, stops and falls back on its own; the q x q
-    factorizations run history by history, as for one.
+    there.  A target or precision that is not finite, or a precision that is
+    not positive definite, falls back to mean 0, cov D.  A round is one
+    stacked evaluation and one eigendecomposition of all S histories'
+    precisions (a non-finite one read as the identity), which gives the
+    fallback test, the Newton step and the inverse precision; each history
+    halves its step, stops and falls back on its own, by masks.
     """
     th1 = ThetaBatch.from_parameters(theta, 1)
     target = cdata.target(th1)
-    q = theta.n_random
-    lead = cdata.lead
+    q, lead = theta.n_random, cdata.lead
     b = np.zeros(lead + (q,))
-    value = cdata.log_target(b[..., None, :], th1, target=target)[..., 0]
+    value = target(b[..., None, :])[..., 0]
     fallback = np.array(~np.isfinite(value))    # arrays, also with no history axis
-    searching = np.array(~fallback)
+    searching = ~fallback
     steps = np.zeros(lead, dtype=int)
-    chol = np.zeros(lead + (q, q))
-    histories = list(np.ndindex(lead))
+    cov = np.zeros(lead + (q, q))
     while searching.any():
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: a fallback below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see fallback
             grad, prec = cdata.log_target_newton(b, th1)
-        step = np.zeros_like(b)
-        for s in histories:
-            if not searching[s]:
-                continue
-            chol_s, info = dpotrf(prec[s], lower=1)
-            if info != 0 or not np.all(np.isfinite(prec[s])):
-                fallback[s], searching[s] = True, False
-                continue
-            chol[s] = chol_s
-            step[s], _ = dpotrs(chol_s, grad[s], lower=1)
-            if steps[s] == MODE_MAX_STEPS or step[s] @ grad[s] < MODE_STEP_TOL**2:
-                searching[s] = False
-        halving, cand_value = searching.copy(), value.copy()
+            finite = np.isfinite(prec).all(axis=(-2, -1))
+            lam, vec = np.linalg.eigh(np.where(finite[..., None, None], prec, np.eye(q)))
+            # prec^-1 = V diag(1 / lam) V', exactly symmetric
+            inv = np.sum(vec[..., :, None, :] * vec[..., None, :, :] / lam[..., None, None, :], -1)
+            step = np.sum(inv * grad[..., None, :], axis=-1)
+        fallback |= searching & ~(finite & (lam[..., 0] > 0.0))
+        searching &= ~fallback
+        cov = np.where(searching[..., None, None], inv, cov)
+        step = np.where(searching[..., None], step, 0.0)
+        searching &= (steps < MODE_MAX_STEPS) & ~(np.sum(step * grad, -1) < MODE_STEP_TOL**2)
+        halving, new = searching.copy(), value.copy()
         while halving.any():
-            values = cdata.log_target((b + step)[..., None, :], th1, target=target)[..., 0]
-            for s in histories:
-                if not halving[s]:
-                    continue
-                if values[s] >= value[s] or step[s] @ grad[s] < MODE_STEP_TOL**2:
-                    halving[s], cand_value[s] = False, values[s]
-                else:
-                    step[s] = 0.5 * step[s]
-        b = np.where(searching[..., None], b + step, b)
-        value = np.where(searching, cand_value, value)
+            cand = target((b + step)[..., None, :])[..., 0]
+            done = halving & ((cand >= value) | (np.sum(step * grad, -1) < MODE_STEP_TOL**2))
+            new, halving = np.where(done, cand, new), halving & ~done
+            step = np.where(halving[..., None], 0.5 * step, step)
+        b, value = np.where(searching[..., None], b + step, b), np.where(searching, new, value)
         steps += searching
-    cov = np.broadcast_to(theta.D, lead + (q, q)).copy()
-    for s in histories:
-        if not fallback[s]:
-            inv, _ = dpotrs(chol[s], np.eye(q), lower=1)
-            cov[s] = 0.5 * (inv + inv.T)
-    b = np.where(fallback[..., None], 0.0, b)
-    steps = np.where(fallback, 0, steps)
-    if not lead:
-        return ReProposal(mean=b, cov=cov, fallback=bool(fallback), iterations=int(steps))
-    return ReProposal(mean=b, cov=cov, fallback=fallback, iterations=steps)
+    return ReProposal(mean=np.where(fallback[..., None], 0.0, b),
+                      cov=np.where(fallback[..., None, None], theta.D, cov),
+                      fallback=fallback[()], iterations=np.where(fallback, 0, steps)[()])
 
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
@@ -765,7 +738,8 @@ class _FitData:
 
     def re_log_prior(self, b, chol_D):
         """log N(b_i; 0, D) per subject, from the Cholesky factor of D."""
-        u = _solve_lower(chol_D, b.T)
+        # U' u = b' for the upper factor U = chol_D.T: ``solve_triangular``'s call and rounding
+        u = dtrtrs(chol_D.T, b.T, lower=0, trans=1)[0]
         quad = np.sum(u * u, axis=0)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol_D))))
         return -0.5 * (self.q * math.log(2.0 * math.pi) + logdet + quad)

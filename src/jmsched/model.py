@@ -77,9 +77,12 @@ class ExponentialFamily:
         return expit(eta)
 
     def sample(self, rng, eta, phi):
+        """One draw of the outcome at each linear predictor in ``eta``, in order:
+        the values of as many one-value draws on ``rng``."""
+        eta = np.asarray(eta, dtype=float)
         if self.name == "gaussian":
-            return float(eta + math.sqrt(phi) * rng.standard_normal())
-        return float(rng.random() < self.mean(eta))
+            return eta + math.sqrt(phi) * rng.standard_normal(eta.shape)
+        return (rng.random(eta.shape) < self.mean(eta)).astype(float)
 
 
 GAUSSIAN = ExponentialFamily("gaussian")

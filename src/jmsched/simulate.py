@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynpred
 from . import model as md
-from .dynpred import _event_time_batch, _event_time_edges, simulate_future_measurement
+from .dynpred import _event_time_batch, _event_time_edges
 from .errors import ConfigError, DataError
 from .mcmc import ThetaBatch, _ConditionData
 from .numerics import GK15
@@ -130,11 +130,10 @@ def generate_dataset(design: SimulationDesign) -> md.Dataset:
                                           size=visits.size)
         visits = np.unique(np.clip(visits, 0.0, None))
         visits = visits[visits <= observed]
-        holder = md.SubjectHistory(covs[i], np.empty(0), np.empty(0), t=0.0)
-        values = np.array([
-            simulate_future_measurement(design.spec, holder, b[i], theta, float(u), rng)
-            for u in visits
-        ])
+        X, Z = md.Design(design.spec, ("eta",), covs[i], visits).pairs["eta"]
+        # row by row, as a one-visit predictor rounds; X @ beta + Z @ b may differ in the last bit
+        eta = np.array([x @ theta.beta + z @ b[i] for x, z in zip(X, Z)])
+        values = design.spec.longitudinal.family.sample(rng, eta, theta.phi)
         subjects.append(md.Subject(
             id=f"s{i:04d}", times=visits, y=values,
             event_time=float(observed), event=event, covariates=covs[i],

@@ -22,6 +22,7 @@ from jmsched.cli import (
     read_pi_csv,
     read_schedule_csv,
     read_scores_csv,
+    run,
     write_dataset,
 )
 from jmsched.errors import ConfigError, DataError, JmschedError
@@ -634,6 +635,24 @@ def test_nonpositive_predict_or_score_count_is_an_error(pipeline, tmp_path, caps
     assert main([command, cfg]) == 1
     assert "error:" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_unread_config_key_is_named_in_a_warning(pipeline, tmp_path, capsys):
+    """A misspelt key runs at the default, as before, and main names it on
+    stderr; ``run`` stays silent."""
+    text = _schedule_config(pipeline, tmp_path) + "schedule.outter=10\n"
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main(["schedule", cfg]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: config key 'schedule.outter' is not read by schedule"]
+    run(RunConfig.from_file("schedule", cfg))
+    assert capsys.readouterr().err == ""
+
+
+def test_config_of_read_keys_gives_no_warning(pipeline, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", _schedule_config(pipeline, tmp_path))
+    assert main(["schedule", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("what", ["config", "data", "draws"])

@@ -12,10 +12,13 @@ from jmsched.mcmc import (
     McmcConfig,
     PosteriorSamples,
     PriorSet,
+    ReProposal,
     ThetaBatch,
     _AdaptiveBlock,
     _ConditionData,
     _FitData,
+    _mvt_draw,
+    _mvt_logpdf,
     dic,
     effective_sample_size,
     fit,
@@ -141,6 +144,82 @@ def test_stacked_mode_search_gives_each_history_its_own_proposal():
         assert stacked.iterations[s] == prop.iterations
         np.testing.assert_allclose(stacked.mean[s], prop.mean, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(stacked.cov[s], prop.cov, rtol=1e-12, atol=1e-14)
+
+
+def test_stacked_mode_search_falls_back_history_by_history(monkeypatch):
+    """A precision of NaN and one with a negative eigenvalue, each in one
+    history's first round: those two histories fall back to mean 0, cov D,
+    while every other history gets, bit for bit, what its own search gets."""
+    spec, assoc = gaussian_joint_model()
+    theta = true_parameters(spec, alpha=0.8)
+    histories = [SubjectHistory({"w": 1.0}, [0.0, 0.5, 1.5], [3.5, 3.9, 4.6], 2.0),
+                 SubjectHistory({"w": 0.0, "fault": 1.0}, [0.0, 1.0], [3.0, 3.2], 2.0),
+                 SubjectHistory({"w": 1.0}, [0.0, 1.0], [6.0, 7.4], 2.0),
+                 SubjectHistory({"w": 0.0, "fault": 2.0}, [0.5], [2.0], 2.0),
+                 SubjectHistory({"w": 0.0}, [], [], 2.0)]
+    newton = _ConditionData.log_target_newton
+
+    def faulty(self, b, th):
+        grad, prec = newton(self, b, th)
+        covs = self.covariates if self.lead else [self.covariates]
+        fault = np.reshape([c.get("fault", 0.0) for c in covs], self.lead)[..., None, None]
+        first = np.all(b == 0.0, axis=-1)[..., None, None]
+        prec = np.where(first & (fault == 1.0), np.nan, prec)
+        return grad, np.where(first & (fault == 2.0), -prec, prec)
+
+    monkeypatch.setattr(_ConditionData, "log_target_newton", faulty)
+    stacked = posterior_mode_re(_ConditionData(spec, assoc, histories), theta)
+    alone = [posterior_mode_re(_ConditionData(spec, assoc, h), theta) for h in histories]
+    assert stacked.fallback.tolist() == [False, True, False, True, False]
+    for s, prop in enumerate(alone):
+        if stacked.fallback[s]:
+            assert np.array_equal(stacked.mean[s], [0.0, 0.0])
+            assert np.array_equal(stacked.cov[s], theta.D) and stacked.iterations[s] == 0
+        assert stacked.fallback[s] == prop.fallback
+        assert stacked.iterations[s] == prop.iterations
+        assert np.array_equal(stacked.mean[s], prop.mean)
+        assert np.array_equal(stacked.cov[s], prop.cov)
+
+
+# --- Student-t proposal density -------------------------------------------------
+
+def scipy_t_logpdf(x, mean, cov):
+    from scipy.stats import multivariate_t
+    return multivariate_t(loc=mean, shape=cov, df=4).logpdf(x)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_mvt_logpdf_matches_scipy_for_one_history(q):
+    rng = np.random.default_rng(q)
+    a = rng.normal(size=(q, q))
+    proposal = ReProposal(mean=rng.normal(size=q), cov=a @ a.T + 0.5 * np.eye(q))
+    x = _mvt_draw(rng, proposal, 50)
+    np.testing.assert_allclose(_mvt_logpdf(x, proposal),
+                               scipy_t_logpdf(x, proposal.mean, proposal.cov), rtol=1e-12)
+
+
+def test_mvt_logpdf_matches_scipy_for_stacked_histories():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 2, 2))
+    proposal = ReProposal(mean=rng.normal(size=(3, 2)) * [[1.0], [10.0], [0.1]],
+                          cov=a @ a.swapaxes(-1, -2) + np.diag([0.1, 2.0]),
+                          fallback=np.zeros(3, bool), iterations=np.ones(3, int))
+    x = _mvt_draw(np.random.default_rng(6), proposal, 40)
+    got = _mvt_logpdf(x, proposal)
+    assert got.shape == (3, 40)
+    for s in range(3):
+        np.testing.assert_allclose(got[s], scipy_t_logpdf(x[s], proposal.mean[s],
+                                                          proposal.cov[s]), rtol=1e-12)
+
+
+def test_mvt_logpdf_matches_scipy_for_a_fallback_proposal():
+    spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
+    history = SubjectHistory({}, [], [], t=1e10)
+    proposal = posterior_mode_re(_ConditionData(spec, assoc, history), theta)
+    assert proposal.fallback and np.array_equal(proposal.cov, theta.D)
+    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    np.testing.assert_allclose(_mvt_logpdf(x, proposal), scipy_t_logpdf(x, [0.0], theta.D),
+                               rtol=1e-12)
 
 
 # --- conditional random-effects draws -------------------------------------------
