@@ -374,7 +374,7 @@ def cmd_score(cfg) -> list:
         raise ConfigError("score needs a comma list under 'models'")
     seed = _get(cfg, "seed", _natural)
     options = _options(cfg, n_theta_draws=("score.theta_draws", int),
-                       n_re_draws=("score.re_draws", int), warmup=("score.warmup", int))
+                       n_re_draws=("score.re_draws", int))
     scores = []
     for mid in model_ids:
         variant = _get(cfg, f"{mid}.association", str, None)

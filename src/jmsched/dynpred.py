@@ -18,12 +18,14 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from . import model as md
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .mcmc import (
     RE_WARMUP,
     PosteriorSamples,
     ThetaBatch,
     _ConditionData,
+    _mvt_draw,
+    _mvt_logpdf,
     _re_mh_draws,
     _Streams,
     posterior_mode_re,
@@ -182,38 +184,35 @@ def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc,
-           n_theta_draws: int = None, n_re_draws: int = 25, seed: int = 0,
-           warmup: int = RE_WARMUP) -> float:
+           n_theta_draws: int = None, n_re_draws: int = 25, seed: int = 0) -> float:
     """Mean conditional predictive log density over subjects still at risk at t.
 
     For each subject with T_i > t the conditional density
-    p(T_i, delta_i | T_i > t, measurements up to t, theta) is averaged over
-    ``n_re_draws`` fresh conditional random-effect draws per posterior draw,
-    and the per-subject predictive density is the harmonic-mean combination
-    over posterior draws (conditional predictive ordinate).  Higher is better.
+    p(T_i, delta_i | T_i > t, measurements up to t, theta) is estimated per
+    posterior draw by self-normalized importance sampling: ``n_re_draws``
+    draws of b from the Student-t proposal at the mode of
+    p(b | Y(t), T* > t, theta-hat), weighted within that posterior draw.
+    The per-subject predictive density is the harmonic-mean combination over
+    posterior draws (conditional predictive ordinate).  Higher is better.
 
-    The subjects at risk are scored in chunks: one conditional-RE chain over
-    a chunk's stacked histories (one mode search, one MH sampler, one final
-    density), with as many subjects as keep its nodes x rows within
-    HAZARD_NODE_BUDGET; with every posterior draw a chunk holds one subject.
-    Each subject draws on its own stream, so its value does not depend on
-    the chunks or on the other subjects.
+    The subjects at risk are scored in chunks of stacked histories, one mode
+    search and one proposal draw each, with as many subjects as keep its
+    nodes x rows within HAZARD_NODE_BUDGET.  Each subject draws on its own
+    stream, so its value does not depend on the chunks or on the other
+    subjects.  A posterior draw whose weights are all zero is a NumericError.
     """
-    _check_counts(n_re_draws=n_re_draws, warmup=warmup)
+    _check_counts(n_re_draws=n_re_draws)
     if n_theta_draws is not None:
         _check_counts(n_theta_draws=n_theta_draws)
     at_risk = [s for s in dataset.subjects if s.event_time > t]
     n_t = len(at_risk)
     if n_t == 0:
         raise DomainError(f"no subjects at risk at landmark t={t}")
-    n_avail = samples.n_draws
-    rng_idx = _stream(seed, _CV_IDX_STREAM)
-    if n_theta_draws is None or n_theta_draws >= n_avail:
-        idx = np.arange(n_avail)
+    if n_theta_draws is None or n_theta_draws >= samples.n_draws:
+        idx = np.arange(samples.n_draws)
     else:
-        idx = rng_idx.integers(0, n_avail, size=n_theta_draws)
-    m = int(n_re_draws)
-    th = ThetaBatch.from_samples(samples, np.repeat(idx, m))
+        idx = _stream(seed, _CV_IDX_STREAM).integers(0, samples.n_draws, size=n_theta_draws)
+    th = ThetaBatch.from_samples(samples, np.repeat(idx, n_re_draws))
     theta_hat = samples.mean_parameters(spec)
     histories = [SubjectHistory.from_subject(s, t) for s in at_risk]
     # a chunk's widest design: the nodes of [0, t] or of some [t, T_i], or the measurements
@@ -228,12 +227,19 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
         cdata = _ConditionData(spec, assoc, histories[start:start + size])
         proposal = posterior_mode_re(cdata, theta_hat)
         rng = _Streams(_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk)
-        b = _re_mh_draws(cdata, th, proposal, rng, warmup)
+        b = _mvt_draw(rng, proposal, th.size)
+        log_w = cdata.log_target(b, th) - _mvt_logpdf(b, proposal)
+        log_w = log_w.reshape(len(chunk), idx.size, n_re_draws)
+        log_norm = logsumexp(log_w, axis=2, keepdims=True)
+        zero = ~np.all(log_norm > -np.inf, axis=(1, 2))
+        if zero.any():
+            raise NumericError(f"every importance weight of subject {chunk[zero.argmax()].id!r} "
+                               f"at landmark t={t} is zero for a posterior draw")
         T = np.array([s.event_time for s in chunk])
         event = np.array([s.event == 1 for s in chunk])
         ll = -cdata.cum_hazard(b, th, T, lower=t)
         ll = np.where(event[:, None], ll + cdata.log_hazard_grid(T[:, None], b, th)[:, 0], ll)
-        per_theta = logsumexp(ll.reshape(len(chunk), idx.size, m), axis=2) - math.log(m)
+        per_theta = logsumexp(ll.reshape(log_w.shape) + log_w - log_norm, axis=2)
         log_cpo = -(logsumexp(-per_theta, axis=1) - math.log(idx.size))
         total = sum(log_cpo.tolist(), total)
     return total / n_t

@@ -411,9 +411,6 @@ class _Streams:
     def chisquare(self, df, size):
         return np.stack([rng.chisquare(df, size) for rng in self.rngs])
 
-    def random(self, size):
-        return np.stack([rng.random(size) for rng in self.rngs])
-
 
 def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
     q = proposal.mean.shape[-1]
@@ -486,24 +483,21 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
                  rng, warmup: int, n_keep: int = 0):
-    """Vectorized independence Metropolis-Hastings for the conditional REs.
+    """Vectorized independence Metropolis-Hastings for the conditional REs of
+    one history, b (th.size, q), started at the proposal's mean.
 
     Runs ``warmup`` iterations on th.size parallel rows and returns the final
     states; with ``n_keep`` > 0 also collects that many post-warmup states of
     the (single-row) chain.  A candidate of target -inf (zero survival) is
-    rejected, even from a state of target -inf.  For a condition on S
-    histories every history runs its rows on its own generator of ``rng``
-    (a ``_Streams``) with its own proposal, and b is (S, th.size, q).
+    rejected, even from a state of target -inf.
     """
     size = th.size
     target = cdata.target(th)
-    mean = proposal.mean[..., None, :]
-    b = np.broadcast_to(mean, mean.shape[:-2] + (size, mean.shape[-1])).copy()
+    b = np.tile(proposal.mean, (size, 1))
     lp = cdata.log_target(b, th, target)
     lq = _mvt_logpdf(b, proposal)
     kept = []
-    total = warmup + (n_keep if n_keep else 0)
-    for it in range(total):
+    for it in range(warmup + n_keep):
         cand = _mvt_draw(rng, proposal, size)
         lp_c = cdata.log_target(cand, th, target)
         lq_c = _mvt_logpdf(cand, proposal)
@@ -513,11 +507,9 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
         b[accept] = cand[accept]
         lp[accept] = lp_c[accept]
         lq[accept] = lq_c[accept]
-        if n_keep and it >= warmup:
+        if it >= warmup:
             kept.append(b.copy())
-    if n_keep:
-        return np.concatenate(kept, axis=-2)
-    return b
+    return np.concatenate(kept) if n_keep else b
 
 
 def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
@@ -1077,25 +1069,26 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
     if samples.ranef is None:
         raise SpecError("DIC needs per-subject random-effect draws")
     fd = _FitData(dataset, spec, assoc)
-    devs = np.empty(samples.n_draws)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
-        for g in range(samples.n_draws):
-            ll = fd.per_subject_loglik(samples.beta[g], samples.gamma[g], samples.alpha[g],
-                                       samples.gamma_h0[g], float(samples.phi[g]),
-                                       samples.ranef[g], strict=False).value
-            devs[g] = -2.0 * float(ll.sum())
-            if not math.isfinite(devs[g]):
-                raise NumericError(f"deviance is not finite at chain {samples.chain[g]} "
-                                   f"iteration {samples.iteration[g]}")
-        dbar = float(devs.mean())
+    def deviance(where, *state):
+        terms = fd.per_subject_loglik(*state, strict=False)
+        dev = -2.0 * float(terms.value.sum())
+        if terms.bad.any() or not math.isfinite(dev):
+            raise NumericError(f"deviance is not finite, or a log hazard passes the guard "
+                               f"bound {md.LOG_HAZARD_BOUND:g}, at {where}")
+        return dev
+
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by deviance, not warned
+        dbar = float(np.mean([
+            deviance(f"chain {samples.chain[g]} iteration {samples.iteration[g]}",
+                     samples.beta[g], samples.gamma[g], samples.alpha[g], samples.gamma_h0[g],
+                     float(samples.phi[g]), samples.ranef[g])
+            for g in range(samples.n_draws)]))
         mean = samples.mean_parameters(spec)
-        ll_hat = fd.per_subject_loglik(mean.beta, mean.gamma, mean.alpha, mean.gamma_h0,
-                                       mean.phi, samples.ranef.mean(0), strict=False).value
-        d_hat = -2.0 * float(ll_hat.sum())
-        p_d = dbar - d_hat
-        value = dbar + p_d
+        d_hat = deviance("the posterior mean", mean.beta, mean.gamma, mean.alpha,
+                         mean.gamma_h0, mean.phi, samples.ranef.mean(0))
+        value = dbar + (dbar - d_hat)
     if not math.isfinite(value):
-        raise NumericError("deviance at the posterior mean, or DIC, is not finite")
+        raise NumericError("DIC is not finite")
     return value
 
 

@@ -251,7 +251,7 @@ def test_criterion_6_cvdcl_analytic(report):
     t = 2.0
     samples = PosteriorSamples.degenerate(theta, 60)
     got = cv_dcl(samples, dataset, t, spec, assoc, n_theta_draws=30, n_re_draws=5,
-                 seed=3, warmup=40)
+                 seed=3)
     at_risk = [s for s in dataset.subjects if s.event_time > t]
     analytic = float(np.mean([
         s.event * math.log(lam) - lam * (s.event_time - t) for s in at_risk]))
@@ -293,7 +293,7 @@ def ranking_study():
             samples = fit(dataset, sp, asc, PriorSet(), config)
             row[name] = (
                 cv_dcl(samples, dataset, t_land, sp, asc, n_theta_draws=120,
-                       n_re_draws=8, seed=3, warmup=150),
+                       n_re_draws=8, seed=3),
                 dic(samples, dataset, sp, asc),
             )
         results.append(row)

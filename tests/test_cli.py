@@ -338,6 +338,26 @@ model.association=current_value
     assert err.startswith("error:") and str(bad) in err and where in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_score_with_a_huge_random_effect_is_an_error(pipeline, tmp_path, capsys):
+    """A finite random effect so large that a subject's log hazard passes the
+    guard bound makes the deviance meaningless: score ends in an error naming
+    the draw's chain and iteration, not in a finite DIC and exit 0."""
+    draws = read_rows(pipeline / "fit1_draws.csv")
+    alpha = draws[0].index("alpha[0]")
+    k = next(k for k, row in enumerate(draws[1:], 1) if float(row[alpha]) > 0.0)
+    rows = read_rows(pipeline / "fit1_ranef.csv")
+    rows[k][rows[0].index("b[s0001,0]")] = "1e150"    # with alpha > 0, log h grows with b
+    ranef = tmp_path / "huge_ranef.csv"
+    with open(ranef, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path / "score.cfg", _score_config(pipeline, tmp_path, ranef=ranef))
+    assert main(["score", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"chain {rows[k][0]} iteration {rows[k][1]}" in err
+    assert not (tmp_path / "sc_scores.csv").exists()
+
+
 # --- dataset parsing -----------------------------------------------------------------------
 
 def test_dataset_round_trip(tmp_path):
@@ -607,7 +627,7 @@ schedule.warmup=10
 @pytest.mark.parametrize("command, key, value", [
     ("score", "score.re_draws", "0"), ("score", "score.re_draws", "-1"),
     ("score", "score.theta_draws", "0"), ("score", "score.theta_draws", "-2"),
-    ("score", "score.warmup", "-1"), ("predict", "predict.g_pi", "0"),
+    ("predict", "predict.g_pi", "0"),
     ("predict", "predict.g_pi", "-1"), ("predict", "predict.points", "0"),
     ("predict", "predict.warmup", "-1"),
     ("schedule", "schedule.outer", "0"), ("schedule", "schedule.inner", "0"),
@@ -635,6 +655,15 @@ def test_nonpositive_predict_or_score_count_is_an_error(pipeline, tmp_path, caps
     assert main([command, cfg]) == 1
     assert "error:" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_score_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
+    """score draws its random effects by importance sampling, with no warm-up
+    chain: a config that still sets score.warmup runs and names the key."""
+    cfg = write_config(tmp_path / "c.cfg", _score_config(pipeline, tmp_path))
+    assert main(["score", cfg]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: config key 'score.warmup' is not read by score"]
 
 
 def test_unread_config_key_is_named_in_a_warning(pipeline, tmp_path, capsys):

@@ -865,7 +865,7 @@ def test_bernoulli_joint_model_end_to_end(tmp_path):
 
     t_land = 2.0
     score = cv_dcl(samples, dataset, t_land, spec, assoc, n_theta_draws=20,
-                   n_re_draws=4, seed=1, warmup=50)
+                   n_re_draws=4, seed=1)
     assert math.isfinite(score)
     history = SubjectHistory({}, [0.0, 1.0], [0.0, 1.0], t=1.5)
     pi = conditional_survival(history, 3.0, samples, spec, assoc, g_pi=200, seed=2,
