@@ -1069,6 +1069,7 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
     if samples.ranef is None:
         raise SpecError("DIC needs per-subject random-effect draws")
     fd = _FitData(dataset, spec, assoc)
+
     def deviance(where, *state):
         terms = fd.per_subject_loglik(*state, strict=False)
         dev = -2.0 * float(terms.value.sum())
