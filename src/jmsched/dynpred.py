@@ -27,7 +27,6 @@ from .mcmc import (
     _mvt_draw,
     _mvt_logpdf,
     _re_mh_draws,
-    _Streams,
     posterior_mode_re,
 )
 from .model import SubjectHistory
@@ -135,7 +134,8 @@ def _stream(seed, *keys):
 
 class _PiMachine:
     """Landmark draws (theta, b) from p(theta, b | Y(t), T* > t), with the
-    condition and the mode-centred proposal they were drawn with.
+    condition (a stack of one history) and the mode-centred proposal they
+    were drawn with; b is (1, g_pi, q).
 
     The same draws serve every horizon u, so the estimated curve is
     nonincreasing in u and deterministic given the seed.  In a plan they are
@@ -148,9 +148,9 @@ class _PiMachine:
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
         self.t = history.t
-        self.cdata = _ConditionData(spec, assoc, history)
+        self.cdata = _ConditionData(spec, assoc, [history])
         self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
-        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, rng, warmup)
+        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, [rng], warmup)
 
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
@@ -158,8 +158,8 @@ class _PiMachine:
         us = np.asarray(us, dtype=float)
         if np.any(us < self.t):
             raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {self.t}")
-        edges = _edges(self.cdata, self.t, us)
-        cum = _running_hazard(self.cdata, self.b, self.th, edges)
+        edges = _edges(self.cdata.spec, self.t, us)
+        cum = _running_hazard(self.cdata, self.b, self.th, edges)[0]
         return np.exp(-cum).mean(axis=0)[np.searchsorted(edges, us)]
 
     def pi(self, u: float) -> float:
@@ -226,8 +226,8 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
         chunk = at_risk[start:start + size]
         cdata = _ConditionData(spec, assoc, histories[start:start + size])
         proposal = posterior_mode_re(cdata, theta_hat)
-        rng = _Streams(_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk)
-        b = _mvt_draw(rng, proposal, th.size)
+        rngs = [_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk]
+        b = _mvt_draw(rngs, proposal, th.size)
         log_w = cdata.log_target(b, th) - _mvt_logpdf(b, proposal)
         log_w = log_w.reshape(len(chunk), idx.size, n_re_draws)
         log_norm = logsumexp(log_w, axis=2, keepdims=True)
@@ -249,17 +249,17 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
 # Event-time simulation by inversion
 # ---------------------------------------------------------------------------
 
-def _event_time_edges(cdata, u: float, cap: float) -> np.ndarray:
+def _event_time_edges(spec, u: float, cap: float) -> np.ndarray:
     """Bracketing grid: doubled horizons plus hazard knots, knot-free cells."""
     horizons = u + 2.0 ** np.arange(math.ceil(math.log2(max(cap - u, 1.0))) + 1)
-    return _edges(cdata, u, np.append(horizons[horizons < cap], cap))
+    return _edges(spec, u, np.append(horizons[horizons < cap], cap))
 
 
-def _edges(cdata, t: float, times) -> np.ndarray:
+def _edges(spec, t: float, times) -> np.ndarray:
     """t, the given times and the hazard knots between them, sorted and unique:
     the edges of knot-free cells."""
     hi = np.max(times, initial=t)
-    knots = [c for c in cdata.spec.hazard_breakpoints if t < c < hi]
+    knots = [c for c in spec.hazard_breakpoints if t < c < hi]
     return np.unique(np.concatenate([[t], times, knots]))
 
 
@@ -278,7 +278,7 @@ def _running_hazard(cdata, b, th, edges) -> np.ndarray:
 
 def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, v: np.ndarray, cap: float):
     """Inversion draws T* with S(T*)/S(u) = v for every row of b (every
-    (history, draw) of a stacked ``cdata``), where u is ``cdata.t`` and v
+    (history, draw) of ``cdata``), where u is ``cdata.t`` and v
     (shaped b.shape[:-1]) holds the uniforms; (times, capped), shaped as v.
     The running hazard over the cells of ``_event_time_edges`` finds each
     row's cell [lo, hi]; inside it, Newton on the hazard solves
@@ -289,7 +289,7 @@ def _event_time_batch(cdata, th: ThetaBatch, b: np.ndarray, v: np.ndarray, cap: 
     u = cdata.t
     with np.errstate(divide="ignore"):
         target = -np.log(v)
-    edges = _event_time_edges(cdata, u, cap)
+    edges = _event_time_edges(cdata.spec, u, cap)
     cum = _running_hazard(cdata, b, th, edges)
     at = lambda k: np.take_along_axis(cum, k[..., None], axis=-1)[..., 0]
     first = np.sum(cum < target[..., None], axis=-1)
@@ -330,11 +330,11 @@ def simulate_event_time(theta: md.Parameters, spec, assoc, covariates, b, u: flo
     means the survival ratio never fell to v before the cap."""
     if cap is None:
         cap = u + 100.0 * DEFAULT_T_MAX
-    cdata = _ConditionData(spec, assoc, SubjectHistory(covariates, (), (), u))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory(covariates, (), (), u)])
     th = ThetaBatch.from_parameters(theta, 1)
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    times, capped = _event_time_batch(cdata, th, b, rng.random(1), cap)
-    return float(times[0]), bool(capped[0])
+    b = np.reshape(np.asarray(b, dtype=float), (1, 1, -1))
+    times, capped = _event_time_batch(cdata, th, b, rng.random((1, 1)), cap)
+    return float(times[0, 0]), bool(capped[0, 0])
 
 
 def simulate_future_measurement(spec, subject, b, theta: md.Parameters, u: float, rng):
@@ -370,31 +370,33 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
 
     # the landmark draw (theta_a, b_a) of replication i gives both y_i(u) and T*_i
     rng = _stream(config.seed, _EKL_STREAM)
-    t_star, _ = _event_time_batch(cdata, th_a, b_a, rng.random(th_a.size),
-                                  cap=t + 100.0 * config.t_max)
+    times, _ = _event_time_batch(cdata, th_a, b_a, rng.random((1, th_a.size)),
+                                 cap=t + 100.0 * config.t_max)
+    t_star = times[0]
     noise = rng.standard_normal(th_a.size) if gaussian else rng.random(th_a.size)
 
     # the pool (theta_j, b_j), j < n_inner, on a stream of its own
     pool_rng = _stream(config.seed, _EKL_POOL_STREAM)
     idx = pool_rng.integers(0, samples.n_draws, size=config.n_inner)
     th_p = ThetaBatch.from_samples(samples, idx)
-    b_p = _re_mh_draws(cdata, th_p, machine.proposal, pool_rng, config.re_warmup)
+    b_p = _re_mh_draws(cdata, th_p, machine.proposal, [pool_rng], config.re_warmup)
 
     # log h_j(T*_i) - Lambda_j(t -> T*_i), shape (n_outer, n_inner); its edges
     # hold no candidate time, so a value does not depend on the other times
-    edges = _edges(cdata, t, t_star)
-    cum = _running_hazard(cdata, b_p, th_p, edges)
-    log_dens = cdata.log_hazard_grid(t_star, b_p, th_p) - cum[:, np.searchsorted(edges, t_star)].T
+    edges = _edges(spec, t, t_star)
+    cum = _running_hazard(cdata, b_p, th_p, edges)[0]
+    log_dens = (cdata.log_hazard_grid(t_star[None], b_p, th_p)[0]
+                - cum[:, np.searchsorted(edges, t_star)].T)
 
     values = np.empty((len(us), th_a.size))
     for k, u in enumerate(us):
         point = md.Design(spec, ("eta",), history.covariates, np.array([u]))
-        eta_a = md.trajectory_features(point, th_a.beta, b_a)["eta"][0]
+        eta_a = md.trajectory_features(point, th_a.beta, b_a[0])["eta"][0]
         y_u = (eta_a + np.sqrt(th_a.phi) * noise if gaussian
                else (noise < expit(eta_a)).astype(float))
-        eta_p = md.trajectory_features(point, th_p.beta, b_p)["eta"][0]
+        eta_p = md.trajectory_features(point, th_p.beta, b_p[0])["eta"][0]
         ll = md.long_log_terms(family, y_u[:, None], eta_p, th_p.phi)
-        survive = cdata.cum_hazard(b_p, th_p, u, lower=t)
+        survive = cdata.cum_hazard(b_p, th_p, u, lower=t)[0]
         numerator = logsumexp(ll + log_dens, axis=1) - logsumexp(ll - survive, axis=1)
         values[k] = np.where(t_star > u, numerator, 0.0)
     return values

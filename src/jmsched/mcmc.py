@@ -110,13 +110,6 @@ class PosteriorSamples:
     def n_random(self) -> int:
         return self.D.shape[1]
 
-    def parameters(self, spec: md.JointModelSpec, g: int) -> md.Parameters:
-        return md.Parameters(
-            beta=self.beta[g], phi=float(self.phi[g]), D=self.D[g],
-            gamma=self.gamma[g], alpha=self.alpha[g],
-            baseline=spec.make_baseline(self.gamma_h0[g], float(self.tau_h[g])),
-        )
-
     def mean_parameters(self, spec: md.JointModelSpec) -> md.Parameters:
         """Posterior means, summed over contiguous columns as ``read_draws_csv``
         lays them out (numpy sums strided ones in another order, other bits)."""
@@ -192,34 +185,28 @@ class ThetaBatch:
 # ---------------------------------------------------------------------------
 
 class _ConditionData:
-    """Vectorized evaluator of p(b | the measurements of ``history``, survival
-    past its landmark t, theta), for one history or for each of a sequence of
-    histories at one landmark.
+    """Vectorized evaluator of p(b | the measurements of a history, survival
+    past its landmark t, theta) for each of a sequence of S histories at one
+    landmark; one history is a sequence of one.
 
-    With one history b is (B, q) and an output holds one value per draw.
-    With S histories (``lead`` = (S,)) b and every output carry a leading
-    history axis, as do the per-draw times of the rowwise methods; the
-    measurements are padded to the longest history and masked, so each
-    history's values are those of its own condition.
+    b and every output carry a leading history axis, b (S, B, q), as do the
+    per-draw times of the rowwise methods.  The measurements are padded to
+    the longest history and masked, so each history's values are those of
+    its own condition.
     """
 
-    def __init__(self, spec, assoc, history):
+    def __init__(self, spec, assoc, histories):
         self.spec = spec
         self.assoc = assoc
         self.family = spec.longitudinal.family
-        single = isinstance(history, md.SubjectHistory)
-        histories = [history] if single else list(history)
+        histories = list(histories)
         self.t = histories[0].t
         if any(h.t != self.t for h in histories):
             raise SpecError("stacked histories must share one landmark")
-        self.lead = () if single else (len(histories),)
-        if single:
-            self.covariates, times, self.y = history.covariates, history.times, history.y
-            self.observed = None
-        else:
-            self.covariates = [h.covariates for h in histories]
-            times, self.observed = _padded([h.times for h in histories], self.t)
-            self.y, _ = _padded([h.y for h in histories], 0.0)
+        self.n_histories = len(histories)
+        self.covariates = [h.covariates for h in histories]
+        times, self.observed = _padded([h.times for h in histories], self.t)
+        self.y, _ = _padded([h.y for h in histories], 0.0)
         self.family.check_response(self.y)
         self.meas = md.Design(spec, ("eta",), self.covariates, times)
         self._node_cache = {}
@@ -273,7 +260,8 @@ class _ConditionData:
         an overflow is +inf."""
         edges = np.asarray(edges, float)
         s, wq = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
-        lh = self._log_hazard(self._design(s.ravel()), th)(b).reshape(*self.lead, *s.shape, -1)
+        lh = self._log_hazard(self._design(s.ravel()), th)(b).reshape(
+            self.n_histories, *s.shape, -1)
         with np.errstate(over="ignore"):
             return np.matmul(wq[:, None, :], np.exp(lh))[..., 0, :].swapaxes(-1, -2)
 
@@ -281,13 +269,13 @@ class _ConditionData:
         return md.Design(self.spec, self.assoc.features, self.covariates, times)
 
     def log_hazard_rowwise(self, times, b, th) -> np.ndarray:
-        """log hazard at a per-draw time: draw r at times[r]."""
+        """log hazard at a per-draw time: draw r of history s at times[s, r]."""
         return self._log_hazard(self._design(np.asarray(times, float)), th,
                                 np.arange(th.size))(b)
 
     def log_hazard_grid(self, times, b, th) -> np.ndarray:
-        """log hazard of every draw at every time, shape (times.size, th.size);
-        with S histories, times (S, K) and b (S, th.size, q) give (S, K, th.size)."""
+        """log hazard of every draw at every time: times (S, K) and b
+        (S, th.size, q) give (S, K, th.size)."""
         return self._log_hazard(self._design(np.asarray(times, float)), th)(b)
 
     def cum_hazard_rowwise(self, b, th, lower, upper) -> np.ndarray:
@@ -300,7 +288,7 @@ class _ConditionData:
         s, w = mapped_nodes(GK15, np.asarray(lower, float)[..., None],
                             np.asarray(upper, float)[..., None])
         rows = np.repeat(np.arange(th.size), GK15.nodes.size)
-        lh = self._log_hazard(self._design(s.reshape(*self.lead, -1)), th, rows)(b)
+        lh = self._log_hazard(self._design(s.reshape(self.n_histories, -1)), th, rows)(b)
         vals = np.where(w != 0.0, w * np.exp(lh.reshape(w.shape)), 0.0)
         return np.cumsum(vals, axis=-1)[..., -1]     # summed node by node, in order
 
@@ -315,9 +303,7 @@ class _ConditionData:
             out = th.re_log_prior(b)
             if eta_m is not None:
                 terms = md.long_log_terms(self.family, self.y[..., None], eta_m(b)["eta"], th.phi)
-                if self.observed is not None:
-                    terms = np.where(self.observed[..., None], terms, 0.0)
-                out = out + terms.sum(-2)
+                out = out + np.where(self.observed[..., None], terms, 0.0).sum(-2)
             return out - cum(b)
         return log_target
 
@@ -328,8 +314,8 @@ class _ConditionData:
         return (target or self.target(th))(b)
 
     def log_target_newton(self, b, th):
-        """Gradient and precision (negative Hessian) of ``log_target`` at b (q,),
-        or (S, q) with S histories, for the single theta row of ``th``: -D^-1 b
+        """Gradient and precision (negative Hessian) of ``log_target`` at b
+        (S, q), one point per history, for the single theta row of ``th``: -D^-1 b
         and D^-1 from the prior; Z'(y - mu)/phi and Z'V(mu)Z/phi from the
         measurements (canonical links); and, as log h = c + A b is affine in b
         (A: the association at unit b), -A'r and A' diag(r) A with
@@ -345,9 +331,7 @@ class _ConditionData:
             mu = self.family.mean(eta)
             phi, var = ((th.phi[0], np.ones_like(mu)) if self.family.has_dispersion
                         else (1.0, mu * (1.0 - mu)))
-            resid = self.y - mu
-            if self.observed is not None:
-                resid, var = resid * self.observed, var * self.observed
+            resid, var = (self.y - mu) * self.observed, var * self.observed
             grad += (Zt @ resid[..., None])[..., 0] / phi
             prec += (Zt * var[..., None, :]) @ Z / phi
         if self.t > 0.0:
@@ -379,14 +363,15 @@ def _padded(rows, fill: float):
 
 @dataclass(frozen=True)
 class ReProposal:
-    """Independence-proposal parameters: multivariate t(PROPOSAL_DF) at the target mode,
-    cov's Cholesky factor and inverse cached; ``fallback``: the mode search found no
-    usable precision.  With S histories every field has a leading history axis."""
+    """Independence-proposal parameters of each of S histories: multivariate
+    t(PROPOSAL_DF) at the target mode, cov's Cholesky factor and inverse
+    cached; ``fallback``: the mode search found no usable precision.  Every
+    field has a leading history axis."""
 
     mean: np.ndarray
     cov: np.ndarray
-    fallback: bool = False
-    iterations: int = 0
+    fallback: np.ndarray = False
+    iterations: np.ndarray = 0
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -397,35 +382,22 @@ class ReProposal:
         return np.linalg.inv(self.cov)
 
 
-class _Streams:
-    """One generator per history of a stacked condition, drawn from like one:
-    each draw is made on every generator in turn and stacked on a leading
-    axis, so a history's draws do not depend on the other histories."""
-
-    def __init__(self, rngs):
-        self.rngs = list(rngs)
-
-    def standard_normal(self, size):
-        return np.stack([rng.standard_normal(size) for rng in self.rngs])
-
-    def chisquare(self, df, size):
-        return np.stack([rng.chisquare(df, size) for rng in self.rngs])
-
-
-def _mvt_draw(rng, proposal: ReProposal, size: int) -> np.ndarray:
+def _mvt_draw(rngs, proposal: ReProposal, size: int) -> np.ndarray:
+    """``size`` draws around each history's mode, (S, size, q); history s
+    draws on rngs[s], so its draws do not depend on the other histories."""
     q = proposal.mean.shape[-1]
-    z = rng.standard_normal((size, q))
-    g = rng.chisquare(PROPOSAL_DF, size)
+    z = np.array([rng.standard_normal((size, q)) for rng in rngs])
+    g = np.array([rng.chisquare(PROPOSAL_DF, size) for rng in rngs])
     return (proposal.mean[..., None, :]
             + (z @ proposal.chol.swapaxes(-1, -2)) * np.sqrt(PROPOSAL_DF / g)[..., None])
 
 
 def _mvt_logpdf(x, proposal: ReProposal) -> np.ndarray:
-    """Log density at x (B, q), or (S, B, q) with S histories: one batched
-    Mahalanobis product over every history and row, by the cached inverse cov."""
+    """Log density at x (S, B, q): one batched Mahalanobis product over every
+    history and row, by the cached inverse cov."""
     q = proposal.mean.shape[-1]
     df = PROPOSAL_DF
-    dev = np.atleast_2d(x) - proposal.mean[..., None, :]
+    dev = x - proposal.mean[..., None, :]
     maha = np.sum((dev @ proposal.inv) * dev, axis=-1)
     const = (gammaln((df + q) / 2.0) - gammaln(df / 2.0) - 0.5 * q * math.log(df * math.pi)
              - np.log(proposal.chol.diagonal(axis1=-2, axis2=-1)).sum(-1))
@@ -448,13 +420,13 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
     """
     th1 = ThetaBatch.from_parameters(theta, 1)
     target = cdata.target(th1)
-    q, lead = theta.n_random, cdata.lead
-    b = np.zeros(lead + (q,))
+    q, n = theta.n_random, cdata.n_histories
+    b = np.zeros((n, q))
     value = target(b[..., None, :])[..., 0]
-    fallback = np.array(~np.isfinite(value))    # arrays, also with no history axis
+    fallback = ~np.isfinite(value)
     searching = ~fallback
-    steps = np.zeros(lead, dtype=int)
-    cov = np.zeros(lead + (q, q))
+    steps = np.zeros(n, dtype=int)
+    cov = np.zeros((n, q, q))
     while searching.any():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see fallback
             grad, prec = cdata.log_target_newton(b, th1)
@@ -478,38 +450,40 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
         steps += searching
     return ReProposal(mean=np.where(fallback[..., None], 0.0, b),
                       cov=np.where(fallback[..., None, None], theta.D, cov),
-                      fallback=fallback[()], iterations=np.where(fallback, 0, steps)[()])
+                      fallback=fallback, iterations=np.where(fallback, 0, steps))
 
 
 def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
-                 rng, warmup: int, n_keep: int = 0):
+                 rngs, warmup: int, n_keep: int = 0):
     """Vectorized independence Metropolis-Hastings for the conditional REs of
-    one history, b (th.size, q), started at the proposal's mean.
+    every history, b (S, th.size, q), started at the proposal's mean.
 
-    Runs ``warmup`` iterations on th.size parallel rows and returns the final
-    states; with ``n_keep`` > 0 also collects that many post-warmup states of
-    the (single-row) chain.  A candidate of target -inf (zero survival) is
-    rejected, even from a state of target -inf.
+    Runs ``warmup`` iterations on th.size parallel rows per history and
+    returns the final states; with ``n_keep`` > 0 also collects that many
+    post-warmup states of the (single-row) chains, (S, n_keep, q).  History
+    s draws on rngs[s], so its draws are those it gets alone.  A candidate
+    of target -inf (zero survival) is rejected, even from a state of target
+    -inf.
     """
     size = th.size
     target = cdata.target(th)
-    b = np.tile(proposal.mean, (size, 1))
+    b = np.repeat(proposal.mean[:, None, :], size, axis=1)
     lp = cdata.log_target(b, th, target)
     lq = _mvt_logpdf(b, proposal)
     kept = []
     for it in range(warmup + n_keep):
-        cand = _mvt_draw(rng, proposal, size)
+        cand = _mvt_draw(rngs, proposal, size)
         lp_c = cdata.log_target(cand, th, target)
         lq_c = _mvt_logpdf(cand, proposal)
         gain = np.subtract(lp_c, lp, out=np.full(lp.shape, -np.inf), where=lp_c > -np.inf)
         ratio = gain - (lq_c - lq)
-        accept = np.log(rng.random(size)) < ratio
-        b[accept] = cand[accept]
-        lp[accept] = lp_c[accept]
-        lq[accept] = lq_c[accept]
+        accept = np.log(np.array([rng.random(size) for rng in rngs])) < ratio
+        np.copyto(b, cand, where=accept[..., None])
+        np.copyto(lp, lp_c, where=accept)
+        np.copyto(lq, lq_c, where=accept)
         if it >= warmup:
             kept.append(b.copy())
-    return np.concatenate(kept) if n_keep else b
+    return np.concatenate(kept, axis=1) if n_keep else b
 
 
 def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
@@ -523,11 +497,11 @@ def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
     precision there as covariance (``posterior_mode_re``); the first draw is
     taken after the internal warm-up.
     """
-    cdata = _ConditionData(spec, assoc, history)
+    cdata = _ConditionData(spec, assoc, [history])
     proposal = posterior_mode_re(cdata, theta)
     th = ThetaBatch.from_parameters(theta, 1)
-    return _re_mh_draws(cdata, th, proposal, np.random.default_rng(seed), warmup,
-                        n_keep=n_draws)
+    return _re_mh_draws(cdata, th, proposal, [np.random.default_rng(seed)], warmup,
+                        n_keep=n_draws)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +639,8 @@ class _FitData:
         if changed("beta", "gamma", "alpha", "gamma_h0", "b"):
             lh_n = t.hazard["n"] + t.assoc["n"]
             lh_T = t.hazard["T"] + t.assoc["T"]
-            t.bad = lh_T > md.LOG_HAZARD_BOUND
-            t.bad[self.nidx[lh_n > md.LOG_HAZARD_BOUND]] = True
+            t.bad = np.abs(lh_T) > md.LOG_HAZARD_BOUND
+            t.bad[self.nidx[np.abs(lh_n) > md.LOG_HAZARD_BOUND]] = True
             lh_n = np.clip(lh_n, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
             lh_T = np.clip(lh_T, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
             cum_i = np.bincount(self.nidx, weights=self.node_w * np.exp(lh_n), minlength=self.n)

@@ -824,7 +824,10 @@ class Design:
         if cov_long.ndim == 1:
             return {f: _feature_rows(lspec, f, self.times, cov_long) for f in self.features}
         times = np.broadcast_to(self.times, cov_long.shape[:1] + self.times.shape[-1:])
-        cov_long = np.repeat(cov_long, times.shape[1], axis=0)
+        # each profile's row once per time, repeated along the last axis: along
+        # axis 0, numpy's repeat of a matrix without columns (no covariates)
+        # costs time in the number of rows made
+        cov_long = np.repeat(cov_long.T, times.shape[1], axis=1).T
 
         def rows(feature):
             built = _feature_rows(lspec, feature, times.ravel(), cov_long)

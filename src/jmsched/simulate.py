@@ -93,11 +93,11 @@ def _event_times(design: SimulationDesign, covs: list, b: np.ndarray, v: np.ndar
     (times, capped)."""
     histories = [md.SubjectHistory(c, (), (), 0.0) for c in covs]
     th = ThetaBatch.from_parameters(design.parameters, 1)
-    cdata = lambda part: _ConditionData(design.spec, design.assoc, part)
-    cells = _event_time_edges(cdata(histories[0]), 0.0, cap).size - 1
+    cells = _event_time_edges(design.spec, 0.0, cap).size - 1
     size = max(1, dynpred.HAZARD_NODE_BUDGET // (GK15.nodes.size * cells))
-    parts = [_event_time_batch(cdata(histories[k:k + size]), th, b[k:k + size, None],
-                               v[k:k + size, None], cap) for k in range(0, len(covs), size)]
+    parts = [_event_time_batch(_ConditionData(design.spec, design.assoc, histories[k:k + size]),
+                               th, b[k:k + size, None], v[k:k + size, None], cap)
+             for k in range(0, len(covs), size)]
     return tuple(np.concatenate(out).ravel() for out in zip(*parts))
 
 

@@ -225,12 +225,12 @@ def test_criterion_4_conjugate_oracle(report):
 def test_criterion_5_inversion_sampler_law(report):
     lam = 0.3
     spec, assoc, theta = flat_exponential_model(lam)
-    cdata = _ConditionData(spec, assoc, jm.SubjectHistory({"w": 0.0}, [], [], 1.0))
+    cdata = _ConditionData(spec, assoc, [jm.SubjectHistory({"w": 0.0}, [], [], 1.0)])
     th = ThetaBatch.from_parameters(theta, 10000)
-    times, capped = _event_time_batch(cdata, th, np.zeros((10000, 2)),
-                                      np.random.default_rng(42).random(10000), cap=501.0)
+    times, capped = _event_time_batch(cdata, th, np.zeros((1, 10000, 2)),
+                                      np.random.default_rng(42).random((1, 10000)), cap=501.0)
     assert not capped.any()
-    res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))
+    res = stats.kstest(times[0] - 1.0, "expon", args=(0.0, 1.0 / lam))
     assert res.pvalue > KS_ALPHA
     report(5, f"KS statistic {res.statistic:.4f}, p = {res.pvalue:.3f} > {KS_ALPHA} "
              f"at 10^4 draws")

@@ -339,15 +339,17 @@ model.association=current_value
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_score_with_a_huge_random_effect_is_an_error(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("huge", ["1e150", "-1e150"])
+def test_score_with_a_huge_random_effect_is_an_error(pipeline, tmp_path, capsys, huge):
     """A finite random effect so large that a subject's log hazard passes the
-    guard bound makes the deviance meaningless: score ends in an error naming
-    the draw's chain and iteration, not in a finite DIC and exit 0."""
+    guard bound, above or below, makes the deviance meaningless: score ends
+    in an error naming the draw's chain and iteration, not in a finite DIC
+    and exit 0."""
     draws = read_rows(pipeline / "fit1_draws.csv")
     alpha = draws[0].index("alpha[0]")
     k = next(k for k, row in enumerate(draws[1:], 1) if float(row[alpha]) > 0.0)
     rows = read_rows(pipeline / "fit1_ranef.csv")
-    rows[k][rows[0].index("b[s0001,0]")] = "1e150"    # with alpha > 0, log h grows with b
+    rows[k][rows[0].index("b[s0001,0]")] = huge    # with alpha > 0, log h follows b's sign
     ranef = tmp_path / "huge_ranef.csv"
     with open(ranef, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)

@@ -151,12 +151,12 @@ def test_event_time_caps_with_flag():
 def test_event_time_exponential_law_batch():
     lam = 0.3
     spec, assoc, theta = flat_hazard_model(lam=lam)
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 0.0}, [], [], 1.0)])
     th = ThetaBatch.from_parameters(theta, 4000)
-    times, capped = _event_time_batch(cdata, th, np.zeros((4000, 2)),
-                                      np.random.default_rng(8).random(4000), cap=501.0)
+    times, capped = _event_time_batch(cdata, th, np.zeros((1, 4000, 2)),
+                                      np.random.default_rng(8).random((1, 4000)), cap=501.0)
     assert not capped.any()
-    res = stats.kstest(times - 1.0, "expon", args=(0.0, 1.0 / lam))
+    res = stats.kstest(times[0] - 1.0, "expon", args=(0.0, 1.0 / lam))
     assert res.pvalue > 0.01
 
 
@@ -187,10 +187,10 @@ def spline_hazard_model(association="current_value"):
 def test_event_time_flat_hazard_is_exact():
     lam, u = 0.3, 1.0
     spec, assoc, theta = flat_hazard_model(lam=lam)
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
-    v = np.random.default_rng(21).random(2000)
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 0.0}, [], [], u)])
+    v = np.random.default_rng(21).random((1, 2000))
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, v.size),
-                                      np.zeros((v.size, 2)), v, cap=u + 500.0)
+                                      np.zeros((1, v.size, 2)), v, cap=u + 500.0)
     assert not capped.any()
     np.testing.assert_allclose(times, u - np.log(v) / lam, rtol=1e-9, atol=0.0)
 
@@ -200,16 +200,17 @@ def test_event_time_solves_the_inversion_equation_across_cells():
     b, each uncapped T* satisfies Lambda(u -> T*) = -log v."""
     spec, assoc, theta = spline_hazard_model()
     u, n = 0.5, 60
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], u))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], u)])
     b = np.random.default_rng(22).normal(scale=[0.6, 0.15], size=(n, 2))
     v = np.random.default_rng(23).random(n)
-    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, n), b,
-                                      v, cap=u + 500.0)
-    edges = _event_time_edges(cdata, u, u + 500.0)
+    times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, n), b[None],
+                                      v[None], cap=u + 500.0)
+    times, capped = times[0], capped[0]
+    edges = _event_time_edges(spec, u, u + 500.0)
     assert np.unique(np.searchsorted(edges, times[~capped])).size >= 3
     th1 = ThetaBatch.from_parameters(theta, 1)
     for r in np.flatnonzero(~capped):
-        got = cdata.cum_hazard(b[r:r + 1], th1, times[r], lower=u)[0]
+        got = cdata.cum_hazard(b[None, r:r + 1], th1, times[r], lower=u)[0, 0]
         assert got == pytest.approx(-math.log(v[r]), rel=1e-8)
 
 
@@ -219,10 +220,10 @@ def test_event_time_clamped_hazard_ends_just_past_u(u):
     gh = np.zeros(spec.n_baseline)
     gh[0] = LOG_HAZARD_BOUND + 100.0
     theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], u))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 0.0}, [], [], u)])
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
-                                      np.zeros((500, 2)), np.random.default_rng(24).random(500),
-                                      cap=u + 500.0)
+                                      np.zeros((1, 500, 2)),
+                                      np.random.default_rng(24).random((1, 500)), cap=u + 500.0)
     assert not capped.any()
     assert np.all((times > u) & (times <= u + 1e-6))
 
@@ -232,10 +233,10 @@ def test_event_time_vanishing_hazard_is_capped():
     gh = np.zeros(spec.n_baseline)
     gh[0] = -LOG_HAZARD_BOUND - 100.0
     theta = dataclasses.replace(theta, baseline=spec.make_baseline(gh, 1.0))
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 0.0}, [], [], 1.0))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 0.0}, [], [], 1.0)])
     times, capped = _event_time_batch(cdata, ThetaBatch.from_parameters(theta, 500),
-                                      np.zeros((500, 2)), np.random.default_rng(25).random(500),
-                                      cap=501.0)
+                                      np.zeros((1, 500, 2)),
+                                      np.random.default_rng(25).random((1, 500)), cap=501.0)
     assert capped.all()
     assert np.all(times == 501.0)
 
@@ -244,12 +245,12 @@ def test_event_time_vanishing_hazard_is_capped():
                          ["current_value", "slope", "value_and_slope", "cumulative"])
 def test_cell_cum_hazard_matches_per_cell_integrals(association):
     spec, assoc, theta = spline_hazard_model(association)
-    cdata = _ConditionData(spec, assoc, SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], 0.5))
-    b = np.random.default_rng(26).normal(scale=[0.6, 0.15], size=(7, 2))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory({"w": 1.0}, [0.0, 0.5], [3.5, 3.8], 0.5)])
+    b = np.random.default_rng(26).normal(scale=[0.6, 0.15], size=(1, 7, 2))
     th = ThetaBatch.from_parameters(theta, 7)
-    edges = _event_time_edges(cdata, 0.5, 40.0)
-    got = cdata.cell_cum_hazard(b, th, edges)
-    want = np.column_stack([cdata.cum_hazard(b, th, hi, lower=lo)
+    edges = _event_time_edges(spec, 0.5, 40.0)
+    got = cdata.cell_cum_hazard(b, th, edges)[0]
+    want = np.column_stack([cdata.cum_hazard(b, th, hi, lower=lo)[0]
                             for lo, hi in zip(edges[:-1], edges[1:])])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

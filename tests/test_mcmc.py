@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from jmsched.mcmc import (
     _FitData,
     _mvt_draw,
     _mvt_logpdf,
+    _re_mh_draws,
     dic,
     effective_sample_size,
     fit,
@@ -69,9 +71,15 @@ def intercept_model(lam=0.1, alpha=0.0, d=0.5, phi=0.2, beta0=3.0):
 
 # --- conditional random-effects mode ------------------------------------------
 
+def one_history(proposal):
+    """The proposal of a stack of one history, without the history axis."""
+    return ReProposal(mean=proposal.mean[0], cov=proposal.cov[0],
+                      fallback=proposal.fallback[0], iterations=proposal.iterations[0])
+
+
 def history_mode(history, theta, spec, assoc):
-    cdata = _ConditionData(spec, assoc, history)
-    return posterior_mode_re(cdata, theta)
+    cdata = _ConditionData(spec, assoc, [history])
+    return one_history(posterior_mode_re(cdata, theta))
 
 
 def conjugate_history(theta, times, y, t):
@@ -114,10 +122,10 @@ def test_posterior_mode_falls_back_when_target_is_not_finite():
     """A hazard integral that overflows at b = 0 gives mean 0 and covariance D."""
     spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
     history = SubjectHistory({}, [], [], t=1e10)
-    cdata = _ConditionData(spec, assoc, history)
-    target = cdata.log_target(np.zeros((1, 1)), ThetaBatch.from_parameters(theta))
-    assert np.isneginf(target[0])
-    prop = posterior_mode_re(cdata, theta)
+    cdata = _ConditionData(spec, assoc, [history])
+    target = cdata.log_target(np.zeros((1, 1, 1)), ThetaBatch.from_parameters(theta))
+    assert np.isneginf(target[0, 0])
+    prop = one_history(posterior_mode_re(cdata, theta))
     assert prop.fallback
     assert np.array_equal(prop.mean, [0.0]) and np.array_equal(prop.cov, theta.D)
 
@@ -137,7 +145,7 @@ def test_stacked_mode_search_gives_each_history_its_own_proposal():
                  SubjectHistory({"w": 1.0}, [0.0, 1.0], [12.0, 16.0], 2.0)]  # halves a step
     with np.errstate(over="ignore"):  # the third history's squared residual
         stacked = posterior_mode_re(_ConditionData(spec, assoc, histories), theta)
-        alone = [posterior_mode_re(_ConditionData(spec, assoc, h), theta) for h in histories]
+        alone = [history_mode(h, theta, spec, assoc) for h in histories]
     assert stacked.fallback.tolist() == [False, False, True, False, False]
     for s, prop in enumerate(alone):
         assert stacked.fallback[s] == prop.fallback
@@ -161,15 +169,14 @@ def test_stacked_mode_search_falls_back_history_by_history(monkeypatch):
 
     def faulty(self, b, th):
         grad, prec = newton(self, b, th)
-        covs = self.covariates if self.lead else [self.covariates]
-        fault = np.reshape([c.get("fault", 0.0) for c in covs], self.lead)[..., None, None]
+        fault = np.array([c.get("fault", 0.0) for c in self.covariates])[:, None, None]
         first = np.all(b == 0.0, axis=-1)[..., None, None]
         prec = np.where(first & (fault == 1.0), np.nan, prec)
         return grad, np.where(first & (fault == 2.0), -prec, prec)
 
     monkeypatch.setattr(_ConditionData, "log_target_newton", faulty)
     stacked = posterior_mode_re(_ConditionData(spec, assoc, histories), theta)
-    alone = [posterior_mode_re(_ConditionData(spec, assoc, h), theta) for h in histories]
+    alone = [history_mode(h, theta, spec, assoc) for h in histories]
     assert stacked.fallback.tolist() == [False, True, False, True, False]
     for s, prop in enumerate(alone):
         if stacked.fallback[s]:
@@ -192,10 +199,11 @@ def scipy_t_logpdf(x, mean, cov):
 def test_mvt_logpdf_matches_scipy_for_one_history(q):
     rng = np.random.default_rng(q)
     a = rng.normal(size=(q, q))
-    proposal = ReProposal(mean=rng.normal(size=q), cov=a @ a.T + 0.5 * np.eye(q))
-    x = _mvt_draw(rng, proposal, 50)
-    np.testing.assert_allclose(_mvt_logpdf(x, proposal),
-                               scipy_t_logpdf(x, proposal.mean, proposal.cov), rtol=1e-12)
+    proposal = ReProposal(mean=rng.normal(size=(1, q)), cov=(a @ a.T + 0.5 * np.eye(q))[None])
+    x = _mvt_draw([rng], proposal, 50)
+    np.testing.assert_allclose(_mvt_logpdf(x, proposal)[0],
+                               scipy_t_logpdf(x[0], proposal.mean[0], proposal.cov[0]),
+                               rtol=1e-12)
 
 
 def test_mvt_logpdf_matches_scipy_for_stacked_histories():
@@ -204,7 +212,7 @@ def test_mvt_logpdf_matches_scipy_for_stacked_histories():
     proposal = ReProposal(mean=rng.normal(size=(3, 2)) * [[1.0], [10.0], [0.1]],
                           cov=a @ a.swapaxes(-1, -2) + np.diag([0.1, 2.0]),
                           fallback=np.zeros(3, bool), iterations=np.ones(3, int))
-    x = _mvt_draw(np.random.default_rng(6), proposal, 40)
+    x = _mvt_draw(np.random.default_rng(6).spawn(3), proposal, 40)
     got = _mvt_logpdf(x, proposal)
     assert got.shape == (3, 40)
     for s in range(3):
@@ -215,11 +223,11 @@ def test_mvt_logpdf_matches_scipy_for_stacked_histories():
 def test_mvt_logpdf_matches_scipy_for_a_fallback_proposal():
     spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
     history = SubjectHistory({}, [], [], t=1e10)
-    proposal = posterior_mode_re(_ConditionData(spec, assoc, history), theta)
-    assert proposal.fallback and np.array_equal(proposal.cov, theta.D)
+    proposal = posterior_mode_re(_ConditionData(spec, assoc, [history]), theta)
+    assert proposal.fallback[0] and np.array_equal(proposal.cov[0], theta.D)
     x = np.linspace(-3.0, 3.0, 13)[:, None]
-    np.testing.assert_allclose(_mvt_logpdf(x, proposal), scipy_t_logpdf(x, [0.0], theta.D),
-                               rtol=1e-12)
+    np.testing.assert_allclose(_mvt_logpdf(x[None], proposal)[0],
+                               scipy_t_logpdf(x, [0.0], theta.D), rtol=1e-12)
 
 
 # --- conditional random-effects draws -------------------------------------------
@@ -674,16 +682,43 @@ def test_log_target_newton_matches_finite_differences(family_cohorts, family, va
     if extra:
         history = SubjectHistory(history.covariates, np.append(history.times, 4.5),
                                  np.append(history.y, 1.0), 4.5)
-    cdata = _ConditionData(spec, assoc, history)
+    cdata = _ConditionData(spec, assoc, [history])
     th = ThetaBatch.from_parameters(theta)
     b = rng.normal(size=2) * [0.5, 0.1]
-    grad, prec = cdata.log_target_newton(b, th)
-    log_target = lambda x: cdata.log_target(x[None, :], th)[0]
+    grad, prec = (v[0] for v in cdata.log_target_newton(b[None], th))
+    log_target = lambda x: cdata.log_target(x[None, None, :], th)[0, 0]
 
     sd = 1.0 / np.sqrt(np.diag(prec))
     fd_grad, fd_prec = _central_differences(log_target, b, sd, range(b.size))
     assert np.max(np.abs(grad - fd_grad) * sd) < 1e-6
     assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("variant", ["current_value", "cumulative", "shared_random_effects"])
+def test_stacked_chain_gives_each_history_its_own_draws(family_cohorts, family, variant):
+    """Histories with 0, 2 and 3 measurements in one stack, each drawing on
+    its own generator, get exactly the chain states each gets alone."""
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    gaussian = family == "gaussian"
+    theta = dataclasses.replace(true_parameters(spec, lam=0.1),
+                                beta=np.array([3.6, 0.25] if gaussian else [-0.5, 0.2]),
+                                phi=0.25 if gaussian else 1.0, alpha=np.full(assoc.n_params, 0.3))
+    subjects = [s for s in dataset.subjects if s.event_time > 3.0 and s.n_obs >= 3][:3]
+    histories = [SubjectHistory(s.covariates, s.times[:k], s.y[:k], 3.0)
+                 for s, k in zip(subjects, (0, 2, 3))]
+    th = ThetaBatch.from_parameters(theta, 5)
+    cdata = _ConditionData(spec, assoc, histories)
+    proposal = posterior_mode_re(cdata, theta)
+    seeds = (41, 42, 43)
+    stacked = _re_mh_draws(cdata, th, proposal, [np.random.default_rng(s) for s in seeds], 30)
+    assert stacked.shape == (3, th.size, 2)
+    for k, h in enumerate(histories):
+        alone = ReProposal(mean=proposal.mean[k:k + 1], cov=proposal.cov[k:k + 1])
+        draws = _re_mh_draws(_ConditionData(spec, assoc, [h]), th, alone,
+                             [np.random.default_rng(seeds[k])], 30)
+        assert np.array_equal(stacked[k], draws[0])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -563,19 +563,20 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
     ts = np.array([0.7, 2.2, 4.5, T])
     b1 = b[None, :]
     th1 = ThetaBatch.from_parameters(theta, 1)
-    cdata = _ConditionData(spec, assoc, SubjectHistory.from_subject(subject, T))
+    cdata = _ConditionData(spec, assoc, [SubjectHistory.from_subject(subject, T)])
 
     # log hazard: scalar API, per-time batch, rowwise batch
     lh = np.array([log_hazard(theta, spec, assoc, subject, b, t) for t in ts])
-    np.testing.assert_allclose([cdata.log_hazard_grid([t], b1, th1)[0, 0] for t in ts], lh,
-                               **close)
+    np.testing.assert_allclose([cdata.log_hazard_grid([[t]], b1[None], th1)[0, 0, 0]
+                                for t in ts], lh, **close)
     th_rows = ThetaBatch.from_parameters(theta, ts.size)
     b_rows = np.repeat(b1, ts.size, axis=0)
-    np.testing.assert_allclose(cdata.log_hazard_rowwise(ts, b_rows, th_rows), lh, **close)
+    np.testing.assert_allclose(cdata.log_hazard_rowwise(ts[None], b_rows[None], th_rows)[0],
+                               lh, **close)
 
     # cumulative hazard: scalar API, node batch, rowwise intervals inside one knot span
     cum = cumulative_hazard(theta, spec, assoc, subject, b, T)
-    np.testing.assert_allclose(cdata.cum_hazard(b1, th1, T)[0], cum, **close)
+    np.testing.assert_allclose(cdata.cum_hazard(b1[None], th1, T)[0, 0], cum, **close)
     lower, upper = np.array([0.3, 2.1, 5.2]), np.array([1.8, 2.9, 6.0])
     assert all(not lo < c < hi for lo, hi in zip(lower, upper)
                for c in spec.hazard_breakpoints)
@@ -583,7 +584,8 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
               for lo, hi in zip(lower, upper)]
     th3 = ThetaBatch.from_parameters(theta, 3)
     np.testing.assert_allclose(
-        cdata.cum_hazard_rowwise(np.repeat(b1, 3, axis=0), th3, lower, upper), pieces, **close)
+        cdata.cum_hazard_rowwise(np.repeat(b1, 3, axis=0)[None], th3, lower[None], upper[None])[0],
+        pieces, **close)
 
     # survival and longitudinal terms of the fit likelihood
     fd = _FitData(Dataset((subject,)), spec, assoc)
@@ -598,8 +600,8 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
     np.testing.assert_allclose(terms.long[0], long_scalar, **close)
 
     # the conditional target minus its prior and survival parts
-    long_target = (cdata.log_target(b1, th1)[0] - th1.re_log_prior(b1)[0]
-                   + cdata.cum_hazard(b1, th1, T)[0])
+    long_target = (cdata.log_target(b1[None], th1)[0, 0] - th1.re_log_prior(b1)[0]
+                   + cdata.cum_hazard(b1[None], th1, T)[0, 0])
     np.testing.assert_allclose(long_target, long_scalar, **close)
 
 
@@ -641,15 +643,15 @@ def test_reused_condition_target_equals_fresh_evaluation(variant, family):
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
     history = SubjectHistory.from_subject(subject, 5.0)
-    cdata = _ConditionData(spec, assoc, history)
+    cdata = _ConditionData(spec, assoc, [history])
     rng = np.random.default_rng(8)
     for th in [_theta_rows(theta, 3, rng), _theta_rows(theta, 4, rng)]:
         target = cdata.target(th)
         for _ in range(2):
             bs = b + 0.1 * rng.standard_normal((th.size, b.size))
             fresh = _fresh_target(spec, assoc, history, bs, th)
-            assert np.array_equal(target(bs), fresh)
-            assert np.array_equal(cdata.log_target(bs, th), fresh)
+            assert np.array_equal(target(bs[None])[0], fresh)
+            assert np.array_equal(cdata.log_target(bs[None], th)[0], fresh)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI], ids=lambda f: f.name)
@@ -662,14 +664,14 @@ def test_gathered_rowwise_hazard_equals_expanded_rows(variant, family):
 
     spec, assoc, theta, b, subject = cross_path_case(variant, family, "ncs")
     history = SubjectHistory.from_subject(subject, 5.0)
-    cdata = _ConditionData(spec, assoc, history)
+    cdata = _ConditionData(spec, assoc, [history])
     rng = np.random.default_rng(9)
     times = np.array([0.7, 2.2, 4.5])
     th = _theta_rows(theta, 4, rng)
     bs = b + 0.1 * rng.standard_normal((th.size, b.size))
-    grid = cdata.log_hazard_grid(times, bs, th)
+    grid = cdata.log_hazard_grid(times[None], bs[None], th)[0]
     assert grid.shape == (times.size, th.size)
     k, r = np.divmod(np.arange(grid.size), th.size)
     th_r = ThetaBatch(th.beta[r], th.gamma[r], th.alpha[r], th.gamma_h0[r], th.phi[r], th.D[r])
-    np.testing.assert_allclose(cdata.log_hazard_rowwise(times[k], bs[r], th_r), grid.ravel(),
-                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(cdata.log_hazard_rowwise(times[k][None], bs[r][None], th_r)[0],
+                               grid.ravel(), rtol=1e-13, atol=1e-13)

@@ -8,7 +8,6 @@ import pytest
 from jmsched import dynpred, simulate
 from jmsched.dynpred import simulate_event_time, simulate_future_measurement
 from jmsched.errors import ConfigError
-from jmsched.mcmc import _ConditionData
 from jmsched.model import (
     BERNOULLI,
     GAUSSIAN,
@@ -284,14 +283,13 @@ def test_cohort_does_not_depend_on_inversion_chunks(monkeypatch, budget, sizes):
     running-hazard design, gives the cohort of one chunk."""
     design = benchmark_design(n=40)
     whole = generate_dataset(design)
-    cdata = _ConditionData(design.spec, design.assoc, SubjectHistory({"w": 0.0}, (), (), 0.0))
-    cells = dynpred._event_time_edges(cdata, 0.0, 100.0 * design.censor_admin).size - 1
+    cells = dynpred._event_time_edges(design.spec, 0.0, 100.0 * design.censor_admin).size - 1
     monkeypatch.setattr(dynpred, "HAZARD_NODE_BUDGET",
                         GK15.nodes.size * (cells * 7 if budget == "7 subjects" else 3))
     chunks, batch = [], simulate._event_time_batch
 
     def counted(cdata, *args):
-        chunks.append(cdata.lead[0])
+        chunks.append(cdata.n_histories)
         return batch(cdata, *args)
     monkeypatch.setattr(simulate, "_event_time_batch", counted)
     assert generate_dataset(design) == whole
