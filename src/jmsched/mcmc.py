@@ -514,13 +514,12 @@ _LOGLIK_INPUTS = ("beta", "gamma", "alpha", "gamma_h0", "phi", "b")
 class _LoglikTerms:
     """The pieces of the fit log likelihood at one parameter state.
 
-    ``xb`` and ``zb`` map (site, feature) to X.beta and Z.b, where the site is
-    "m" (measurements), "n" (hazard quadrature nodes) or "T" (event times)
-    and the feature is "eta", "slope" or "integral"; ``hazard`` and ``assoc``
-    map a hazard site to H.gamma_h0 + W.gamma and to the association term;
-    ``long``, ``surv``, ``bad`` (log-hazard guard tripped) and ``value`` are
-    per subject.  No piece is changed in place once computed, so the terms
-    of a later state may share any of them.
+    ``xb`` and ``zb`` map a trajectory feature to X.beta and Z.b over its
+    rows (``_FitData``); ``hazard`` (H.gamma_h0 + W.gamma) and ``assoc`` are
+    over the hazard rows, ``rate`` (w exp(log h), log h clipped) over their
+    nodes; ``long``, ``surv``, ``bad`` (log-hazard guard tripped) and
+    ``value`` are per subject.  No piece is changed in place once computed,
+    so the terms of a later state may share any of them.
     """
 
     def __init__(self, beta, gamma, alpha, gamma_h0, phi, b):
@@ -529,7 +528,10 @@ class _LoglikTerms:
 
 
 class _FitData:
-    """Precomputed designs and segment indices for the whole dataset."""
+    """Precomputed designs and segment indices for the whole dataset.  The
+    hazard rows are every quadrature node, then every event time; each
+    trajectory feature has one stack of rows: the measurements first for
+    "eta", then the hazard rows if the association reads the feature."""
 
     def __init__(self, dataset: md.Dataset, spec: md.JointModelSpec,
                  assoc: md.AssociationForm):
@@ -556,14 +558,13 @@ class _FitData:
 
         self.features = assoc.features
         midx, y_all = [], []
-        node_idx, node_t, node_w = [], [], []
+        node_idx, node_w = [], []
         meas, nodes, events = [], [], []
         for i, s in enumerate(dataset.subjects):
             midx += [i] * s.n_obs
             y_all.append(s.y)
             sn, wn = span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)
             node_idx += [i] * sn.size
-            node_t.append(sn)
             node_w.append(wn)
             meas.append(md.Design(spec, ("eta",), s.covariates, s.times))
             nodes.append(md.Design(spec, self.features, s.covariates, sn))
@@ -574,33 +575,35 @@ class _FitData:
         self.family.check_response(self.y)
         self.nidx = np.array(node_idx, dtype=int)
         self.node_w = np.concatenate(node_w)
-        self.rows = {"m": self.midx, "n": self.nidx, "T": np.arange(self.n)}
+        self.hidx = np.concatenate([self.nidx, np.arange(self.n)])
 
-        H = spec.baseline_matrix(np.concatenate(node_t + [self.T]))
-        self.Hn, self.HT = H[: self.nidx.size], H[self.nidx.size:]
+        self.H = spec.baseline_matrix(np.concatenate([d.times for d in nodes + events]))
         # the static rows of the hazard block's transposed node design
-        self.HW_nT = np.ascontiguousarray(np.vstack([self.Hn.T, self.W[self.nidx].T]))
+        self.HW_nT = np.ascontiguousarray(np.vstack([self.H[: -self.n].T, self.W[self.nidx].T]))
 
+        self.rows = {f: self.hidx for f in self.features}
+        self.rows["eta"] = np.concatenate([self.midx] + [self.hidx] * ("eta" in self.features))
         self.X, self.Z = {}, {}
-        for site, designs in (("m", meas), ("n", nodes), ("T", events)):
-            for f in designs[0].pairs:
-                self.X[site, f] = np.concatenate([d.pairs[f][0] for d in designs])
-                self.Z[site, f] = np.concatenate([d.pairs[f][1] for d in designs])
+        for f in self.rows:
+            pairs = [d.pairs[f] for d in meas + nodes + events if f in d.features]
+            self.X[f] = np.concatenate([X for X, _ in pairs])
+            self.Z[f] = np.concatenate([Z for _, Z in pairs])
         # the shared-random-effects association reads b itself, not beta
         self.assoc_inputs = ("alpha", "beta", "b") if self.features else ("alpha", "b")
 
         self.K = spec.penalty_K()
         self.rho = spec.penalty.rank
 
-    def per_subject_loglik(self, beta, gamma, alpha, gamma_h0, phi, b, strict=True,
+    def per_subject_loglik(self, beta, gamma, alpha, gamma_h0, phi, b,
                            base: _LoglikTerms = None) -> _LoglikTerms:
         """Longitudinal + survival log likelihood per subject, as ``.value``.
 
-        In strict mode a subject whose log hazard exceeds the guard bound gets
-        -inf (so MH proposals that diverge are rejected, never saturated); the
-        non-strict mode clamps instead and is used for summaries of accepted
-        states.  With ``base``, the terms of an earlier call, each piece whose
-        inputs are the very objects ``base`` was computed from is reused, not
+        Each feature's X.beta and Z.b are formed once over its stack of rows,
+        and the log hazard once over the hazard rows.  A subject whose log
+        hazard exceeds the guard bound at a node or its event time gets -inf
+        (so MH proposals that diverge are rejected, never saturated).  With
+        ``base``, the terms of an earlier call, each piece whose inputs are
+        the very objects ``base`` was computed from is reused, not
         recomputed; so an input array must never be changed in place.
         """
         t = _LoglikTerms(beta, gamma, alpha, gamma_h0, phi, b)
@@ -609,79 +612,76 @@ class _FitData:
             return base is None or any(getattr(t, k) is not getattr(base, k) for k in names)
 
         if changed("beta"):
-            t.xb = {key: X @ beta for key, X in self.X.items()}
+            t.xb = {f: X @ beta for f, X in self.X.items()}
         else:
             t.xb = base.xb
         if changed("b"):
-            b_at = {site: b[self.rows[site]] for site, _ in self.Z}
-            t.zb = {key: np.sum(Z * b_at[key[0]], axis=1) for key, Z in self.Z.items()}
+            t.zb = {f: np.sum(Z * b[self.rows[f]], axis=1) for f, Z in self.Z.items()}
         else:
             t.zb = base.zb
 
         if changed("beta", "b", "phi"):
-            eta_m = t.xb["m", "eta"] + t.zb["m", "eta"]
-            terms = md.long_log_terms(self.family, self.y, eta_m, phi)
+            m = self.midx.size
+            terms = md.long_log_terms(self.family, self.y, t.xb["eta"][:m] + t.zb["eta"][:m], phi)
             t.long = np.bincount(self.midx, weights=terms, minlength=self.n)
         else:
             t.long = base.long
 
         if changed("gamma", "gamma_h0"):
             w_gamma = self.W @ gamma if self.pw else np.zeros(self.n)
-            t.hazard = {"n": self.Hn @ gamma_h0 + w_gamma[self.nidx],
-                        "T": self.HT @ gamma_h0 + w_gamma}
+            t.hazard = self.H @ gamma_h0 + w_gamma[self.hidx]
         else:
             t.hazard = base.hazard
         if changed(*self.assoc_inputs):
-            t.assoc = {site: self._assoc_at(t, site, alpha) for site in ("n", "T")}
+            t.assoc = self._assoc_at(t, alpha)
         else:
             t.assoc = base.assoc
 
         if changed("beta", "gamma", "alpha", "gamma_h0", "b"):
-            lh_n = t.hazard["n"] + t.assoc["n"]
-            lh_T = t.hazard["T"] + t.assoc["T"]
-            t.bad = np.abs(lh_T) > md.LOG_HAZARD_BOUND
-            t.bad[self.nidx[np.abs(lh_n) > md.LOG_HAZARD_BOUND]] = True
-            lh_n = np.clip(lh_n, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
-            lh_T = np.clip(lh_T, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
-            cum_i = np.bincount(self.nidx, weights=self.node_w * np.exp(lh_n), minlength=self.n)
-            t.surv = self.delta * lh_T - cum_i
+            lh = t.hazard + t.assoc
+            t.bad = np.zeros(self.n, dtype=bool)
+            t.bad[self.hidx[np.abs(lh) > md.LOG_HAZARD_BOUND]] = True
+            lh = np.clip(lh, -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND)
+            t.rate = self.node_w * np.exp(lh[: -self.n])
+            t.surv = (self.delta * lh[-self.n:]
+                      - np.bincount(self.nidx, weights=t.rate, minlength=self.n))
         else:
-            t.surv, t.bad = base.surv, base.bad
+            t.surv, t.bad, t.rate = base.surv, base.bad, base.rate
 
         t.value = t.long + t.surv
-        if strict:
-            t.value[t.bad] = -np.inf
+        t.value[t.bad] = -np.inf
         return t
 
-    def _assoc_at(self, t: _LoglikTerms, site, alpha):
-        """The association term at a hazard site, from the features in ``t``."""
-        feats = {f: t.xb[site, f] + t.zb[site, f] for f in self.features}
-        b_site = None if self.features else t.b[self.rows[site]]
-        return self.assoc.value(alpha, **feats, b=b_site)
+    def _assoc_at(self, t: _LoglikTerms, alpha):
+        """The association term at every hazard row, from the features in ``t``."""
+        nh = self.hidx.size
+        feats = {f: t.xb[f][-nh:] + t.zb[f][-nh:] for f in self.features}
+        b_rows = None if self.features else t.b[self.hidx]
+        return self.assoc.value(alpha, **feats, b=b_rows)
 
     def hazard_newton(self, t: _LoglikTerms, tau_h, priors, free):
         """Newton step for the hazard block theta = (gamma_h0, gamma, alpha) at ``t``.
 
-        Given beta and b, log h = [H | W | F] theta at every node and event
-        time (F: the association at unit alpha), so the survival log likelihood
-        is concave in theta.  Returns the Newton mean and the lower Cholesky
-        factor of the precision, the prior's (tau_h K, inverse variances)
-        included, over the ``free`` coordinates; None if not positive definite.
+        Given beta and b, log h = [H | W | F] theta at every hazard row (F: the
+        association at unit alpha), so the survival log likelihood is concave
+        in theta.  Returns the Newton mean and the lower Cholesky factor of the
+        precision, the prior's (tau_h K, inverse variances) included, over the
+        ``free`` coordinates; None if not positive definite.
         """
-        units = np.eye(self.n_alpha)
-        F = np.array([self._assoc_at(t, "n", e) for e in units])
-        F_T = np.column_stack([self._assoc_at(t, "T", e) for e in units])
-        rate = self.node_w * np.exp(t.hazard["n"] + t.assoc["n"])
+        F = np.array([self._assoc_at(t, e) for e in np.eye(self.n_alpha)])
+        F_n, F_T = F[:, : -self.n], F[:, -self.n:].T     # node columns, event columns
         prior = np.diag(np.r_[np.zeros(self.Q), np.full(self.pw, 1.0 / priors.gamma_variance),
                               np.full(self.n_alpha, 1.0 / priors.alpha_variance)])
         prior[: self.Q, : self.Q] = tau_h * self.K
         theta = np.concatenate([t.gamma_h0, t.gamma, t.alpha])
-        # the weighted Gram matrix by blocks, which never copies the static rows
-        Sr, Fr = self.HW_nT * rate, F * rate
-        SF = Sr @ F.T
-        prec = np.block([[Sr @ self.HW_nT.T, SF], [SF.T, Fr @ F.T]]) + prior
-        grad = (self.delta @ np.hstack([self.HT, self.W, F_T]) - np.r_[Sr.sum(1), Fr.sum(1)]
-                - prior @ theta)
+        # the weighted Gram matrix by blocks, which never copies the static rows;
+        # the held rate is of the clipped log hazard, but the Newton step runs
+        # only at states with no guarded row, where the clip changes nothing
+        Sr, Fr = self.HW_nT * t.rate, F_n * t.rate
+        SF = Sr @ F_n.T
+        prec = np.block([[Sr @ self.HW_nT.T, SF], [SF.T, Fr @ F_n.T]]) + prior
+        grad = (self.delta @ np.hstack([self.H[-self.n:], self.W, F_T])
+                - np.r_[Sr.sum(1), Fr.sum(1)] - prior @ theta)
         chol, info = dpotrf(prec[free][:, free], lower=1)
         if info != 0:
             return None
@@ -695,9 +695,10 @@ class _FitData:
         assert all(getattr(cand, k) is getattr(cur, k) for k in _LOGLIK_INPUTS if k != "b")
         t = copy.copy(cur)
         t.b = np.where(rows[:, None], cand.b, cur.b)
-        at = {site: rows[idx] for site, idx in self.rows.items()}
-        t.zb = {key: np.where(at[key[0]], cand.zb[key], z) for key, z in cur.zb.items()}
-        t.assoc = {site: np.where(at[site], cand.assoc[site], a) for site, a in cur.assoc.items()}
+        t.zb = {f: np.where(rows[self.rows[f]], cand.zb[f], z) for f, z in cur.zb.items()}
+        at = rows[self.hidx]
+        t.assoc = np.where(at, cand.assoc, cur.assoc)
+        t.rate = np.where(at[: -self.n], cand.rate, cur.rate)
         for name in ("long", "surv", "bad", "value"):
             setattr(t, name, np.where(rows, getattr(cand, name), getattr(cur, name)))
         return t
@@ -774,7 +775,7 @@ class _AdaptiveVector:
 def _initial_state(fd: _FitData, priors: PriorSet, rng, freeze):
     state = {}
     if fd.family.name == "gaussian" and fd.midx.size:
-        X_m = fd.X["m", "eta"]
+        X_m = fd.X["eta"][: fd.midx.size]
         coef, *_ = np.linalg.lstsq(X_m, fd.y, rcond=None)
         resid = fd.y - X_m @ coef
         state["beta"] = coef
@@ -882,8 +883,6 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     for it in range(config.iterations):
         # --- random effects, one vectorized sweep over subjects
         if b_prop is not None:
-            if cur.b is not state["b"]:
-                cur = loglik()  # an accepted location sweep moved beta and b
             z = rng.standard_normal((fd.n, fd.q))
             cand_b = state["b"] + b_prop.scales[:, None] * (z @ chol_D.T)
             cand = loglik(b=cand_b)
@@ -927,8 +926,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             rescale_prop.record(np.array([acc_prob]))
 
         # --- location sweeps beta[k] <-> b[:, k]; an accepted sweep leaves
-        # ``cur`` at the old beta and b, which the next evaluation recomputes
-        # from the shifted state
+        # ``cur`` at the old beta and b until the refresh after the sweeps
         for k, prop in enumerate(sweep_props):
             delta_k = float(prop.scales[0] * rng.standard_normal())
             b_cand = state["b"].copy()
@@ -944,12 +942,12 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
                 state["b"] = b_cand
                 re_i = cand_re
             prop.record(np.array([acc_prob]))
+        cur = loglik()
 
         # --- conjugate updates
         if gaussian and "phi" not in frozen and fd.midx.size:
-            eta_m = fd.X["m", "eta"] @ state["beta"] + np.sum(
-                fd.Z["m", "eta"] * state["b"][fd.midx], axis=1)
-            ssr = float(np.sum((fd.y - eta_m) ** 2))
+            m = fd.midx.size
+            ssr = float(np.sum((fd.y - (cur.xb["eta"][:m] + cur.zb["eta"][:m])) ** 2))
             shape = priors.phi_shape + 0.5 * fd.midx.size
             rate = priors.phi_rate + 0.5 * ssr
             state["phi"] = float(rate / rng.gamma(shape))
@@ -1045,9 +1043,8 @@ def dic(samples: PosteriorSamples, dataset: md.Dataset, spec: md.JointModelSpec,
     fd = _FitData(dataset, spec, assoc)
 
     def deviance(where, *state):
-        terms = fd.per_subject_loglik(*state, strict=False)
-        dev = -2.0 * float(terms.value.sum())
-        if terms.bad.any() or not math.isfinite(dev):
+        dev = -2.0 * float(fd.per_subject_loglik(*state).value.sum())
+        if not math.isfinite(dev):
             raise NumericError(f"deviance is not finite, or a log hazard passes the guard "
                                f"bound {md.LOG_HAZARD_BOUND:g}, at {where}")
         return dev
