@@ -419,8 +419,7 @@ def cmd_predict(cfg) -> list:
         raise ConfigError(f"predict.points must be a positive count, got {points}")
     us = history.t + horizon * np.arange(points) / max(points - 1, 1)
     pis = dynpred.pi_curve(history, us, samples, spec, assoc, seed=_get(cfg, "seed", _natural),
-                           **_options(cfg, g_pi=("predict.g_pi", int),
-                                      warmup=("predict.warmup", int)))
+                           **_options(cfg, g_pi=("predict.g_pi", int)))
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_pi.csv"
     md.write_csv(out_path, ["u", "pi"],

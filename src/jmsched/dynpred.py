@@ -35,7 +35,11 @@ from .numerics import GK15, span_nodes
 DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
 EVENT_TIME_MAX_STEPS = 100
-HAZARD_NODE_BUDGET = 1 << 18   # nodes x draws in one design of _running_hazard or a cv_dcl chunk
+HAZARD_NODE_BUDGET = 1 << 18   # nodes x draws in one cv_dcl or simulate chunk
+# nodes x draws in one design of _running_hazard or one slice of _weighted_draws:
+# a float64 temporary is then 0.5 MB, within a 2 MiB L2 cache that 2^18 spilled
+SLICE_NODE_BUDGET = 1 << 16
+LANDMARK_RE_DRAWS = 32   # proposal draws per theta row that a landmark draw resamples
 PI_BISECTION_TOL = 1e-3   # |pi - kappa| that ends the bisection for t_up
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
@@ -60,7 +64,7 @@ class ScheduleConfig:
     grid_size: int = 5
     n_outer: int = 2000     # landmark draws: pi, t_up and the outer information-gain replications
     n_inner: int = 50       # landmark pool that every outer replication reweights
-    re_warmup: int = RE_WARMUP
+    re_warmup: int = RE_WARMUP     # iterations of the chain that draws the pool
 
     def __post_init__(self):
         if self.seed < 0:
@@ -137,20 +141,23 @@ class _PiMachine:
     condition (a stack of one history) and the mode-centred proposal they
     were drawn with; b is (1, g_pi, q).
 
-    The same draws serve every horizon u, so the estimated curve is
-    nonincreasing in u and deterministic given the seed.  In a plan they are
-    also the outer replications of the information-gain scheme.
+    Each theta row keeps one of LANDMARK_RE_DRAWS weighted proposal draws
+    (``_resampled_draws``).  The same draws serve every
+    horizon u, so the estimated curve is nonincreasing in u and deterministic
+    given the seed.  In a plan they are also the outer replications of the
+    information-gain scheme.
     """
 
-    def __init__(self, history, samples, spec, assoc, g_pi, seed, warmup):
-        _check_counts(g_pi=g_pi, warmup=warmup)
+    def __init__(self, history, samples, spec, assoc, g_pi, seed):
+        _check_counts(g_pi=g_pi)
         rng = _stream(seed, _PI_STREAM)
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
         self.t = history.t
         self.cdata = _ConditionData(spec, assoc, [history])
         self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
-        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, [rng], warmup)
+        self.b = _resampled_draws(self.cdata, self.th, self.proposal, [rng],
+                                  LANDMARK_RE_DRAWS, ["the history"])
 
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
@@ -167,16 +174,53 @@ class _PiMachine:
 
 
 def conditional_survival(history: SubjectHistory, u: float, samples: PosteriorSamples,
-                         spec, assoc, g_pi: int = 2000, seed: int = 0,
-                         warmup: int = RE_WARMUP) -> float:
+                         spec, assoc, g_pi: int = 2000, seed: int = 0) -> float:
     """pi(u | t): survival past u given survival past t and the history."""
-    return float(pi_curve(history, [u], samples, spec, assoc, g_pi, seed, warmup)[0])
+    return float(pi_curve(history, [u], samples, spec, assoc, g_pi, seed)[0])
 
 
-def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0,
-             warmup: int = RE_WARMUP) -> np.ndarray:
+def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0) -> np.ndarray:
     """Conditional survival at several horizons with common draws."""
-    return _PiMachine(history, samples, spec, assoc, g_pi, seed, warmup).curve(us)
+    return _PiMachine(history, samples, spec, assoc, g_pi, seed).curve(us)
+
+
+def _weighted_draws(cdata, th, proposal, rngs, m: int, names):
+    """``m`` proposal draws of b per theta row of ``th`` for each history s of
+    ``cdata`` (on rngs[s]), weighted by log p(b | condition, theta) - log q(b)
+    within their row, never across rows: b (S, th.size * m, q), draws
+    r * m ... r * m + m - 1 of row r; the log weights (S, th.size, m) and each
+    row's log normalizer (S, th.size, 1).  The target runs over slices of
+    whole rows within SLICE_NODE_BUDGET, on b laid out (m, S, th.size, q).  A
+    row of zero weights is a NumericError naming names[s]."""
+    b = _mvt_draw(rngs, proposal, th.size * m)
+    # draw k of every row on a leading axis: the target's theta terms are
+    # formed once per row, not once per draw
+    b_k = np.moveaxis(b.reshape(cdata.n_histories, th.size, m, -1), 2, 0)
+    width = max(span_nodes(0.0, cdata.t, cdata.spec.hazard_breakpoints, GK15)[0].size,
+                cdata.meas.times.shape[-1], 1)
+    step = max(1, SLICE_NODE_BUDGET // (width * cdata.n_histories * m))
+    rows = np.arange(th.size)
+    log_p = np.concatenate([cdata.log_target(b_k[:, :, i:i + step], th.take(rows[i:i + step]))
+                            for i in range(0, th.size, step)], axis=-1)
+    log_w = np.moveaxis(log_p - _mvt_logpdf(b_k, proposal), 0, -1)
+    log_norm = logsumexp(log_w, axis=2, keepdims=True)
+    zero = ~np.all(log_norm > -np.inf, axis=(1, 2))
+    if zero.any():
+        raise NumericError(f"every importance weight of {names[zero.argmax()]} at landmark "
+                           f"t={cdata.t} is zero for a posterior draw")
+    return b, log_w, log_norm
+
+
+def _resampled_draws(cdata, th, proposal, rngs, m: int, names) -> np.ndarray:
+    """One b per theta row of ``th`` for each history s, (S, th.size, q), by
+    sampling-importance-resampling: of the row's ``m`` draws of
+    ``_weighted_draws``, the first whose weight CDF passes a uniform on
+    rngs[s] (scaled to the row's total, so the picked weight is positive)."""
+    b, log_w, log_norm = _weighted_draws(cdata, th, proposal, rngs, m, names)
+    cdf = np.cumsum(np.exp(log_w - log_norm), axis=-1)
+    v = np.array([rng.random(th.size) for rng in rngs])[..., None] * cdf[..., -1:]
+    pick = np.arange(th.size) * m + np.sum(cdf <= v, axis=-1)
+    return np.take_along_axis(b, pick[..., None], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +256,8 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
         idx = np.arange(samples.n_draws)
     else:
         idx = _stream(seed, _CV_IDX_STREAM).integers(0, samples.n_draws, size=n_theta_draws)
-    th = ThetaBatch.from_samples(samples, np.repeat(idx, n_re_draws))
+    th_idx = ThetaBatch.from_samples(samples, idx)
+    th = th_idx.take(np.repeat(np.arange(idx.size), n_re_draws))
     theta_hat = samples.mean_parameters(spec)
     histories = [SubjectHistory.from_subject(s, t) for s in at_risk]
     # a chunk's widest design: the nodes of [0, t] or of some [t, T_i], or the measurements
@@ -227,14 +272,8 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
         cdata = _ConditionData(spec, assoc, histories[start:start + size])
         proposal = posterior_mode_re(cdata, theta_hat)
         rngs = [_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk]
-        b = _mvt_draw(rngs, proposal, th.size)
-        log_w = cdata.log_target(b, th) - _mvt_logpdf(b, proposal)
-        log_w = log_w.reshape(len(chunk), idx.size, n_re_draws)
-        log_norm = logsumexp(log_w, axis=2, keepdims=True)
-        zero = ~np.all(log_norm > -np.inf, axis=(1, 2))
-        if zero.any():
-            raise NumericError(f"every importance weight of subject {chunk[zero.argmax()].id!r} "
-                               f"at landmark t={t} is zero for a posterior draw")
+        b, log_w, log_norm = _weighted_draws(cdata, th_idx, proposal, rngs, n_re_draws,
+                                             [f"subject {s.id!r}" for s in chunk])
         T = np.array([s.event_time for s in chunk])
         event = np.array([s.event == 1 for s in chunk])
         ll = -cdata.cum_hazard(b, th, T, lower=t)
@@ -266,9 +305,9 @@ def _edges(spec, t: float, times) -> np.ndarray:
 def _running_hazard(cdata, b, th, edges) -> np.ndarray:
     """Hazard integral from edges[0] to every edge, one column per edge after
     the axes of b.shape[:-1], from designs over the knot-free cells between
-    them, each over as many cells as fit in HAZARD_NODE_BUDGET nodes x rows;
+    them, each over as many cells as fit in SLICE_NODE_BUDGET nodes x rows;
     an overflow is +inf."""
-    step = max(1, HAZARD_NODE_BUDGET // (GK15.nodes.size * b[..., 0].size))
+    step = max(1, SLICE_NODE_BUDGET // (GK15.nodes.size * b[..., 0].size))
     cells = [np.zeros(b.shape[:-1] + (1,))]
     cells += [cdata.cell_cum_hazard(b, th, edges[i:i + step + 1])
               for i in range(0, edges.size - 1, step)]
@@ -362,8 +401,7 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
         raise DomainError(f"candidate times must be given and exceed the landmark t={t}, "
                           f"got {us}")
     if machine is None:
-        machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed,
-                             config.re_warmup)
+        machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed)
     cdata, th_a, b_a = machine.cdata, machine.th, machine.b
     family = spec.longitudinal.family
     gaussian = family.name == "gaussian"
@@ -465,8 +503,7 @@ def schedule_next(history: SubjectHistory, samples: PosteriorSamples, spec, asso
                   config: ScheduleConfig) -> SchedulePlan:
     """Plan the next measurement for a subject event-free at the landmark."""
     t = history.t
-    machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed,
-                         config.re_warmup)
+    machine = _PiMachine(history, samples, spec, assoc, config.n_outer, config.seed)
 
     t_up = _upper_limit(machine, t, config)
     span = min(t_up - t, config.t_max)

@@ -173,6 +173,14 @@ class ThetaBatch:
         return cls(rep(theta.beta), rep(theta.gamma), rep(theta.alpha),
                    rep(theta.gamma_h0), np.full(size, theta.phi), rep(theta.D))
 
+    def take(self, rows) -> "ThetaBatch":
+        """The draws at the indices ``rows``, with their factors of D taken
+        along, not recomputed."""
+        out = copy.copy(self)
+        for name, value in vars(self).items():
+            setattr(out, name, np.take(value, rows, axis=0))
+        return out
+
     def re_log_prior(self, b: np.ndarray) -> np.ndarray:
         """log N(b; 0, D) row by row; b is (size, q), or (..., size, q)."""
         quad = np.einsum("...bi,bij,...bj->...b", b, self.inv_D, b)
@@ -190,7 +198,8 @@ class _ConditionData:
     landmark; one history is a sequence of one.
 
     b and every output carry a leading history axis, b (S, B, q), as do the
-    per-draw times of the rowwise methods.  The measurements are padded to
+    per-draw times of the rowwise methods; ``log_target`` also takes axes
+    before it, b (..., S, B, q).  The measurements are padded to
     the longest history and masked, so each history's values are those of
     its own condition.
     """

@@ -26,7 +26,7 @@ from jmsched.cli import (
     write_dataset,
 )
 from jmsched.errors import ConfigError, DataError, JmschedError
-from jmsched.mcmc import read_draws_csv
+from jmsched.mcmc import _ConditionData, read_draws_csv
 from jmsched.simulate import generate_dataset
 
 from test_simulate import flat_design
@@ -183,7 +183,6 @@ predict.landmark=1.0
 predict.horizon=3
 predict.points=7
 predict.g_pi=150
-predict.warmup=40
 """)
     assert main(["predict", cfg]) == 0
     rows = read_rows(tmp_path / "pred_pi.csv")
@@ -581,7 +580,6 @@ predict.subject=s0000
 predict.landmark=0.5
 predict.points=3
 predict.g_pi=20
-predict.warmup=10
 """
 
 
@@ -631,7 +629,6 @@ schedule.warmup=10
     ("score", "score.theta_draws", "0"), ("score", "score.theta_draws", "-2"),
     ("predict", "predict.g_pi", "0"),
     ("predict", "predict.g_pi", "-1"), ("predict", "predict.points", "0"),
-    ("predict", "predict.warmup", "-1"),
     ("schedule", "schedule.outer", "0"), ("schedule", "schedule.inner", "0"),
     ("schedule", "schedule.warmup", "0"), ("schedule", "schedule.grid_size", "1"),
     ("schedule", "schedule.t_max", "1e307"),
@@ -666,6 +663,36 @@ def test_score_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
     assert main(["score", cfg]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "warning: config key 'score.warmup' is not read by score"]
+
+
+def test_predict_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
+    """predict resamples importance-weighted proposal draws, with no warm-up
+    chain: a config that still sets predict.warmup runs and names the key."""
+    text = _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv") + "predict.warmup=10\n"
+    assert main(["predict", write_config(tmp_path / "c.cfg", text)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: config key 'predict.warmup' is not read by predict"]
+    assert (tmp_path / "pred_pi.csv").exists()
+
+
+def test_predict_with_every_weight_of_a_draw_zero_is_an_error(pipeline, tmp_path, capsys,
+                                                               monkeypatch):
+    """A posterior draw whose importance weights are all zero (target -inf at
+    each of its proposal draws) ends predict in an error, not in a curve."""
+    log_target = _ConditionData.log_target
+
+    def zero_first_draw(self, b, th, target=None):
+        out = log_target(self, b, th, target)
+        out[..., 0] = -np.inf       # every proposal draw of the first posterior draw
+        return out
+
+    monkeypatch.setattr(_ConditionData, "log_target", zero_first_draw)
+    cfg = write_config(tmp_path / "c.cfg",
+                       _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv"))
+    assert main(["predict", cfg]) == 1
+    assert "error: every importance weight of the history at landmark t=0.5" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "pred_pi.csv").exists()
 
 
 def test_unread_config_key_is_named_in_a_warning(pipeline, tmp_path, capsys):

@@ -909,6 +909,5 @@ def test_bernoulli_joint_model_end_to_end(tmp_path):
                    n_re_draws=4, seed=1)
     assert math.isfinite(score)
     history = SubjectHistory({}, [0.0, 1.0], [0.0, 1.0], t=1.5)
-    pi = conditional_survival(history, 3.0, samples, spec, assoc, g_pi=200, seed=2,
-                              warmup=60)
+    pi = conditional_survival(history, 3.0, samples, spec, assoc, g_pi=200, seed=2)
     assert 0.0 <= pi <= 1.0

@@ -90,8 +90,7 @@ def run_variant(main, name: str, model: str, truth: str, cfgs: Path, out: Path) 
         subject = at_risk(out / "sim_survival.csv", t)
         command("predict", f"predict{k}", f"seed={20 + k}\nout.prefix={out}/predict{k}\n"
                 f"{data}{model}predict.draws={draws}\npredict.subject={subject}\n"
-                f"predict.landmark={t}\npredict.points=10\npredict.g_pi=200\n"
-                "predict.warmup=20\n")
+                f"predict.landmark={t}\npredict.points=10\npredict.g_pi=200\n")
         command("schedule", f"schedule{k}", f"seed={30 + k}\nout.prefix={out}/schedule{k}\n"
                 f"{data}{model}schedule.draws={draws}\nschedule.subject={subject}\n"
                 f"schedule.landmark={t}\nschedule.grid_size=4\nschedule.outer=200\n"
