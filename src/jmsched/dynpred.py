@@ -142,10 +142,10 @@ class _PiMachine:
     were drawn with; b is (1, g_pi, q).
 
     Each theta row keeps one of LANDMARK_RE_DRAWS weighted proposal draws
-    (``_resampled_draws``).  The same draws serve every
-    horizon u, so the estimated curve is nonincreasing in u and deterministic
-    given the seed.  In a plan they are also the outer replications of the
-    information-gain scheme.
+    (``_resampled_draws``).  The same draws serve every horizon u, so the
+    estimated curve is nonincreasing in u and deterministic given the seed.
+    In a plan they are also the outer replications of the information-gain
+    scheme.
     """
 
     def __init__(self, history, samples, spec, assoc, g_pi, seed):
