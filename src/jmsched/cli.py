@@ -435,7 +435,7 @@ def cmd_schedule(cfg) -> list:
     config = dynpred.ScheduleConfig(seed=_get(cfg, "seed", _natural), **_options(
         cfg, kappa=("schedule.kappa", _number), t_max=("schedule.t_max", _number),
         grid_size=("schedule.grid_size", int), n_outer=("schedule.outer", int),
-        n_inner=("schedule.inner", int), re_warmup=("schedule.warmup", int)))
+        n_inner=("schedule.inner", int)))
     plan = dynpred.schedule_next(history, samples, spec, assoc, config)
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_schedule.csv"

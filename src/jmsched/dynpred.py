@@ -20,13 +20,13 @@ from scipy.special import expit, logsumexp
 from . import model as md
 from .errors import ConfigError, DomainError, NumericError
 from .mcmc import (
-    RE_WARMUP,
+    RE_SWEEPS,
+    SLICE_NODE_BUDGET,
     PosteriorSamples,
     ThetaBatch,
     _ConditionData,
-    _mvt_draw,
-    _mvt_logpdf,
     _re_mh_draws,
+    _weighted_draws,
     posterior_mode_re,
 )
 from .model import SubjectHistory
@@ -36,10 +36,6 @@ DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
 EVENT_TIME_MAX_STEPS = 100
 HAZARD_NODE_BUDGET = 1 << 18   # nodes x draws in one cv_dcl or simulate chunk
-# nodes x draws in one design of _running_hazard or one slice of _weighted_draws:
-# a float64 temporary is then 0.5 MB, within a 2 MiB L2 cache that 2^18 spilled
-SLICE_NODE_BUDGET = 1 << 16
-LANDMARK_RE_DRAWS = 32   # proposal draws per theta row that a landmark draw resamples
 PI_BISECTION_TOL = 1e-3   # |pi - kappa| that ends the bisection for t_up
 
 # RNG stream tags so the independent Monte Carlo schemes never share draws
@@ -64,7 +60,6 @@ class ScheduleConfig:
     grid_size: int = 5
     n_outer: int = 2000     # landmark draws: pi, t_up and the outer information-gain replications
     n_inner: int = 50       # landmark pool that every outer replication reweights
-    re_warmup: int = RE_WARMUP     # iterations of the chain that draws the pool
 
     def __post_init__(self):
         if self.seed < 0:
@@ -76,7 +71,7 @@ class ScheduleConfig:
         # the event-time cap of the information-gain scheme is t + 100 * t_max
         if not (self.t_max > 0 and math.isfinite(100.0 * self.t_max)):
             raise ConfigError(f"t_max must be positive with 100 * t_max finite, got {self.t_max}")
-        _check_counts(n_outer=self.n_outer, n_inner=self.n_inner, re_warmup=self.re_warmup)
+        _check_counts(n_outer=self.n_outer, n_inner=self.n_inner)
 
 
 def _check_counts(**counts):
@@ -141,11 +136,11 @@ class _PiMachine:
     condition (a stack of one history) and the mode-centred proposal they
     were drawn with; b is (1, g_pi, q).
 
-    Each theta row keeps one of LANDMARK_RE_DRAWS weighted proposal draws
-    (``_resampled_draws``).  The same draws serve every horizon u, so the
-    estimated curve is nonincreasing in u and deterministic given the seed.
-    In a plan they are also the outer replications of the information-gain
-    scheme.
+    Each theta row's b is the state of the conditional-RE kernel
+    ``_re_mh_draws`` after RE_SWEEPS sweeps.  The same draws serve every
+    horizon u, so the estimated curve is nonincreasing in u and deterministic
+    given the seed.  In a plan they are also the outer replications of the
+    information-gain scheme.
     """
 
     def __init__(self, history, samples, spec, assoc, g_pi, seed):
@@ -156,8 +151,8 @@ class _PiMachine:
         self.t = history.t
         self.cdata = _ConditionData(spec, assoc, [history])
         self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
-        self.b = _resampled_draws(self.cdata, self.th, self.proposal, [rng],
-                                  LANDMARK_RE_DRAWS, ["the history"])
+        self.b = _re_mh_draws(self.cdata, self.th, self.proposal, [rng], RE_SWEEPS,
+                              names=["the history"])
 
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
@@ -182,45 +177,6 @@ def conditional_survival(history: SubjectHistory, u: float, samples: PosteriorSa
 def pi_curve(history, us, samples, spec, assoc, g_pi: int = 2000, seed: int = 0) -> np.ndarray:
     """Conditional survival at several horizons with common draws."""
     return _PiMachine(history, samples, spec, assoc, g_pi, seed).curve(us)
-
-
-def _weighted_draws(cdata, th, proposal, rngs, m: int, names):
-    """``m`` proposal draws of b per theta row of ``th`` for each history s of
-    ``cdata`` (on rngs[s]), weighted by log p(b | condition, theta) - log q(b)
-    within their row, never across rows: b (S, th.size * m, q), draws
-    r * m ... r * m + m - 1 of row r; the log weights (S, th.size, m) and each
-    row's log normalizer (S, th.size, 1).  The target runs over slices of
-    whole rows within SLICE_NODE_BUDGET, on b laid out (m, S, th.size, q).  A
-    row of zero weights is a NumericError naming names[s]."""
-    b = _mvt_draw(rngs, proposal, th.size * m)
-    # draw k of every row on a leading axis: the target's theta terms are
-    # formed once per row, not once per draw
-    b_k = np.moveaxis(b.reshape(cdata.n_histories, th.size, m, -1), 2, 0)
-    width = max(span_nodes(0.0, cdata.t, cdata.spec.hazard_breakpoints, GK15)[0].size,
-                cdata.meas.times.shape[-1], 1)
-    step = max(1, SLICE_NODE_BUDGET // (width * cdata.n_histories * m))
-    rows = np.arange(th.size)
-    log_p = np.concatenate([cdata.log_target(b_k[:, :, i:i + step], th.take(rows[i:i + step]))
-                            for i in range(0, th.size, step)], axis=-1)
-    log_w = np.moveaxis(log_p - _mvt_logpdf(b_k, proposal), 0, -1)
-    log_norm = logsumexp(log_w, axis=2, keepdims=True)
-    zero = ~np.all(log_norm > -np.inf, axis=(1, 2))
-    if zero.any():
-        raise NumericError(f"every importance weight of {names[zero.argmax()]} at landmark "
-                           f"t={cdata.t} is zero for a posterior draw")
-    return b, log_w, log_norm
-
-
-def _resampled_draws(cdata, th, proposal, rngs, m: int, names) -> np.ndarray:
-    """One b per theta row of ``th`` for each history s, (S, th.size, q), by
-    sampling-importance-resampling: of the row's ``m`` draws of
-    ``_weighted_draws``, the first whose weight CDF passes a uniform on
-    rngs[s] (scaled to the row's total, so the picked weight is positive)."""
-    b, log_w, log_norm = _weighted_draws(cdata, th, proposal, rngs, m, names)
-    cdf = np.cumsum(np.exp(log_w - log_norm), axis=-1)
-    v = np.array([rng.random(th.size) for rng in rngs])[..., None] * cdf[..., -1:]
-    pick = np.arange(th.size) * m + np.sum(cdf <= v, axis=-1)
-    return np.take_along_axis(b, pick[..., None], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +373,8 @@ def _ekl_draws(history, us, samples, spec, assoc, config: ScheduleConfig,
     pool_rng = _stream(config.seed, _EKL_POOL_STREAM)
     idx = pool_rng.integers(0, samples.n_draws, size=config.n_inner)
     th_p = ThetaBatch.from_samples(samples, idx)
-    b_p = _re_mh_draws(cdata, th_p, machine.proposal, [pool_rng], config.re_warmup)
+    b_p = _re_mh_draws(cdata, th_p, machine.proposal, [pool_rng], RE_SWEEPS,
+                       names=["the history"])
 
     # log h_j(T*_i) - Lambda_j(t -> T*_i), shape (n_outer, n_inner); its edges
     # hold no candidate time, so a value does not depend on the other times

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 from scipy.stats import invwishart
 
 from . import model as md
@@ -29,7 +29,12 @@ from .numerics import GK15, mapped_nodes, span_nodes
 BLOCK_TARGET_RATE = 0.234
 ADAPT_WINDOW = 50     # draws between updates of a block proposal's shape
 SCALAR_TARGET_RATE = 0.44
-RE_WARMUP = 500
+RE_CANDIDATES = 8    # candidates per theta row in a sweep of the conditional-RE kernel
+RE_SWEEPS = 3        # sweeps of that kernel before the state it keeps
+# nodes x draws in one slice of the kernel's target (and in one design of
+# dynpred's running hazard): a float64 temporary is then 0.5 MB, within a
+# 2 MiB L2 cache that 2^18 spilled
+SLICE_NODE_BUDGET = 1 << 16
 PROPOSAL_DF = 4.0
 MODE_STEP_TOL = 1e-8   # Newton step length, in posterior sd, that ends the mode search
 MODE_MAX_STEPS = 100
@@ -218,25 +223,20 @@ class _ConditionData:
         self.y, _ = _padded([h.y for h in histories], 0.0)
         self.family.check_response(self.y)
         self.meas = md.Design(spec, ("eta",), self.covariates, times)
-        self._node_cache = {}
+        self.nodes = self._nodes(0.0, self.t)
 
     def _nodes(self, lower: float, upper) -> md.Design:
         """Design over the Gauss-Kronrod nodes of [lower, upper]; with one
         upper per history, each history's nodes padded with zero weights to
         the longest span."""
-        scalar = np.ndim(upper) == 0
-        key = (float(lower), float(upper) if scalar else tuple(upper))
-        if key not in self._node_cache:
-            spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
-                     for u in np.ravel(upper)]
-            if scalar:
-                s, wq = spans[0]
-            else:
-                s, _ = _padded([nodes for nodes, _ in spans], lower)
-                wq, _ = _padded([weights for _, weights in spans], 0.0)
-            self._node_cache[key] = md.Design(self.spec, self.assoc.features,
-                                              self.covariates, s, weights=wq)
-        return self._node_cache[key]
+        spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
+                 for u in np.ravel(upper)]
+        if np.ndim(upper) == 0:
+            s, wq = spans[0]
+        else:
+            s, _ = _padded([nodes for nodes, _ in spans], lower)
+            wq, _ = _padded([weights for _, weights in spans], 0.0)
+        return md.Design(self.spec, self.assoc.features, self.covariates, s, weights=wq)
 
     def _log_hazard(self, design: md.Design, th, rows=None):
         """b -> the clamped log hazard on the design, its theta terms computed
@@ -247,12 +247,11 @@ class _ConditionData:
         return np.errstate(over="ignore")(
             lambda b: np.clip(lh(b), -md.LOG_HAZARD_BOUND, md.LOG_HAZARD_BOUND))
 
-    def _cum_hazard(self, th, upper, lower=0.0):
-        """b -> the hazard integral over [lower, upper], ``upper`` one time or
-        one per history; an overflow is +inf."""
-        if np.ndim(upper) == 0 and upper <= lower:
+    def _cum_hazard(self, th, design):
+        """b -> the hazard integral over the nodes of ``design``; an overflow
+        is +inf."""
+        if not design.times.size:
             return lambda b: np.zeros(b.shape[:-1])
-        design = self._nodes(lower, upper)
         lh = self._log_hazard(design, th)
         def cum(b):
             with np.errstate(over="ignore"):
@@ -260,7 +259,9 @@ class _ConditionData:
         return cum
 
     def cum_hazard(self, b, th, upper, lower=0.0) -> np.ndarray:
-        return self._cum_hazard(th, upper, lower)(b)
+        """The hazard integral over [lower, upper], ``upper`` one time or one
+        per history."""
+        return self._cum_hazard(th, self._nodes(lower, upper))(b)
 
     def cell_cum_hazard(self, b, th, edges) -> np.ndarray:
         """Hazard integral over every cell [edges[j], edges[j + 1]] for every
@@ -306,7 +307,7 @@ class _ConditionData:
         are computed once, here; each call adds the terms in b in the order of
         a fresh evaluation."""
         eta_m = md.features_in_b(self.meas, th.beta) if self.meas.times.size else None
-        cum = self._cum_hazard(th, self.t)
+        cum = self._cum_hazard(th, self.nodes)
 
         def log_target(b):
             out = th.re_log_prior(b)
@@ -344,10 +345,9 @@ class _ConditionData:
             grad += (Zt @ resid[..., None])[..., 0] / phi
             prec += (Zt * var[..., None, :]) @ Z / phi
         if self.t > 0.0:
-            design = self._nodes(0.0, self.t)
-            lh = self._log_hazard(design, th)(b[..., None, :])[..., 0]
-            r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, design.weights * np.exp(lh), 0.0)
-            units = {f: Z_f for f, (_, Z_f) in design.pairs.items()}
+            lh = self._log_hazard(self.nodes, th)(b[..., None, :])[..., 0]
+            r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, self.nodes.weights * np.exp(lh), 0.0)
+            units = {f: Z_f for f, (_, Z_f) in self.nodes.pairs.items()}
             A = np.broadcast_to(self.assoc.value(th.alpha[0], **units, b=np.eye(q)),
                                 lh.shape + (q,))
             At = A.swapaxes(-1, -2)
@@ -462,55 +462,93 @@ def posterior_mode_re(cdata: _ConditionData, theta: md.Parameters) -> ReProposal
                       fallback=fallback, iterations=np.where(fallback, 0, steps))
 
 
-def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
-                 rngs, warmup: int, n_keep: int = 0):
-    """Vectorized independence Metropolis-Hastings for the conditional REs of
-    every history, b (S, th.size, q), started at the proposal's mean.
+def _log_weights(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal, b, m: int):
+    """log p(b | condition, theta) - log q(b) of b (S, th.size * m, q), draws
+    r * m ... r * m + m - 1 of row r, as (S, th.size, m).  The target runs
+    over slices of whole rows within SLICE_NODE_BUDGET, on b laid out
+    (m, S, th.size, q): its theta terms are formed once per row, not once per
+    draw."""
+    b_k = np.moveaxis(b.reshape(cdata.n_histories, th.size, m, -1), 2, 0)
+    width = max(cdata.nodes.times.shape[-1], cdata.meas.times.shape[-1], 1)
+    step = max(1, SLICE_NODE_BUDGET // (width * cdata.n_histories * m))
+    rows = np.arange(th.size)
+    log_p = np.concatenate([cdata.log_target(b_k[:, :, i:i + step], th.take(rows[i:i + step]))
+                            for i in range(0, th.size, step)], axis=-1)
+    return np.moveaxis(log_p - _mvt_logpdf(b_k, proposal), 0, -1)
 
-    Runs ``warmup`` iterations on th.size parallel rows per history and
-    returns the final states; with ``n_keep`` > 0 also collects that many
-    post-warmup states of the (single-row) chains, (S, n_keep, q).  History
-    s draws on rngs[s], so its draws are those it gets alone.  A candidate
-    of target -inf (zero survival) is rejected, even from a state of target
-    -inf.
+
+def _weighted_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal, rngs,
+                    m: int, names):
+    """``m`` proposal draws of b per theta row of ``th`` for each history s of
+    ``cdata`` (on rngs[s]), weighted within their row, never across rows:
+    b (S, th.size * m, q), the log weights (S, th.size, m) of
+    ``_log_weights`` and each row's log normalizer (S, th.size, 1).  A row of
+    zero weights is a NumericError naming names[s]."""
+    b = _mvt_draw(rngs, proposal, th.size * m)
+    log_w = _log_weights(cdata, th, proposal, b, m)
+    log_norm = logsumexp(log_w, axis=2, keepdims=True)
+    zero = ~np.all(log_norm > -np.inf, axis=(1, 2))
+    if zero.any():
+        raise NumericError(f"every importance weight of {names[zero.argmax()]} at landmark "
+                           f"t={cdata.t} is zero for a posterior draw")
+    return b, log_w, log_norm
+
+
+def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
+                 rngs, warmup: int, n_keep: int = 0, *, names):
+    """Iterated sampling-importance-resampling (i-SIR; Andrieu, Lee & Vihola
+    2018, Bernoulli 24(2)) of the conditional REs of every history, on
+    th.size parallel rows per history: b (S, th.size, q).
+
+    The first sweep keeps one of RE_CANDIDATES weighted proposal draws per
+    row (``_weighted_draws``; Smith & Gelfand 1992, Am. Stat. 46(2)).  Each
+    later sweep keeps the row's current state as one of RE_CANDIDATES
+    candidates beside fresh draws, so p(b | condition, theta) stays exactly
+    invariant.  A sweep keeps the first candidate whose weight CDF passes a
+    uniform on rngs[s], scaled to the row's total, so the kept weight is
+    positive.  Runs ``warmup`` sweeps and returns the last state; with
+    ``n_keep`` > 0 runs that many more and returns their states,
+    (S, th.size * n_keep, q), sweep by sweep.  History s draws on rngs[s], so
+    its draws are those it gets alone.  A row whose first-sweep weights are
+    all zero is a NumericError naming names[s] (``_weighted_draws``).
     """
-    size = th.size
-    target = cdata.target(th)
-    b = np.repeat(proposal.mean[:, None, :], size, axis=1)
-    lp = cdata.log_target(b, th, target)
-    lq = _mvt_logpdf(b, proposal)
+    n, size, m = cdata.n_histories, th.size, RE_CANDIDATES
+    b, log_w, _ = _weighted_draws(cdata, th, proposal, rngs, m, names)
+    b = b.reshape(n, size, m, -1)
     kept = []
-    for it in range(warmup + n_keep):
-        cand = _mvt_draw(rngs, proposal, size)
-        lp_c = cdata.log_target(cand, th, target)
-        lq_c = _mvt_logpdf(cand, proposal)
-        gain = np.subtract(lp_c, lp, out=np.full(lp.shape, -np.inf), where=lp_c > -np.inf)
-        ratio = gain - (lq_c - lq)
-        accept = np.log(np.array([rng.random(size) for rng in rngs])) < ratio
-        np.copyto(b, cand, where=accept[..., None])
-        np.copyto(lp, lp_c, where=accept)
-        np.copyto(lq, lq_c, where=accept)
-        if it >= warmup:
-            kept.append(b.copy())
-    return np.concatenate(kept, axis=1) if n_keep else b
+    for sweep in range(warmup + n_keep):
+        if sweep:
+            fresh = _mvt_draw(rngs, proposal, size * (m - 1))
+            b = np.concatenate([state[:, :, None], fresh.reshape(n, size, m - 1, -1)], axis=2)
+            log_w = np.concatenate([state_w, _log_weights(cdata, th, proposal, fresh, m - 1)],
+                                   axis=2)
+        cdf = np.cumsum(np.exp(log_w - log_w.max(axis=2, keepdims=True)), axis=-1)
+        v = np.array([rng.random(size) for rng in rngs])[..., None] * cdf[..., -1:]
+        pick = np.sum(cdf <= v, axis=-1, keepdims=True)
+        state = np.take_along_axis(b, pick[..., None], axis=2)[:, :, 0]
+        state_w = np.take_along_axis(log_w, pick, axis=2)
+        if sweep >= warmup:
+            kept.append(state)
+    return np.concatenate(kept, axis=1) if n_keep else state
 
 
 def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
                           spec: md.JointModelSpec, assoc: md.AssociationForm,
-                          n_draws: int, seed=None, warmup: int = RE_WARMUP) -> np.ndarray:
-    """MH chain targeting p(b | the measurements of ``history``, survival past
-    ``history.t``, theta); returns (n_draws, q).
+                          n_draws: int, seed=None, warmup: int = RE_SWEEPS) -> np.ndarray:
+    """Successive states of the i-SIR chain ``_re_mh_draws`` targeting
+    p(b | the measurements of ``history``, survival past ``history.t``,
+    theta) after ``warmup`` sweeps; returns (n_draws, q).
 
-    The independence proposal is a multivariate Student-t (4 df) at the mode
-    of the strictly concave log target, with the inverse of its exact
-    precision there as covariance (``posterior_mode_re``); the first draw is
-    taken after the internal warm-up.
+    The proposal is a multivariate Student-t (4 df) at the mode of the
+    strictly concave log target, with the inverse of its exact precision
+    there as covariance (``posterior_mode_re``).  A target that is zero at
+    every first-sweep candidate is a NumericError.
     """
     cdata = _ConditionData(spec, assoc, [history])
     proposal = posterior_mode_re(cdata, theta)
     th = ThetaBatch.from_parameters(theta, 1)
     return _re_mh_draws(cdata, th, proposal, [np.random.default_rng(seed)], warmup,
-                        n_keep=n_draws)[0]
+                        n_keep=n_draws, names=["the history"])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -412,7 +412,7 @@ def test_criterion_8_scheduling_contract(scheduling_rig, report):
     for k, subject in enumerate(eligible):
         history = jm.SubjectHistory.from_subject(subject, t_land)
         config = ScheduleConfig(seed=1000 + k, kappa=0.8, t_max=5.0, grid_size=5,
-                                n_outer=40, n_inner=5, re_warmup=120)
+                                n_outer=40, n_inner=5)
         plan = schedule_next(history, samples, spec, assoc, config)
         assert plan.grid.size == config.grid_size
         steps = np.diff(plan.grid)
@@ -436,7 +436,7 @@ def test_criterion_8_scheduling_contract(scheduling_rig, report):
     spec_f, assoc_f, theta_f = flat_exponential_model(lam=0.01)
     flat_samples = PosteriorSamples.degenerate(theta_f, 300)
     history = jm.SubjectHistory({"w": 0.0}, [0.0, 0.3], [3.5, 3.7], t=0.3)
-    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4, re_warmup=40)
+    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4)
     plan = schedule_next(history, flat_samples, spec_f, assoc_f, config)
     assert np.array_equal(plan.grid, np.array([1.3, 2.3, 3.3, 4.3, 5.3]))
     assert plan.t_up - plan.landmark == 5.0
@@ -460,8 +460,7 @@ def test_criterion_9_determinism(scheduling_rig, report):
     assert one.ranef.tobytes() == two.ranef.tobytes()
 
     history = jm.SubjectHistory.from_subject(new_subjects.subjects[0], 1.0)
-    sched_config = ScheduleConfig(seed=2718, n_outer=30, n_inner=4,
-                                  re_warmup=60)
+    sched_config = ScheduleConfig(seed=2718, n_outer=30, n_inner=4)
     r1 = ekl(history, [2.0], samples, spec, assoc, sched_config)
     r2 = ekl(history, [2.0], samples, spec, assoc, sched_config)
     assert r1 == r2

@@ -216,7 +216,6 @@ schedule.t_max=4
 schedule.grid_size=5
 schedule.outer=25
 schedule.inner=3
-schedule.warmup=40
 """)
     assert main(["schedule", cfg]) == 0
     rows = read_rows(tmp_path / "plan_schedule.csv")
@@ -620,7 +619,6 @@ schedule.t_max=2
 schedule.grid_size=3
 schedule.outer=10
 schedule.inner=2
-schedule.warmup=10
 """
 
 
@@ -630,12 +628,12 @@ schedule.warmup=10
     ("predict", "predict.g_pi", "0"),
     ("predict", "predict.g_pi", "-1"), ("predict", "predict.points", "0"),
     ("schedule", "schedule.outer", "0"), ("schedule", "schedule.inner", "0"),
-    ("schedule", "schedule.warmup", "0"), ("schedule", "schedule.grid_size", "1"),
+    ("schedule", "schedule.grid_size", "1"),
     ("schedule", "schedule.t_max", "1e307"),
 ])
 def test_nonpositive_predict_or_score_count_is_an_error(pipeline, tmp_path, capsys, command,
                                                         key, value):
-    """A draw count, point count or warm-up below 1, a one-point schedule grid
+    """A draw count or point count below 1, a one-point schedule grid
     or a schedule.t_max whose event-time cap t + 100 * t_max overflows ends in
     an error and writes no CSV, not a traceback or a nan in the output."""
     if command == "predict":
@@ -666,13 +664,25 @@ def test_score_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
 
 
 def test_predict_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
-    """predict resamples importance-weighted proposal draws, with no warm-up
-    chain: a config that still sets predict.warmup runs and names the key."""
+    """predict draws its random effects with a fixed number of sweeps of one
+    kernel, with no warm-up chain: a config that still sets predict.warmup
+    runs and names the key."""
     text = _predict_config(pipeline, tmp_path, pipeline / "fit1_draws.csv") + "predict.warmup=10\n"
     assert main(["predict", write_config(tmp_path / "c.cfg", text)]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "warning: config key 'predict.warmup' is not read by predict"]
     assert (tmp_path / "pred_pi.csv").exists()
+
+
+def test_schedule_runs_and_warns_on_a_warmup_key(pipeline, tmp_path, capsys):
+    """schedule draws its landmark draw and its pool with a fixed number of
+    sweeps of one kernel, with no warm-up knob: a config that still sets
+    schedule.warmup runs and names the key."""
+    text = _schedule_config(pipeline, tmp_path) + "schedule.warmup=10\n"
+    assert main(["schedule", write_config(tmp_path / "c.cfg", text)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: config key 'schedule.warmup' is not read by schedule"]
+    assert (tmp_path / "plan_schedule.csv").exists()
 
 
 def test_predict_with_every_weight_of_a_draw_zero_is_an_error(pipeline, tmp_path, capsys,

@@ -7,7 +7,6 @@ from scipy import stats
 from scipy.special import expit
 
 from jmsched.dynpred import (
-    LANDMARK_RE_DRAWS,
     PI_BISECTION_TOL,
     EklResult,
     ModelScore,
@@ -16,7 +15,6 @@ from jmsched.dynpred import (
     _ekl_draws,
     _event_time_batch,
     _event_time_edges,
-    _resampled_draws,
     _select_candidate,
     _stream,
     conditional_survival,
@@ -28,7 +26,14 @@ from jmsched.dynpred import (
     simulate_future_measurement,
 )
 from jmsched.errors import ConfigError, DomainError, NumericError
-from jmsched.mcmc import PosteriorSamples, ThetaBatch, _ConditionData, posterior_mode_re
+from jmsched.mcmc import (
+    RE_SWEEPS,
+    PosteriorSamples,
+    ThetaBatch,
+    _ConditionData,
+    _re_mh_draws,
+    posterior_mode_re,
+)
 from jmsched.model import (
     BERNOULLI,
     GAUSSIAN,
@@ -438,14 +443,14 @@ def test_cv_dcl_keeps_its_values(case, expected):
 def test_ekl_zero_when_event_certain_before_u():
     spec, assoc, theta = flat_hazard_model(lam=25.0)
     samples = PosteriorSamples.degenerate(theta, 200)
-    config = ScheduleConfig(seed=2, n_outer=120, n_inner=8, re_warmup=40)
+    config = ScheduleConfig(seed=2, n_outer=120, n_inner=8)
     result = ekl(HIST, [1.3], samples, spec, assoc, config)
     assert result == (EklResult(0.0, 0.0, 0.0),)
 
 
 def test_ekl_deterministic_given_seed(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
-    config = ScheduleConfig(seed=6, n_outer=50, n_inner=6, re_warmup=60)
+    config = ScheduleConfig(seed=6, n_outer=50, n_inner=6)
     a = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
             small_joint["assoc"], config)
     b = ekl(history, [2.5], small_joint["samples"], small_joint["spec"],
@@ -455,7 +460,7 @@ def test_ekl_deterministic_given_seed(small_joint):
 
 def test_ekl_interval_brackets_estimate(small_joint):
     history = SubjectHistory({"w": 0.0}, [0.0, 0.8], [3.7, 4.0], t=1.0)
-    config = ScheduleConfig(seed=8, n_outer=80, n_inner=6, re_warmup=60)
+    config = ScheduleConfig(seed=8, n_outer=80, n_inner=6)
     (r,) = ekl(history, [2.0], small_joint["samples"], small_joint["spec"],
                small_joint["assoc"], config)
     assert r.lower <= r.estimate <= r.upper
@@ -464,7 +469,7 @@ def test_ekl_interval_brackets_estimate(small_joint):
 def test_ekl_requires_future_time():
     spec, assoc, theta = flat_hazard_model()
     samples = PosteriorSamples.degenerate(theta, 10)
-    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, re_warmup=5)
+    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2)
     with pytest.raises(DomainError):
         ekl(HIST, [0.3], samples, spec, assoc, config)
 
@@ -473,14 +478,14 @@ def test_ekl_requires_future_time():
 def test_ekl_rejects_empty_or_past_times(us):
     spec, assoc, theta = flat_hazard_model()
     samples = PosteriorSamples.degenerate(theta, 10)
-    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2, re_warmup=5)
+    config = ScheduleConfig(seed=1, n_outer=10, n_inner=2)
     with pytest.raises(DomainError):
         ekl(HIST, us, samples, spec, assoc, config)
 
 
 def test_ekl_value_does_not_depend_on_other_times(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0], [3.6, 3.9], t=1.5)
-    config = ScheduleConfig(seed=9, n_outer=40, n_inner=5, re_warmup=50)
+    config = ScheduleConfig(seed=9, n_outer=40, n_inner=5)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
     us = [1.9, 2.6, 3.4]
     together = ekl(history, us, *args)
@@ -494,7 +499,7 @@ def test_ekl_gating_fraction_matches_conditional_survival():
     lam = 0.15
     spec, assoc, theta = flat_hazard_model(lam=lam)
     samples = PosteriorSamples.degenerate(theta, 500)
-    config = ScheduleConfig(seed=12, n_outer=800, n_inner=4, re_warmup=40)
+    config = ScheduleConfig(seed=12, n_outer=800, n_inner=4)
     u = 1.3
     (values,) = _ekl_draws(HIST, [u], samples, spec, assoc, config)
     frac_zero = float(np.mean(values == 0.0))
@@ -585,10 +590,11 @@ def test_pi_curve_matches_quadrature_oracle(family, beta0, d, lam0, y, phi):
     """pi(u | t) of a subject at risk at t = 1 on the criterion-7 toy at a
     strong association (alpha = 1.5), at three horizons, against
     sum over b of p(b | y, T* > t) exp(-lam_b (u - t)) by quadrature.  The
-    Monte Carlo SE comes from 20 seeds of the default 2,000 rows.  Resampling
-    fewer proposal draws per row misses by the self-normalized bias: the
-    Bernoulli case by 5-7 SE with 4 or 8 draws and 3.4 SE with 16.  With the
-    weights dropped (plain proposal draws) it misses by 52-68 SE."""
+    Monte Carlo SE comes from 20 seeds of the default 2,000 rows.  Too few
+    sweeps of the kernel miss by the self-normalized bias of the first one:
+    with 8 candidates the Bernoulli case misses by 5.6-5.9 SE after one sweep
+    and 3.3-3.7 SE after two, and reads |z| <= 0.7 after RE_SWEEPS = 3.  With
+    the weights dropped (plain proposal draws) it misses by 52-68 SE."""
     history, spec, assoc, theta, _, _ = intercept_toy(family, 1.5, beta0, d, lam0, y, phi)
     t = history.t
     _, lam_b, wt = toy_landmark_posterior(family, 1.5, beta0, d, lam0, y, phi, t)
@@ -606,37 +612,37 @@ def _sbc_chi2(ranks, n_bins):
     return float(((np.bincount(ranks, minlength=n_bins) - expected) ** 2 / expected).sum())
 
 
-def test_landmark_draw_is_calibrated():
+def _landmark_draw_sbc(family, beta, phi, seed):
     """Simulation-based calibration of the landmark draw (Talts et al. 2018,
-    arXiv:1804.06788).  With theta fixed (the criterion-3 design: its visits,
-    baseline spline and covariate w; a Bernoulli marker with beta = (0, 0.25)
-    and the cumulative association at alpha = 1.5), b ~ N(0, D) and the
-    measurements at the visits up to t = 3 are drawn for 1,900 cases, and a
-    case is kept with probability exp(-Lambda(t)), its survival past t: about
-    1,000 are.  Each kept case takes L = 19 draws of the stacked landmark
-    draw, and the rank of the truth among them, for each coordinate of b and
-    for log h(t), is uniform on 0..L when the draw samples
-    p(b | y, T* > t).  The threshold is the 99.9% quantile of the chi-square
-    of the 20 rank counts over 20,000 uniform rank sets of the same size at
-    seed 0 (43.1).  With the survival term dropped from the target the
-    statistic reads 216 for b[0] and 246 for log h(t); with the measurement
-    term halved it stays within the null at this design, where the pi oracle
-    test catches it."""
-    lspec = LongitudinalSpec(family=BERNOULLI, time_effect=LinearTime())
+    arXiv:1804.06788) with theta fixed: the criterion-3 design (its visits,
+    baseline spline and covariate w; the cumulative association at
+    alpha = 1.5) with the given marker.  b ~ N(0, D) and the measurements at
+    the visits up to t = 3 are drawn for 1,900 cases, and a case is kept with
+    probability exp(-Lambda(t)), its survival past t: about 1,000 are.  Each
+    kept case takes L = 19 rows of the stacked kernel ``_re_mh_draws`` at the
+    sweeps a landmark draw runs, and the rank of the truth among them, for
+    each coordinate of b and for log h(t), is uniform on 0..L when the kernel
+    samples p(b | y, T* > t).  Returns the chi-square of the 20 rank counts of
+    each, the 99.9% quantile of that chi-square over 20,000 uniform rank sets
+    of the same size at seed 0, and the number of kept cases."""
+    lspec = LongitudinalSpec(family=family, time_effect=LinearTime())
     basis = BSplineBasis(degree=3, interior_knots=(2.5, 5.0, 7.5), boundary_knots=(0.0, 10.5))
     spec = JointModelSpec(longitudinal=lspec, baseline_basis=basis, hazard_covariates=("w",))
     assoc = AssociationForm("cumulative")
     gh = np.zeros(spec.n_baseline)
     gh[0] = math.log(0.06)
-    theta = Parameters(beta=np.array([0.0, 0.25]), phi=1.0, D=np.diag([0.35, 0.02]),
+    theta = Parameters(beta=np.array(beta), phi=phi, D=np.diag([0.35, 0.02]),
                        gamma=np.array([0.5]), alpha=np.array([1.5]),
                        baseline=spec.make_baseline(gh, 1.0))
-    t, n_draws, rng = 3.0, 19, np.random.default_rng(0)
+    t, n_draws, rng = 3.0, 19, np.random.default_rng(seed)
     visits = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     w = (rng.random(1900) < 0.5).astype(float)
     b = rng.multivariate_normal(np.zeros(2), theta.D, size=w.size)
     eta = theta.beta[0] + b[:, :1] + (theta.beta[1] + b[:, 1:]) * visits
-    y = (rng.random(eta.shape) < expit(eta)).astype(float)
+    if family is BERNOULLI:
+        y = (rng.random(eta.shape) < expit(eta)).astype(float)
+    else:
+        y = eta + math.sqrt(phi) * rng.standard_normal(eta.shape)
     histories = [SubjectHistory({"w": w_i}, visits, y_i, t=t) for w_i, y_i in zip(w, y)]
     th1 = ThetaBatch.from_parameters(theta, 1)
     cum = _ConditionData(spec, assoc, histories).cum_hazard(b[:, None, :], th1, t)[:, 0]
@@ -645,9 +651,9 @@ def test_landmark_draw_is_calibrated():
 
     cdata = _ConditionData(spec, assoc, histories)
     th = ThetaBatch.from_parameters(theta, n_draws)
-    rngs = [_stream(0, 9, i) for i in range(len(histories))]
-    draws = _resampled_draws(cdata, th, posterior_mode_re(cdata, theta), rngs,
-                             LANDMARK_RE_DRAWS, [f"case {i}" for i in range(len(histories))])
+    rngs = [_stream(seed, 9, i) for i in range(len(histories))]
+    draws = _re_mh_draws(cdata, th, posterior_mode_re(cdata, theta), rngs, RE_SWEEPS,
+                         names=[f"case {i}" for i in range(len(histories))])
     at_t = np.full((len(histories), 1), t)
     log_h = cdata.log_hazard_grid(at_t, draws, th)[:, 0]
     log_h_true = cdata.log_hazard_grid(at_t, b[:, None, :], th1)[:, 0, 0]
@@ -657,8 +663,36 @@ def test_landmark_draw_is_calibrated():
 
     null = np.random.default_rng(0).integers(0, n_draws + 1, size=(20000, len(histories)))
     limit = np.quantile([_sbc_chi2(r, n_draws + 1) for r in null], 0.999)
-    assert 900 < len(histories) < 1100
     chi2 = {name: _sbc_chi2(r, n_draws + 1) for name, r in ranks.items()}
+    return chi2, limit, len(histories)
+
+
+def test_landmark_draw_is_calibrated():
+    """``_landmark_draw_sbc`` with a Bernoulli marker, beta = (0, 0.25), at
+    data seed 0: 22, 17 and 24 against the limit 43.1.  On scratch
+    copies, dropping the survival term from the target reads 254 for b[0] and
+    267 for log h(t), and dropping the weights (plain proposal draws) 90 and
+    108.  A halved measurement term stays within the null (24, 23 and 35):
+    five Bernoulli outcomes say little about b, and the gaussian case below
+    and the pi oracle test catch it."""
+    chi2, limit, kept = _landmark_draw_sbc(BERNOULLI, (0.0, 0.25), 1.0, seed=0)
+    assert 900 < kept < 1100
+    assert all(v < limit for v in chi2.values()), f"rank chi-square {chi2}, limit {limit:.1f}"
+
+
+def test_landmark_draw_is_calibrated_for_a_gaussian_marker():
+    """``_landmark_draw_sbc`` with a gaussian marker, beta = (0, 0.25) and
+    phi = 0.1, at data seed 1: 18, 23 and 23 against the limit 43.7.  Five
+    measurements pin b[0] to about a twentieth of its prior variance, so a
+    target with the measurement term halved draws b too wide: on a scratch
+    copy it reads 61 for b[0] and 88 for log h(t).  Dropping the weights reads
+    72 for b[0]; dropping the survival term stays within the null here (the
+    Bernoulli case catches it).  At data seed 0, b[0] reads 44.4 against the
+    limit 43.9 with this kernel and 48.8 with 32 candidates and 10 sweeps, an
+    unlucky set of cases: over data seeds 1-12 its mean is 19.6 (at most
+    27.9) with this kernel and 20.5 (at most 30.8) with the longer one."""
+    chi2, limit, kept = _landmark_draw_sbc(GAUSSIAN, (0.0, 0.25), 0.1, seed=1)
+    assert 900 < kept < 1100
     assert all(v < limit for v in chi2.values()), f"rank chi-square {chi2}, limit {limit:.1f}"
 
 
@@ -700,7 +734,7 @@ def test_selection_rule_feasibility_and_ties():
 def test_schedule_grid_reproduces_full_horizon_shape():
     spec, assoc, theta = flat_hazard_model(lam=0.01)  # survival stays above kappa
     samples = PosteriorSamples.degenerate(theta, 300)
-    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4, re_warmup=40)
+    config = ScheduleConfig(seed=3, n_outer=40, n_inner=4)
     plan = schedule_next(HIST, samples, spec, assoc, config)
     assert plan.t_up - plan.landmark == 5.0
     assert np.array_equal(plan.grid, np.array([1.3, 2.3, 3.3, 4.3, 5.3]))
@@ -710,7 +744,7 @@ def test_schedule_grid_reproduces_full_horizon_shape():
 
 def test_schedule_respects_survival_constraint(small_joint):
     history = SubjectHistory({"w": 1.0}, [0.0, 1.0, 2.0], [3.6, 4.0, 4.3], t=2.0)
-    config = ScheduleConfig(seed=4, n_outer=60, n_inner=6, re_warmup=100)
+    config = ScheduleConfig(seed=4, n_outer=60, n_inner=6)
     plan = schedule_next(history, small_joint["samples"], small_joint["spec"],
                          small_joint["assoc"], config)
     assert plan.grid.size == config.grid_size
@@ -726,7 +760,7 @@ def test_schedule_respects_survival_constraint(small_joint):
 def test_schedule_immediately_binding_constraint():
     spec, assoc, theta = flat_hazard_model(lam=400.0)
     samples = PosteriorSamples.degenerate(theta, 100)
-    config = ScheduleConfig(seed=5, n_outer=20, n_inner=3, re_warmup=30)
+    config = ScheduleConfig(seed=5, n_outer=20, n_inner=3)
     plan = schedule_next(HIST, samples, spec, assoc, config)
     assert plan.selected is None
     assert "intervene" in plan.advisory
@@ -734,7 +768,7 @@ def test_schedule_immediately_binding_constraint():
 
 def test_schedule_deterministic(small_joint):
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
-    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4)
     a = schedule_next(history, small_joint["samples"], small_joint["spec"],
                       small_joint["assoc"], config)
     b = schedule_next(history, small_joint["samples"], small_joint["spec"],
@@ -749,7 +783,7 @@ def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
     """A plan scores its grid in one ``ekl`` call, and each value is what
     ``ekl`` gives at that grid point alone."""
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
-    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"], config)
     plan = schedule_next(history, *args)
     assert plan.t_up - plan.landmark > 1e-3
@@ -760,7 +794,7 @@ def test_schedule_ekl_is_ekl_at_each_grid_point(small_joint):
 def test_schedule_pi_is_pi_curve_on_the_landmark_draw(small_joint):
     """A plan's pi is predict's estimator on the plan's n_outer landmark draws."""
     history = SubjectHistory({"w": 0.0}, [0.0, 0.5], [3.4, 3.6], t=1.0)
-    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4, re_warmup=50)
+    config = ScheduleConfig(seed=17, n_outer=30, n_inner=4)
     args = (small_joint["samples"], small_joint["spec"], small_joint["assoc"])
     plan = schedule_next(history, *args, config)
     assert np.array_equal(plan.pi, pi_curve(history, plan.grid, *args, g_pi=config.n_outer,
@@ -774,8 +808,7 @@ def test_schedule_upper_limit_at_huge_t_max_matches_closed_form():
     lam, kappa = 0.01, 0.8
     spec, assoc, theta = flat_hazard_model(lam=lam)
     samples = PosteriorSamples.degenerate(theta, 100)
-    config = ScheduleConfig(seed=3, kappa=kappa, t_max=1e300, n_outer=40, n_inner=4,
-                            re_warmup=40)
+    config = ScheduleConfig(seed=3, kappa=kappa, t_max=1e300, n_outer=40, n_inner=4)
     plan = schedule_next(HIST, samples, spec, assoc, config)
     assert plan.t_up - plan.landmark == pytest.approx(
         math.log(1.0 / kappa) / lam, abs=PI_BISECTION_TOL / (lam * (kappa - PI_BISECTION_TOL)))

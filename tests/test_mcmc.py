@@ -10,6 +10,7 @@ from scipy.stats import invgamma
 
 from jmsched.errors import ConfigError, NumericError, SpecError
 from jmsched.mcmc import (
+    RE_CANDIDATES,
     McmcConfig,
     PosteriorSamples,
     PriorSet,
@@ -21,6 +22,7 @@ from jmsched.mcmc import (
     _mvt_draw,
     _mvt_logpdf,
     _re_mh_draws,
+    _weighted_draws,
     dic,
     effective_sample_size,
     fit,
@@ -233,16 +235,16 @@ def test_mvt_logpdf_matches_scipy_for_a_fallback_proposal():
 # --- conditional random-effects draws -------------------------------------------
 
 def test_zero_survival_chain_rejects_every_candidate():
-    """Survival to 1e10 under a hazard of e^690: the target is -inf at the
-    proposal mean and at every candidate, so each is rejected without an
-    overflow or an inf - inf."""
+    """Survival to 1e10 under a hazard of e^690: the target is -inf at every
+    candidate of the kernel's first sweep, so no state can be drawn and the
+    draw ends in a NumericError, without an overflow or an inf - inf."""
     spec, assoc, theta = intercept_model(lam=math.exp(690.0), d=0.7)
     history = SubjectHistory({}, [], [], t=1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        draws = sample_random_effects(history, theta, spec, assoc, n_draws=50, seed=3,
-                                      warmup=20)
-    assert np.array_equal(draws, np.zeros((50, 1)))
+        with pytest.raises(NumericError, match="every importance weight of the history at "
+                                               "landmark t=10000000000.0 is zero"):
+            sample_random_effects(history, theta, spec, assoc, n_draws=50, seed=3, warmup=20)
 
 
 def chain_se(draws):
@@ -700,11 +702,9 @@ def test_log_target_newton_matches_finite_differences(family_cohorts, family, va
     assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("variant", ["current_value", "cumulative", "shared_random_effects"])
-def test_stacked_chain_gives_each_history_its_own_draws(family_cohorts, family, variant):
-    """Histories with 0, 2 and 3 measurements in one stack, each drawing on
-    its own generator, get exactly the chain states each gets alone."""
+def _stacked_condition(family_cohorts, family, variant):
+    """Three histories at landmark 3 with 0, 2 and 3 measurements, stacked,
+    and a theta for them."""
     spec, dataset = family_cohorts[family]
     assoc = _association(variant, spec)
     gaussian = family == "gaussian"
@@ -714,17 +714,49 @@ def test_stacked_chain_gives_each_history_its_own_draws(family_cohorts, family, 
     subjects = [s for s in dataset.subjects if s.event_time > 3.0 and s.n_obs >= 3][:3]
     histories = [SubjectHistory(s.covariates, s.times[:k], s.y[:k], 3.0)
                  for s, k in zip(subjects, (0, 2, 3))]
+    return spec, assoc, theta, histories
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("variant", ["current_value", "cumulative", "shared_random_effects"])
+def test_stacked_chain_gives_each_history_its_own_draws(family_cohorts, family, variant):
+    """Histories with 0, 2 and 3 measurements in one stack, each drawing on
+    its own generator, get exactly the kernel states each gets alone."""
+    spec, assoc, theta, histories = _stacked_condition(family_cohorts, family, variant)
     th = ThetaBatch.from_parameters(theta, 5)
     cdata = _ConditionData(spec, assoc, histories)
     proposal = posterior_mode_re(cdata, theta)
     seeds = (41, 42, 43)
-    stacked = _re_mh_draws(cdata, th, proposal, [np.random.default_rng(s) for s in seeds], 30)
+    names = ["history 0", "history 1", "history 2"]
+    stacked = _re_mh_draws(cdata, th, proposal, [np.random.default_rng(s) for s in seeds], 30,
+                           names=names)
     assert stacked.shape == (3, th.size, 2)
     for k, h in enumerate(histories):
         alone = ReProposal(mean=proposal.mean[k:k + 1], cov=proposal.cov[k:k + 1])
         draws = _re_mh_draws(_ConditionData(spec, assoc, [h]), th, alone,
-                             [np.random.default_rng(seeds[k])], 30)
+                             [np.random.default_rng(seeds[k])], 30, names=names[k:k + 1])
         assert np.array_equal(stacked[k], draws[0])
+
+
+def test_one_sweep_of_the_kernel_resamples_the_weighted_draws(family_cohorts):
+    """With warmup=1 the kernel is sampling-importance-resampling: on the same
+    generators, each row's state is the draw of ``_weighted_draws`` that the
+    row's next uniform picks through the inverse CDF of the row's weights."""
+    spec, assoc, theta, histories = _stacked_condition(family_cohorts, "gaussian", "cumulative")
+    th = ThetaBatch.from_parameters(theta, 7)
+    cdata = _ConditionData(spec, assoc, histories)
+    proposal = posterior_mode_re(cdata, theta)
+    m, seeds, names = RE_CANDIDATES, (51, 52, 53), ["history 0", "history 1", "history 2"]
+    state = _re_mh_draws(cdata, th, proposal, [np.random.default_rng(s) for s in seeds], 1,
+                         names=names)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    b, log_w, log_norm = _weighted_draws(cdata, th, proposal, rngs, m, names)
+    cdf = np.cumsum(np.exp(log_w - log_norm), axis=-1)
+    for s, rng in enumerate(rngs):
+        u = rng.random(th.size)
+        for r in range(th.size):
+            k = np.searchsorted(cdf[s, r], u[r] * cdf[s, r, -1], side="right")
+            assert np.array_equal(state[s, r], b[s, r * m + k])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -94,7 +94,7 @@ def run_variant(main, name: str, model: str, truth: str, cfgs: Path, out: Path) 
         command("schedule", f"schedule{k}", f"seed={30 + k}\nout.prefix={out}/schedule{k}\n"
                 f"{data}{model}schedule.draws={draws}\nschedule.subject={subject}\n"
                 f"schedule.landmark={t}\nschedule.grid_size=4\nschedule.outer=200\n"
-                "schedule.inner=20\nschedule.warmup=20\n")
+                "schedule.inner=20\n")
 
 
 def main(argv=None) -> int:
