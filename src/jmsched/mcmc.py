@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import gammaln, logsumexp
-from scipy.stats import invwishart
 
 from . import model as md
 from .errors import ConfigError, DataError, NumericError, SpecError
@@ -630,11 +630,12 @@ class _FitData:
 
         self.rows = {f: self.hidx for f in self.features}
         self.rows["eta"] = np.concatenate([self.midx] + [self.hidx] * ("eta" in self.features))
-        self.X, self.Z = {}, {}
+        self.X, self.ZT = {}, {}
         for f in self.rows:
             pairs = [d.pairs[f] for d in meas + nodes + events if f in d.features]
             self.X[f] = np.concatenate([X for X, _ in pairs])
-            self.Z[f] = np.concatenate([Z for _, Z in pairs])
+            # Z transposed, (q, rows): ``_z_times_b`` reads it a column of Z at a time
+            self.ZT[f] = np.ascontiguousarray(np.concatenate([Z for _, Z in pairs]).T)
         # the shared-random-effects association reads b itself, not beta
         self.assoc_inputs = ("alpha", "beta", "b") if self.features else ("alpha", "b")
 
@@ -655,15 +656,16 @@ class _FitData:
         """
         t = _LoglikTerms(beta, gamma, alpha, gamma_h0, phi, b)
 
-        def changed(*names):
-            return base is None or any(getattr(t, k) is not getattr(base, k) for k in names)
+        new = set(_LOGLIK_INPUTS) if base is None else {
+            k for k in _LOGLIK_INPUTS if getattr(t, k) is not getattr(base, k)}
+        changed = lambda *names: not new.isdisjoint(names)
 
         if changed("beta"):
             t.xb = {f: X @ beta for f, X in self.X.items()}
         else:
             t.xb = base.xb
         if changed("b"):
-            t.zb = {f: np.sum(Z * b[self.rows[f]], axis=1) for f, Z in self.Z.items()}
+            t.zb = {f: self._z_times_b(f, b) for f in self.ZT}
         else:
             t.zb = base.zb
 
@@ -699,6 +701,20 @@ class _FitData:
         t.value[t.bad] = -np.inf
         return t
 
+    def _z_times_b(self, f, b):
+        """Z.b over the rows of feature f, the bytes of
+        ``np.sum(Z * b[rows], axis=1)``: numpy sums a row of fewer than 8 terms
+        left to right, as this running sum over the columns of Z does, and a
+        longer row pairwise."""
+        ZT, rows = self.ZT[f], self.rows[f]
+        if self.q >= 8:
+            return np.sum(ZT.T * b[rows], axis=1)
+        bT = b.T
+        zb = ZT[0] * bT[0][rows]
+        for k in range(1, self.q):
+            zb += ZT[k] * bT[k][rows]
+        return zb
+
     def _assoc_at(self, t: _LoglikTerms, alpha):
         """The association term at every hazard row, from the features in ``t``."""
         nh = self.hidx.size
@@ -717,18 +733,26 @@ class _FitData:
         """
         F = np.array([self._assoc_at(t, e) for e in np.eye(self.n_alpha)])
         F_n, F_T = F[:, : -self.n], F[:, -self.n:].T     # node columns, event columns
-        prior = np.diag(np.r_[np.zeros(self.Q), np.full(self.pw, 1.0 / priors.gamma_variance),
-                              np.full(self.n_alpha, 1.0 / priors.alpha_variance)])
+        prior = np.diag(np.concatenate([
+            np.zeros(self.Q), np.full(self.pw, 1.0 / priors.gamma_variance),
+            np.full(self.n_alpha, 1.0 / priors.alpha_variance)]))
         prior[: self.Q, : self.Q] = tau_h * self.K
         theta = np.concatenate([t.gamma_h0, t.gamma, t.alpha])
         # the weighted Gram matrix by blocks, which never copies the static rows;
         # the held rate is of the clipped log hazard, but the Newton step runs
         # only at states with no guarded row, where the clip changes nothing
         Sr, Fr = self.HW_nT * t.rate, F_n * t.rate
-        SF = Sr @ F_n.T
-        prec = np.block([[Sr @ self.HW_nT.T, SF], [SF.T, Fr @ F_n.T]]) + prior
+        s = Sr.shape[0]
+        prec = np.empty_like(prior)
+        prec[:s, :s] = Sr @ self.HW_nT.T
+        prec[:s, s:] = Sr @ F_n.T
+        prec[s:, :s] = prec[:s, s:].T
+        prec[s:, s:] = Fr @ F_n.T
+        prec += prior
+        # one product over [H | W | F] at the event times: split into a static
+        # part and F's, it sums in another order and moves the draws' bytes
         grad = (self.delta @ np.hstack([self.H[-self.n:], self.W, F_T])
-                - np.r_[Sr.sum(1), Fr.sum(1)] - prior @ theta)
+                - np.concatenate([Sr.sum(1), Fr.sum(1)]) - prior @ theta)
         chol, info = dpotrf(prec[free][:, free], lower=1)
         if info != 0:
             return None
@@ -819,6 +843,23 @@ class _AdaptiveVector:
         self.adapting = False
 
 
+def _invwishart_draw(rng, df, scale: np.ndarray) -> np.ndarray:
+    """One inverse-Wishart(df, scale) draw, (q, q), by the Bartlett
+    decomposition (Smith & Hocking 1972, JRSS C 21(3)): the generator calls
+    and then the LAPACK/BLAS calls of ``scipy.stats.invwishart.rvs``, in its
+    order, without its argument checks, so it gives scipy's bytes and leaves
+    ``rng`` where scipy leaves it."""
+    q = scale.shape[0]
+    A = np.zeros((q, q))
+    A[np.tri(q, k=-1, dtype=bool)] = rng.normal(size=q * (q - 1) // 2)  # row-major, as scipy
+    A[np.diag_indices(q)] = rng.chisquare((df - q + 1) + np.arange(q), size=q) ** 0.5
+    C = dpotrf(scale, lower=1)[0]        # lower factor, upper triangle zeroed
+    if q == 1:
+        return (C / A) ** 2
+    CA = dtrsm(1.0, A, C, side=1, lower=1)
+    return dtrmm(1.0, CA, CA, side=1, lower=1, trans_a=1)
+
+
 def _initial_state(fd: _FitData, priors: PriorSet, rng, freeze):
     state = {}
     if fd.family.name == "gaussian" and fd.midx.size:
@@ -891,14 +932,28 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
                 + sum(md._normal_prior_logpdf(s[n], getattr(priors, f"{n}_variance"))
                       for n in ("beta", "gamma", "alpha")))
 
+    # ``log_post`` of the current state, with ``cur`` and the state's objects it
+    # read: a move recomputes it only after something replaced one of them
+    post_inputs = ("gamma_h0", "tau_h", "tau_hdelta", "beta", "gamma", "alpha")
+    post_key = lambda: (cur, *(state[n] for n in post_inputs))
+    held = None
+
+    def current_log_post():
+        nonlocal held
+        if held is None or any(a is not b for a, b in zip(post_key(), held[0])):
+            held = post_key(), log_post(cur, state)
+        return held[1]
+
     def accept(cand, log_q=0.0, **over):
         """MH step to state ``over`` with terms ``cand``; ``log_q``: proposal terms."""
-        nonlocal cur
-        delta = log_post(cand, {**state, **over}) - log_post(cur, state) + log_q
+        nonlocal cur, held
+        cand_post = log_post(cand, {**state, **over})
+        delta = cand_post - current_log_post() + log_q
         acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
         if rng.random() < acc_prob:
             state.update(over)
             cur = cand
+            held = post_key(), cand_post
         return acc_prob
 
     # the hazard block moves as one vector; frozen blocks stay put
@@ -1002,7 +1057,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
         if "D" not in frozen:
             scale = np.eye(fd.q) + state["b"].T @ state["b"]
             df = fd.q + priors.d_df_extra + fd.n
-            state["D"] = invwishart.rvs(df=df, scale=scale, random_state=rng).reshape(fd.q, fd.q)
+            state["D"] = _invwishart_draw(rng, df, scale)
             chol_D = np.linalg.cholesky(state["D"])
             re_i = fd.re_log_prior(state["b"], chol_D)
         if "tau_h" not in frozen:
@@ -1170,9 +1225,13 @@ def effective_sample_size(seqs: np.ndarray) -> float:
 
 def _write_number_table(path, samples: PosteriorSamples, names, mat) -> None:
     """One row per draw: chain, iteration, then the row of ``mat``."""
+    # ``tolist`` gives Python ints and floats, whose ``repr`` is that of
+    # ``repr(float(v))`` for a numpy float v
     md.write_csv(path, ["chain", "iteration", *names], (
-        [int(samples.chain[g]), int(samples.iteration[g]), *[repr(float(v)) for v in mat[g]]]
-        for g in range(samples.n_draws)))
+        [chain, iteration, *map(repr, row)] for chain, iteration, row in zip(
+            np.asarray(samples.chain, dtype=int).tolist(),
+            np.asarray(samples.iteration, dtype=int).tolist(),
+            np.asarray(mat, dtype=float).tolist())))
 
 
 def _read_number_table(path):

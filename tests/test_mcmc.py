@@ -1,12 +1,14 @@
 import copy
+import csv
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import invgamma
+from scipy.stats import invgamma, invwishart
 
 from jmsched.errors import ConfigError, NumericError, SpecError
 from jmsched.mcmc import (
@@ -19,6 +21,7 @@ from jmsched.mcmc import (
     _AdaptiveBlock,
     _ConditionData,
     _FitData,
+    _invwishart_draw,
     _mvt_draw,
     _mvt_logpdf,
     _re_mh_draws,
@@ -489,7 +492,36 @@ def test_fit_alpha_frozen_matches_mixed_model(tiny_data):
         assert samples.beta[:, k].mean() == pytest.approx(beta_gls[k], abs=tol)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_invwishart_draw_is_scipys_draw(q):
+    """The Bartlett draw gives scipy's bytes from the same generator and
+    leaves the generator where scipy leaves it."""
+    for seed in range(20):
+        scale_rng = np.random.default_rng([seed, q])
+        B = scale_rng.normal(size=(30, q))
+        scale = np.eye(q) + B.T @ B
+        for df in (q - 0.5, q + 2, q + 2 + 200):
+            mine, scipys = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw = _invwishart_draw(mine, df, scale)
+            ref = invwishart.rvs(df=df, scale=scale, random_state=scipys).reshape(q, q)
+            assert draw.shape == (q, q)
+            assert draw.tobytes() == ref.tobytes(), (seed, df)
+            assert mine.random() == scipys.random(), (seed, df)
+
+
 # --- incremental likelihood terms ------------------------------------------------
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_z_times_b_is_numpys_row_sum(q):
+    """Z.b by columns of the transposed Z has the bytes of the row sum
+    ``np.sum(Z * b[rows], axis=1)``, at every q."""
+    rng = np.random.default_rng(q)
+    rows = np.sort(rng.integers(0, 40, 500))
+    Z, b = rng.normal(size=(500, q)), 1e3 * rng.normal(size=(40, q))
+    fd = types.SimpleNamespace(ZT={"eta": np.ascontiguousarray(Z.T)}, rows={"eta": rows}, q=q)
+    got = _FitData._z_times_b(fd, "eta", b)
+    assert got.tobytes() == np.sum(Z * b[rows], axis=1).tobytes()
+
 
 FAMILIES = {"gaussian": GAUSSIAN, "bernoulli": BERNOULLI}
 
@@ -884,6 +916,45 @@ def test_ranef_csv_round_trip(tmp_path, small_joint):
     ids, ranef = read_ranef_csv(path, samples, samples.subject_ids)
     assert ids == samples.subject_ids
     assert np.array_equal(ranef, samples.ranef)
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0)
+
+
+def _reference_table(path, samples, names, mat):
+    """A number table written with ``csv.writer`` and ``repr(float(v))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain", "iteration", *names])
+        writer.writerows([int(c), int(i), *[repr(float(v)) for v in row]]
+                         for c, i, row in zip(samples.chain, samples.iteration, mat))
+
+
+def test_number_tables_keep_the_bytes_of_repr_float(tmp_path):
+    """Edge values are written as ``repr(float(v))`` and read back exactly."""
+    spec, _ = gaussian_joint_model()
+    theta = true_parameters(spec)
+    n = len(EDGE_VALUES)
+    samples = PosteriorSamples.degenerate(theta, n)
+    samples.chain, samples.iteration = np.repeat([0, 1], [3, 2]), np.array([5, 6, 7, 5, 6])
+    samples.beta = np.array([EDGE_VALUES, EDGE_VALUES[::-1]]).T.copy()
+    samples.gamma_h0 = np.roll(np.resize(EDGE_VALUES, (n, spec.n_baseline)), 2, axis=1)
+    samples.ranef = np.resize(EDGE_VALUES, (n, 3, 2))
+    samples.subject_ids = ("a", "b", "c")
+
+    write_draws_csv(samples, spec, tmp_path / "draws.csv")
+    _reference_table(tmp_path / "draws_ref.csv", samples, *flatten(samples))
+    assert (tmp_path / "draws.csv").read_bytes() == (tmp_path / "draws_ref.csv").read_bytes()
+    back = read_draws_csv(tmp_path / "draws.csv", spec)
+    assert flatten(back)[1].tobytes() == flatten(samples)[1].tobytes()
+
+    write_ranef_csv(samples, tmp_path / "ranef.csv")
+    names = [f"b[{sid},{k}]" for sid in samples.subject_ids for k in range(2)]
+    _reference_table(tmp_path / "ranef_ref.csv", samples, names, samples.ranef.reshape(n, 6))
+    assert (tmp_path / "ranef.csv").read_bytes() == (tmp_path / "ranef_ref.csv").read_bytes()
+    ids, ranef = read_ranef_csv(tmp_path / "ranef.csv", back, samples.subject_ids)
+    assert ids == samples.subject_ids
+    assert ranef.tobytes() == samples.ranef.tobytes()
 
 
 def test_mcmc_config_validation():

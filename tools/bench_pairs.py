@@ -7,9 +7,11 @@ Pair k runs ``perfbench/run.py --workload W --seed S_k --seconds X`` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, one run at a time.  For every end-to-end metric that BENCHMARK.json of
 the change declares, the output gives each side's runs, median and quartiles,
-and the number of pairs the change wins (ties count for neither side), next
-to the operations attempted and failed, the numpy and scipy versions, the CPU
-count and the git commit of both checkouts.  Standard library only.
+and the number of pairs the change wins (ties count for neither side), over
+the pairs where both runs report the metric; the seeds of the other pairs
+are listed as dropped.  Next to these stand the operations attempted and
+failed, the numpy and scipy versions, the CPU count and the git commit of
+both checkouts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,16 +69,21 @@ def spread(values: list) -> dict:
 
 
 def summarize(pairs: list, declared: list) -> dict:
-    """Per metric: each side's spread and the pairs the change wins."""
+    """Per metric: each side's spread and the pairs the change wins, over the
+    pairs where both runs report a value; a pair with a null on either side
+    is left out of that metric alone, and its seed listed as ``dropped``."""
     out = {}
     for metric in declared:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        if any(v is None for side in SIDES for v in values[side]):
+        runs = [{side: p[side]["metrics"][name]["value"] for side in SIDES} for p in pairs]
+        reported = [None not in r.values() for r in runs]
+        values = {side: [r[side] for r, ok in zip(runs, reported) if ok] for side in SIDES}
+        if not values["change"]:
             continue
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], "wins": wins, "pairs": len(pairs),
+                     "bound": metric["bound"], "wins": wins, "pairs": len(values["change"]),
+                     "dropped": [p["seed"] for p, ok in zip(pairs, reported) if not ok],
                      **{side: spread(values[side]) for side in SIDES}}
     return out
 
