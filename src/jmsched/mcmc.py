@@ -843,12 +843,12 @@ class _AdaptiveVector:
         self.adapting = False
 
 
-def _invwishart_draw(rng, df, scale: np.ndarray) -> np.ndarray:
+def _inverse_wishart_draw(rng, df, scale: np.ndarray) -> np.ndarray:
     """One inverse-Wishart(df, scale) draw, (q, q), by the Bartlett
     decomposition (Smith & Hocking 1972, JRSS C 21(3)): the generator calls
-    and then the LAPACK/BLAS calls of ``scipy.stats.invwishart.rvs``, in its
-    order, without its argument checks, so it gives scipy's bytes and leaves
-    ``rng`` where scipy leaves it."""
+    and then the LAPACK/BLAS calls of scipy.stats' inverse-Wishart ``rvs``,
+    in its order, without its argument checks, so it gives scipy's bytes and
+    leaves ``rng`` where scipy leaves it."""
     q = scale.shape[0]
     A = np.zeros((q, q))
     A[np.tri(q, k=-1, dtype=bool)] = rng.normal(size=q * (q - 1) // 2)  # row-major, as scipy
@@ -1057,7 +1057,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
         if "D" not in frozen:
             scale = np.eye(fd.q) + state["b"].T @ state["b"]
             df = fd.q + priors.d_df_extra + fd.n
-            state["D"] = _invwishart_draw(rng, df, scale)
+            state["D"] = _inverse_wishart_draw(rng, df, scale)
             chol_D = np.linalg.cholesky(state["D"])
             re_i = fd.re_log_prior(state["b"], chol_D)
         if "tau_h" not in frozen:

@@ -21,7 +21,7 @@ from jmsched.mcmc import (
     _AdaptiveBlock,
     _ConditionData,
     _FitData,
-    _invwishart_draw,
+    _inverse_wishart_draw,
     _mvt_draw,
     _mvt_logpdf,
     _re_mh_draws,
@@ -493,7 +493,7 @@ def test_fit_alpha_frozen_matches_mixed_model(tiny_data):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_invwishart_draw_is_scipys_draw(q):
+def test_inverse_wishart_draw_is_scipys_draw(q):
     """The Bartlett draw gives scipy's bytes from the same generator and
     leaves the generator where scipy leaves it."""
     for seed in range(20):
@@ -502,7 +502,7 @@ def test_invwishart_draw_is_scipys_draw(q):
         scale = np.eye(q) + B.T @ B
         for df in (q - 0.5, q + 2, q + 2 + 200):
             mine, scipys = np.random.default_rng(seed), np.random.default_rng(seed)
-            draw = _invwishart_draw(mine, df, scale)
+            draw = _inverse_wishart_draw(mine, df, scale)
             ref = invwishart.rvs(df=df, scale=scale, random_state=scipys).reshape(q, q)
             assert draw.shape == (q, q)
             assert draw.tobytes() == ref.tobytes(), (seed, df)
