@@ -369,6 +369,11 @@ def _load_samples(cfg, spec, draws_key, ranef_key=None, dataset=None):
 def cmd_score(cfg) -> list:
     dataset = _load_dataset(cfg)
     landmarks = _get(cfg, "landmarks", _numbers)
+    labels = [f"{t:g}" for t in landmarks]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise ConfigError(f"landmarks {landmarks[labels.index(label)]!r} and "
+                              f"{landmarks[k]!r} share the column label @{label}")
     model_ids = _get(cfg, "models", _names)
     if not model_ids:
         raise ConfigError("score needs a comma list under 'models'")
@@ -388,8 +393,7 @@ def cmd_score(cfg) -> list:
                                           dic_value, seed=seed, **options))
     prefix = _out_prefix(cfg)
     out_path = f"{prefix}_scores.csv"
-    header = ["model", "dic", *[f"cvdcl@{t:g}" for t in landmarks],
-              *[f"n@{t:g}" for t in landmarks]]
+    header = ["model", "dic", *[f"cvdcl@{x}" for x in labels], *[f"n@{x}" for x in labels]]
     md.write_csv(out_path, header, (
         [s.model, repr(s.dic), *[repr(v) for v in s.cvdcl], *[str(n) for n in s.n_at_risk]]
         for s in scores))

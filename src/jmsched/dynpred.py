@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from .mcmc import (
     PosteriorSamples,
     ThetaBatch,
     _ConditionData,
+    _log_weights,
     _re_mh_draws,
     _weighted_draws,
     posterior_mode_re,
@@ -148,7 +149,6 @@ class _PiMachine:
         rng = _stream(seed, _PI_STREAM)
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
-        self.t = history.t
         self.cdata = _ConditionData(spec, assoc, [history])
         self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
         self.b = _re_mh_draws(self.cdata, self.th, self.proposal, [rng], RE_SWEEPS,
@@ -157,10 +157,10 @@ class _PiMachine:
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
         {t} and ``us`` and the knots between them."""
-        us = np.asarray(us, dtype=float)
-        if np.any(us < self.t):
-            raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {self.t}")
-        edges = _edges(self.cdata.spec, self.t, us)
+        us, t = np.asarray(us, dtype=float), self.cdata.t
+        if np.any(us < t):
+            raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {t}")
+        edges = _edges(self.cdata.spec, t, us)
         cum = _running_hazard(self.cdata, self.b, self.th, edges)[0]
         return np.exp(-cum).mean(axis=0)[np.searchsorted(edges, us)]
 
@@ -191,53 +191,51 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     p(T_i, delta_i | T_i > t, measurements up to t, theta) is estimated per
     posterior draw by self-normalized importance sampling: ``n_re_draws``
     draws of b from the Student-t proposal at the mode of
-    p(b | Y(t), T* > t, theta-hat), weighted within that posterior draw.
-    The per-subject predictive density is the harmonic-mean combination over
-    posterior draws (conditional predictive ordinate).  Higher is better.
+    p(b | Y(t), T* > t, theta-hat) weigh the conditional target given survival
+    past T_i and delta_i there, and that given survival past t; the density is
+    the ratio of their sums.  The per-subject predictive density is the
+    harmonic-mean combination over posterior draws (conditional predictive
+    ordinate).  Higher is better.
 
     The subjects at risk are scored in chunks of stacked histories, one mode
     search and one proposal draw each, with as many subjects as keep its
-    nodes x rows within HAZARD_NODE_BUDGET.  Each subject draws on its own
-    stream, so its value does not depend on the chunks or on the other
-    subjects.  A posterior draw whose weights are all zero is a NumericError.
+    nodes x rows within HAZARD_NODE_BUDGET; the targets run in slices.  Each
+    subject draws on its own stream, so its value does not depend on the
+    chunks or on the other subjects.  A posterior draw whose weights are all
+    zero is a NumericError.
     """
     _check_counts(n_re_draws=n_re_draws)
     if n_theta_draws is not None:
         _check_counts(n_theta_draws=n_theta_draws)
     at_risk = [s for s in dataset.subjects if s.event_time > t]
-    n_t = len(at_risk)
-    if n_t == 0:
+    if not at_risk:
         raise DomainError(f"no subjects at risk at landmark t={t}")
     if n_theta_draws is None or n_theta_draws >= samples.n_draws:
         idx = np.arange(samples.n_draws)
     else:
         idx = _stream(seed, _CV_IDX_STREAM).integers(0, samples.n_draws, size=n_theta_draws)
-    th_idx = ThetaBatch.from_samples(samples, idx)
-    th = th_idx.take(np.repeat(np.arange(idx.size), n_re_draws))
+    th = ThetaBatch.from_samples(samples, idx)
     theta_hat = samples.mean_parameters(spec)
     histories = [SubjectHistory.from_subject(s, t) for s in at_risk]
-    # a chunk's widest design: the nodes of [0, t] or of some [t, T_i], or the measurements
-    spans = [(0.0, t)] + [(t, s.event_time) for s in at_risk]
-    width = max([span_nodes(lo, hi, spec.hazard_breakpoints, GK15)[0].size for lo, hi in spans]
-                + [h.times.size for h in histories])
-    size = max(1, HAZARD_NODE_BUDGET // (width * th.size))
+    # a chunk's widest design: the nodes of some [0, T_i], or the measurements
+    width = max([span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)[0].size
+                 for s in at_risk] + [h.times.size for h in histories])
+    size = max(1, HAZARD_NODE_BUDGET // (width * th.size * n_re_draws))
 
     total = 0.0
-    for start in range(0, n_t, size):
-        chunk = at_risk[start:start + size]
-        cdata = _ConditionData(spec, assoc, histories[start:start + size])
+    for start in range(0, len(at_risk), size):
+        chunk, stack = at_risk[start:start + size], histories[start:start + size]
+        cdata = _ConditionData(spec, assoc, stack)
+        later = [replace(h, t=s.event_time) for h, s in zip(stack, chunk)]
+        follow = _ConditionData(spec, assoc, later, events=[s.event == 1 for s in chunk])
         proposal = posterior_mode_re(cdata, theta_hat)
         rngs = [_stream(seed, _CV_RE_STREAM, zlib.crc32(s.id.encode())) for s in chunk]
-        b, log_w, log_norm = _weighted_draws(cdata, th_idx, proposal, rngs, n_re_draws,
-                                             [f"subject {s.id!r}" for s in chunk])
-        T = np.array([s.event_time for s in chunk])
-        event = np.array([s.event == 1 for s in chunk])
-        ll = -cdata.cum_hazard(b, th, T, lower=t)
-        ll = np.where(event[:, None], ll + cdata.log_hazard_grid(T[:, None], b, th)[:, 0], ll)
-        per_theta = logsumexp(ll.reshape(log_w.shape) + log_w - log_norm, axis=2)
+        b, _, log_norm = _weighted_draws(cdata, th, proposal, rngs, n_re_draws,
+                                         [f"subject {s.id!r}" for s in chunk])
+        per_theta = logsumexp(_log_weights(follow, th, proposal, b, n_re_draws) - log_norm, axis=2)
         log_cpo = -(logsumexp(-per_theta, axis=1) - math.log(idx.size))
         total = sum(log_cpo.tolist(), total)
-    return total / n_t
+    return total / len(at_risk)
 
 
 # ---------------------------------------------------------------------------

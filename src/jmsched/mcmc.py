@@ -179,11 +179,11 @@ class ThetaBatch:
                    rep(theta.gamma_h0), np.full(size, theta.phi), rep(theta.D))
 
     def take(self, rows) -> "ThetaBatch":
-        """The draws at the indices ``rows``, with their factors of D taken
-        along, not recomputed."""
+        """The draws at ``rows`` (indices, or a slice for views), with their
+        factors of D taken along, not recomputed."""
         out = copy.copy(self)
         for name, value in vars(self).items():
-            setattr(out, name, np.take(value, rows, axis=0))
+            setattr(out, name, value[rows])
         return out
 
     def re_log_prior(self, b: np.ndarray) -> np.ndarray:
@@ -199,31 +199,33 @@ class ThetaBatch:
 
 class _ConditionData:
     """Vectorized evaluator of p(b | the measurements of a history, survival
-    past its landmark t, theta) for each of a sequence of S histories at one
-    landmark; one history is a sequence of one.
+    past its landmark t, theta), times h(t) if ``events`` flags the history,
+    for each of a sequence of S histories; one history is a sequence of one.
 
     b and every output carry a leading history axis, b (S, B, q), as do the
     per-draw times of the rowwise methods; ``log_target`` also takes axes
-    before it, b (..., S, B, q).  The measurements are padded to
-    the longest history and masked, so each history's values are those of
-    its own condition.
+    before it, b (..., S, B, q).  ``t`` is the landmark the histories share,
+    with one row of nodes, or one per history, with padded nodes.  The
+    measurements are padded to the longest history and masked, so each
+    history's values are those of its own condition.
     """
 
-    def __init__(self, spec, assoc, histories):
+    def __init__(self, spec, assoc, histories, events=None):
         self.spec = spec
         self.assoc = assoc
         self.family = spec.longitudinal.family
         histories = list(histories)
-        self.t = histories[0].t
-        if any(h.t != self.t for h in histories):
-            raise SpecError("stacked histories must share one landmark")
+        ts = np.array([h.t for h in histories])
+        self.t = histories[0].t if np.all(ts == ts[0]) else ts
         self.n_histories = len(histories)
         self.covariates = [h.covariates for h in histories]
-        times, self.observed = _padded([h.times for h in histories], self.t)
+        times, self.observed = _padded([h.times for h in histories], 0.0)
         self.y, _ = _padded([h.y for h in histories], 0.0)
         self.family.check_response(self.y)
         self.meas = md.Design(spec, ("eta",), self.covariates, times)
         self.nodes = self._nodes(0.0, self.t)
+        self.events = None if events is None else np.asarray(events, dtype=bool)
+        self.at_t = self._design(ts[:, None]) if self.events is not None else None
 
     def _nodes(self, lower: float, upper) -> md.Design:
         """Design over the Gauss-Kronrod nodes of [lower, upper]; with one
@@ -231,11 +233,8 @@ class _ConditionData:
         the longest span."""
         spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
                  for u in np.ravel(upper)]
-        if np.ndim(upper) == 0:
-            s, wq = spans[0]
-        else:
-            s, _ = _padded([nodes for nodes, _ in spans], lower)
-            wq, _ = _padded([weights for _, weights in spans], 0.0)
+        s, wq = spans[0] if np.ndim(upper) == 0 else (
+            _padded([x for x, _ in spans], lower)[0], _padded([w for _, w in spans], 0.0)[0])
         return md.Design(self.spec, self.assoc.features, self.covariates, s, weights=wq)
 
     def _log_hazard(self, design: md.Design, th, rows=None):
@@ -308,28 +307,29 @@ class _ConditionData:
         a fresh evaluation."""
         eta_m = md.features_in_b(self.meas, th.beta) if self.meas.times.size else None
         cum = self._cum_hazard(th, self.nodes)
+        event = self._log_hazard(self.at_t, th) if self.events is not None else None
 
         def log_target(b):
             out = th.re_log_prior(b)
             if eta_m is not None:
                 terms = md.long_log_terms(self.family, self.y[..., None], eta_m(b)["eta"], th.phi)
                 out = out + np.where(self.observed[..., None], terms, 0.0).sum(-2)
+            if event is not None:
+                return out - cum(b) + np.where(self.events[:, None], event(b)[..., 0, :], 0.0)
             return out - cum(b)
         return log_target
 
-    def log_target(self, b, th, target=None) -> np.ndarray:
-        """Unnormalized log p(b | measurements, survival past condition time);
-        ``target`` is ``self.target(th)`` when the caller evaluates many b at
-        the same th."""
-        return (target or self.target(th))(b)
+    def log_target(self, b, th) -> np.ndarray:
+        """Unnormalized log p(b | the condition) at every row of (b, th)."""
+        return self.target(th)(b)
 
     def log_target_newton(self, b, th):
-        """Gradient and precision (negative Hessian) of ``log_target`` at b
-        (S, q), one point per history, for the single theta row of ``th``: -D^-1 b
-        and D^-1 from the prior; Z'(y - mu)/phi and Z'V(mu)Z/phi from the
-        measurements (canonical links); and, as log h = c + A b is affine in b
-        (A: the association at unit b), -A'r and A' diag(r) A with
-        r = w exp(log h), 0 where clamped."""
+        """Gradient and precision (negative Hessian) of ``log_target`` without
+        its event term at b (S, q), one point per history, for the single theta
+        row of ``th``: -D^-1 b and D^-1 from the prior; Z'(y - mu)/phi and
+        Z'V(mu)Z/phi from the measurements (canonical links); and, as
+        log h = c + A b is affine in b (A: the association at unit b), -A'r and
+        A' diag(r) A with r = w exp(log h), 0 where clamped."""
         inv_D = th.inv_D[0]
         q = b.shape[-1]
         grad = (-inv_D @ b[..., None])[..., 0]
@@ -344,7 +344,7 @@ class _ConditionData:
             resid, var = (self.y - mu) * self.observed, var * self.observed
             grad += (Zt @ resid[..., None])[..., 0] / phi
             prec += (Zt * var[..., None, :]) @ Z / phi
-        if self.t > 0.0:
+        if self.nodes.times.size:
             lh = self._log_hazard(self.nodes, th)(b[..., None, :])[..., 0]
             r = np.where(np.abs(lh) < md.LOG_HAZARD_BOUND, self.nodes.weights * np.exp(lh), 0.0)
             units = {f: Z_f for f, (_, Z_f) in self.nodes.pairs.items()}
@@ -471,8 +471,7 @@ def _log_weights(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal, b,
     b_k = np.moveaxis(b.reshape(cdata.n_histories, th.size, m, -1), 2, 0)
     width = max(cdata.nodes.times.shape[-1], cdata.meas.times.shape[-1], 1)
     step = max(1, SLICE_NODE_BUDGET // (width * cdata.n_histories * m))
-    rows = np.arange(th.size)
-    log_p = np.concatenate([cdata.log_target(b_k[:, :, i:i + step], th.take(rows[i:i + step]))
+    log_p = np.concatenate([cdata.log_target(b_k[:, :, i:i + step], th.take(slice(i, i + step)))
                             for i in range(0, th.size, step)], axis=-1)
     return np.moveaxis(log_p - _mvt_logpdf(b_k, proposal), 0, -1)
 
@@ -534,10 +533,10 @@ def _re_mh_draws(cdata: _ConditionData, th: ThetaBatch, proposal: ReProposal,
 
 def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
                           spec: md.JointModelSpec, assoc: md.AssociationForm,
-                          n_draws: int, seed=None, warmup: int = RE_SWEEPS) -> np.ndarray:
+                          n_draws: int, seed=None) -> np.ndarray:
     """Successive states of the i-SIR chain ``_re_mh_draws`` targeting
     p(b | the measurements of ``history``, survival past ``history.t``,
-    theta) after ``warmup`` sweeps; returns (n_draws, q).
+    theta) after RE_SWEEPS sweeps; returns (n_draws, q).
 
     The proposal is a multivariate Student-t (4 df) at the mode of the
     strictly concave log target, with the inverse of its exact precision
@@ -545,10 +544,9 @@ def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
     every first-sweep candidate is a NumericError.
     """
     cdata = _ConditionData(spec, assoc, [history])
-    proposal = posterior_mode_re(cdata, theta)
-    th = ThetaBatch.from_parameters(theta, 1)
-    return _re_mh_draws(cdata, th, proposal, [np.random.default_rng(seed)], warmup,
-                        n_keep=n_draws, names=["the history"])[0]
+    return _re_mh_draws(cdata, ThetaBatch.from_parameters(theta), posterior_mode_re(cdata, theta),
+                        [np.random.default_rng(seed)], RE_SWEEPS, n_keep=n_draws,
+                        names=["the history"])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -691,8 +691,8 @@ def test_predict_with_every_weight_of_a_draw_zero_is_an_error(pipeline, tmp_path
     each of its proposal draws) ends predict in an error, not in a curve."""
     log_target = _ConditionData.log_target
 
-    def zero_first_draw(self, b, th, target=None):
-        out = log_target(self, b, th, target)
+    def zero_first_draw(self, b, th):
+        out = log_target(self, b, th)
         out[..., 0] = -np.inf       # every proposal draw of the first posterior draw
         return out
 
@@ -780,6 +780,21 @@ def test_negative_landmark_is_an_error(pipeline, tmp_path, capsys, command):
     text = text.replace("landmark=0.5", "landmark=-2").replace("landmarks=3", "landmarks=-2")
     assert main([command, write_config(tmp_path / "c.cfg", text)]) == 1
     assert capsys.readouterr().err.startswith("error: a landmark is a time >= 0, got -2.0")
+
+
+@pytest.mark.parametrize("landmarks, named", [
+    ("2.0000001,2.0000002", "2.0000001 and 2.0000002"), ("2,2", "2.0 and 2.0"),
+    ("1,3,1", "1.0 and 1.0")])
+def test_score_with_landmarks_of_one_column_label_is_an_error(pipeline, tmp_path, capsys,
+                                                              landmarks, named):
+    """Landmarks that print alike head two columns alike (cvdcl@2 twice),
+    and a reader keeps one of them: such a list is an error naming both,
+    and writes no CSV."""
+    text = _score_config(pipeline, tmp_path).replace("landmarks=3", f"landmarks={landmarks}")
+    assert main(["score", write_config(tmp_path / "c.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: landmarks {named} share the column label")
+    assert not (tmp_path / "sc_scores.csv").exists()
 
 
 def _drop_last_draws(rows):

@@ -357,8 +357,8 @@ def test_cv_dcl_with_every_weight_of_a_draw_zero_is_a_numeric_error(monkeypatch,
     last = [s for s in dataset.subjects if s.event_time > 2.0][-1]
     log_target = _ConditionData.log_target
 
-    def zero_first_draw_of_last_subject(self, b, th, target=None):
-        out = log_target(self, b, th, target)
+    def zero_first_draw_of_last_subject(self, b, th):
+        out = log_target(self, b, th)
         out[..., -1, 0] = -np.inf       # every proposal draw of the last history's first row
         return out
 
@@ -417,8 +417,13 @@ def test_cv_dcl_is_the_mean_of_its_one_subject_scores(monkeypatch, family, varia
     widest = GK15.nodes.size * (1 + len(spec.hazard_breakpoints))
     monkeypatch.setattr(dynpred, "HAZARD_NODE_BUDGET", 3 * widest * rows)
     chunks = []
-    monkeypatch.setattr(dynpred, "_ConditionData", lambda spec, assoc, histories: (
-        chunks.append(len(histories)) or _ConditionData(spec, assoc, histories)))
+
+    def counted(spec, assoc, histories, events=None):
+        if events is None:       # the landmark condition; its follow-up twin has events
+            chunks.append(len(histories))
+        return _ConditionData(spec, assoc, histories, events)
+
+    monkeypatch.setattr(dynpred, "_ConditionData", counted)
     whole = cv_dcl(samples, dataset, CV_LANDMARK, spec, assoc, **CV_KWARGS)
     assert len(chunks) >= 3 and max(chunks) >= 2
 
@@ -426,6 +431,27 @@ def test_cv_dcl_is_the_mean_of_its_one_subject_scores(monkeypatch, family, varia
     alone = [cv_dcl(samples, Dataset((s,)), CV_LANDMARK, spec, assoc, **CV_KWARGS)
              for s in at_risk]
     assert whole == pytest.approx(np.mean(alone), abs=1e-10)
+
+
+def test_cv_dcl_memory_does_not_grow_with_the_draws():
+    """One subject at 2,000 posterior draws x 25 random-effect draws: both
+    targets run over slices within the node budget, so the traced peak stays
+    a few MB (a follow-up hazard over every draw's nodes at once took 84 MB)."""
+    import tracemalloc
+
+    spec, assoc, samples, dataset = _cv_cohort(GAUSSIAN, "current_value")
+    subject = max((s for s in dataset.subjects if s.event_time > CV_LANDMARK),
+                  key=lambda s: s.event_time)
+    samples = PosteriorSamples.degenerate(samples.mean_parameters(spec), 2000)
+    tracemalloc.start()
+    try:
+        value = cv_dcl(samples, Dataset((subject,)), CV_LANDMARK, spec, assoc, n_re_draws=25,
+                       seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("case, expected", zip(CV_CASES, [

@@ -604,6 +604,14 @@ def test_hazard_and_density_agree_across_evaluation_paths(variant, family, time_
                    + cdata.cum_hazard(b1[None], th1, T)[0, 0])
     np.testing.assert_allclose(long_target, long_scalar, **close)
 
+    # the conditional target given survival to T and the event there, minus
+    # its prior: the fit's log density of the subject
+    event_target = _ConditionData(spec, assoc, [SubjectHistory.from_subject(subject, T)],
+                                  events=[subject.event == 1])
+    np.testing.assert_allclose(
+        event_target.log_target(b1[None], th1)[0, 0] - th1.re_log_prior(b1)[0],
+        terms.long[0] + terms.surv[0], **close)
+
 
 def _theta_rows(theta, size, rng):
     """A batch of ``size`` parameter rows scattered around theta."""

@@ -54,3 +54,53 @@ def test_summarize_without_nulls_uses_every_pair(bench_pairs):
 def test_summarize_leaves_out_a_metric_no_pair_reports(bench_pairs):
     pairs = [_pair(1, None, 0.9), _pair(2, 1.0, None)]
     assert bench_pairs.summarize(pairs, DECLARED) == {}
+
+
+@pytest.fixture(scope="module")
+def pipeline_outputs():
+    spec = importlib.util.spec_from_file_location("pipeline_outputs",
+                                                  TOOLS / "pipeline_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _outputs(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+SCORES = "model,dic,cvdcl@1.5,n@1.5\nm1,411.85,-7.642265180329434,50\n"
+
+
+def test_compare_reports_each_column_and_passes_within_the_tolerance(pipeline_outputs,
+                                                                     tmp_path, capsys):
+    parent = _outputs(tmp_path / "parent", {"a/score_scores.csv": SCORES, "a/fit.txt": "x\n"})
+    change = _outputs(tmp_path / "change", {
+        "a/score_scores.csv": SCORES.replace("-7.642265180329434", "-7.642265180233448"),
+        "a/fit.txt": "x\n"})
+    assert pipeline_outputs.main(["--compare", str(parent), str(change), "--tol", "1e-9"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["a/score_scores.csv:", "  cvdcl@1.5: 9.6e-11"]
+    assert pipeline_outputs.main(["--compare", str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "  cvdcl@1.5: 9.6e-11 > 0"
+    assert pipeline_outputs.main(["--compare", str(parent), str(parent)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("changed", [
+    {"a/score_scores.csv": SCORES.replace("m1", "m2")},            # a cell that is no number
+    {"a/score_scores.csv": SCORES.replace("n@1.5", "n@2")},        # a header
+    {"a/score_scores.csv": SCORES + "m2,1.0,2.0,3\n"},             # a row
+    {"a/score_scores.csv": SCORES.replace("50", "nan")},           # a number against nan
+    {"a/fit.txt": "y\n"},                                          # a file that is no CSV
+    {"b/new.csv": "x\n"},                                          # a file one side lacks
+])
+def test_compare_fails_on_a_difference_that_is_not_numeric(pipeline_outputs, tmp_path,
+                                                           changed):
+    files = {"a/score_scores.csv": SCORES, "a/fit.txt": "x\n"}
+    parent = _outputs(tmp_path / "parent", files)
+    change = _outputs(tmp_path / "change", {**files, **changed})
+    assert pipeline_outputs.main(["--compare", str(parent), str(change), "--tol", "1e9"]) == 1

@@ -3,6 +3,7 @@
     python3 tools/pipeline_outputs.py --src ../parent/src --out ../out_parent
     python3 tools/pipeline_outputs.py --src src --out ../out_change
     diff -r ../out_parent ../out_change
+    python3 tools/pipeline_outputs.py --compare ../out_parent ../out_change --tol 1e-9
 
 Each of five model variants runs ``simulate``, ``fit``, ``score``, two
 ``predict`` and two ``schedule`` commands through ``jmsched.cli.main`` of the
@@ -12,7 +13,11 @@ five associations and a longitudinal covariate.  The configs go to a
 temporary directory and only the files the commands emit land in ``--out``,
 one directory per variant, so ``diff -r`` of two runs compares outputs
 alone; a refactor that must not change a stream should leave no difference.
-Standard library only, besides the jmsched under ``--src``.
+A change that moves some numbers by rounding is checked by ``--compare``: it
+names each file that differs and, per CSV column, the largest absolute
+difference of its numeric cells, and exits 1 past ``--tol`` (default 0), on a
+cell that differs and is not a number on both sides, or on a file only one
+side has.  Standard library only, besides the jmsched under ``--src``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -97,13 +103,64 @@ def run_variant(main, name: str, model: str, truth: str, cfgs: Path, out: Path) 
                 "schedule.inner=20\n")
 
 
+def _column_differences(a: str, b: str):
+    """Per column of two CSV texts, the largest absolute difference of its
+    numeric cells (header -> float), and whether some difference is not
+    numeric: a cell, a header or the number of rows or cells."""
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    if not rows_a or [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
+        return {}, True
+    largest, other = dict.fromkeys(rows_a[0], 0.0), False
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(rows_a[0], row_a, row_b):
+            if x == y:
+                continue
+            try:
+                gap = abs(float(x) - float(y))
+            except ValueError:
+                gap = math.nan
+            if math.isnan(gap):
+                other = True
+            else:
+                largest[name] = max(largest[name], gap)
+    return {name: gap for name, gap in largest.items() if gap != 0.0}, other
+
+
+def compare(parent: Path, change: Path, tol: float = 0.0) -> int:
+    """Print every file that differs between two output trees, with its
+    CSV columns' largest numeric differences; 0 when every difference is
+    numeric and within ``tol``, else 1."""
+    files = lambda root: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+    in_parent, in_change = files(parent), files(change)
+    ok = True
+    for rel in sorted(in_parent ^ in_change):
+        print(f"{rel}: only in {parent if rel in in_parent else change}")
+        ok = False
+    for rel in sorted(in_parent & in_change):
+        a, b = (parent / rel).read_text(), (change / rel).read_text()
+        if a == b:
+            continue
+        gaps, other = _column_differences(a, b) if rel.suffix == ".csv" else ({}, True)
+        print(f"{rel}:" + (" a difference that is not numeric" if other else ""))
+        for name, gap in gaps.items():
+            print(f"  {name}: {gap:.3g}" + ("" if gap <= tol else f" > {tol:g}"))
+        ok &= not other and all(gap <= tol for gap in gaps.values())
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, type=Path,
-                        help="the directory that holds the jmsched package")
-    parser.add_argument("--out", required=True, type=Path,
-                        help="a directory that does not exist yet")
+    parser.add_argument("--src", type=Path, help="the directory that holds the jmsched package")
+    parser.add_argument("--out", type=Path, help="a directory that does not exist yet")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT_OUT", "CHANGE_OUT"),
+                        help="compare two output directories instead of running")
+    parser.add_argument("--tol", type=float, default=0.0,
+                        help="the largest absolute difference --compare accepts in a number")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
+    if args.src is None or args.out is None:
+        parser.error("--src and --out are required unless --compare is given")
     if args.out.exists():
         parser.error(f"{args.out} exists")
     sys.path.insert(0, str(args.src.resolve()))
