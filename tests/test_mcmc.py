@@ -776,8 +776,9 @@ def test_stacked_target_at_differing_landmarks_is_each_historys_own(family_cohor
                                                                     variant):
     """Histories with 0, 2 and 3 measurements conditioned on survival to
     their own times, two of them on an event there, give in one stack the
-    target each gives alone; a history flagged without an event gives the
-    target of a condition without events."""
+    target each gives alone, to rounding (the padded nodes sum in another
+    order); a history flagged without an event gives the target of a
+    condition without events."""
     spec, assoc, theta, histories = _stacked_condition(family_cohorts, family, variant)
     histories = [dataclasses.replace(h, t=t) for h, t in zip(histories, (3.0, 4.2, 6.5))]
     events = [True, False, True]

@@ -104,3 +104,10 @@ def test_compare_fails_on_a_difference_that_is_not_numeric(pipeline_outputs, tmp
     parent = _outputs(tmp_path / "parent", files)
     change = _outputs(tmp_path / "change", {**files, **changed})
     assert pipeline_outputs.main(["--compare", str(parent), str(change), "--tol", "1e9"]) == 1
+
+
+def test_compare_needs_two_output_directories(pipeline_outputs, tmp_path):
+    """A mistyped directory is an error, not an empty tree that matches."""
+    with pytest.raises(SystemExit) as exc:
+        pipeline_outputs.main(["--compare", str(tmp_path / "none"), str(tmp_path / "none")])
+    assert exc.value.code == 2

@@ -108,7 +108,7 @@ def _column_differences(a: str, b: str):
     numeric cells (header -> float), and whether some difference is not
     numeric: a cell, a header or the number of rows or cells."""
     rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
-    if not rows_a or [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
+    if not rows_a or rows_a[0] != rows_b[0] or list(map(len, rows_a)) != list(map(len, rows_b)):
         return {}, True
     largest, other = dict.fromkeys(rows_a[0], 0.0), False
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
@@ -137,10 +137,11 @@ def compare(parent: Path, change: Path, tol: float = 0.0) -> int:
         print(f"{rel}: only in {parent if rel in in_parent else change}")
         ok = False
     for rel in sorted(in_parent & in_change):
-        a, b = (parent / rel).read_text(), (change / rel).read_text()
+        a, b = (parent / rel).read_bytes(), (change / rel).read_bytes()
         if a == b:
             continue
-        gaps, other = _column_differences(a, b) if rel.suffix == ".csv" else ({}, True)
+        gaps, other = (_column_differences(a.decode(), b.decode()) if rel.suffix == ".csv"
+                       else ({}, True))
         print(f"{rel}:" + (" a difference that is not numeric" if other else ""))
         for name, gap in gaps.items():
             print(f"  {name}: {gap:.3g}" + ("" if gap <= tol else f" > {tol:g}"))
@@ -158,6 +159,8 @@ def main(argv=None) -> int:
                         help="the largest absolute difference --compare accepts in a number")
     args = parser.parse_args(argv)
     if args.compare:
+        if not all(root.is_dir() for root in args.compare):
+            parser.error("--compare takes two existing output directories")
         return compare(*args.compare, args.tol)
     if args.src is None or args.out is None:
         parser.error("--src and --out are required unless --compare is given")
