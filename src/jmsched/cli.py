@@ -9,6 +9,7 @@ re-ingestible by the parsers in this module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import math
 import sys
@@ -505,23 +506,14 @@ _HANDLERS = {
 }
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc serve blocks under 32 MiB from the heap and keep up to
-    64 MiB of freed heap.  Its default thresholds rise only with the largest
-    block freed so far; below them every slice of the kernels (a few 0.5 MB
-    temporaries, SLICE_NODE_BUDGET) is mapped or trimmed and faulted in
-    afresh, which made a 2,000-draw predict 40% slower in some processes."""
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
-    except (OSError, AttributeError, TypeError):    # no glibc: keep its allocator
-        pass
-
-
 def run(config: RunConfig) -> list:
     """Execute one command; returns the list of emitted file paths."""
-    _keep_freed_memory()
+    # on glibc, serve blocks under 32 MiB from a heap that keeps 64 MiB freed: by
+    # default the kernels' 0.5 MB slices may be faulted in afresh (see README)
+    with contextlib.suppress(OSError, AttributeError, TypeError):    # not glibc
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
     return _HANDLERS[config.command](config.options)
 
 

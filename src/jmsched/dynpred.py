@@ -149,6 +149,7 @@ class _PiMachine:
         rng = _stream(seed, _PI_STREAM)
         idx = rng.integers(0, samples.n_draws, size=g_pi)
         self.th = ThetaBatch.from_samples(samples, idx)
+        self.t = history.t
         self.cdata = _ConditionData(spec, assoc, [history])
         self.proposal = posterior_mode_re(self.cdata, samples.mean_parameters(spec))
         self.b = _re_mh_draws(self.cdata, self.th, self.proposal, [rng], RE_SWEEPS,
@@ -157,10 +158,10 @@ class _PiMachine:
     def curve(self, us) -> np.ndarray:
         """pi at every horizon in ``us``, from one running hazard over
         {t} and ``us`` and the knots between them."""
-        us, t = np.asarray(us, dtype=float), self.cdata.t
-        if np.any(us < t):
-            raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {t}")
-        edges = _edges(self.cdata.spec, t, us)
+        us = np.asarray(us, dtype=float)
+        if np.any(us < self.t):
+            raise DomainError(f"conditional survival needs u >= t, got {us.min()} < {self.t}")
+        edges = _edges(self.cdata.spec, self.t, us)
         cum = _running_hazard(self.cdata, self.b, self.th, edges)[0]
         return np.exp(-cum).mean(axis=0)[np.searchsorted(edges, us)]
 

@@ -204,10 +204,9 @@ class _ConditionData:
 
     b and every output carry a leading history axis, b (S, B, q), as do the
     per-draw times of the rowwise methods; ``log_target`` also takes axes
-    before it, b (..., S, B, q).  ``t`` is the landmark the histories share,
-    with one row of nodes, or one per history, with padded nodes.  The
-    measurements are padded to the longest history and masked, so each
-    history's values are those of its own condition.
+    before it, b (..., S, B, q).  ``t`` is the shared landmark (one row of
+    nodes) or one per history (nodes padded); the measurements are padded to
+    the longest history and masked, so each history's values are its own.
     """
 
     def __init__(self, spec, assoc, histories, events=None):
@@ -233,8 +232,11 @@ class _ConditionData:
         the longest span."""
         spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
                  for u in np.ravel(upper)]
-        s, wq = spans[0] if np.ndim(upper) == 0 else (
-            _padded([x for x, _ in spans], lower)[0], _padded([w for _, w in spans], 0.0)[0])
+        if np.ndim(upper) == 0:
+            s, wq = spans[0]
+        else:
+            s, _ = _padded([nodes for nodes, _ in spans], lower)
+            wq, _ = _padded([weights for _, weights in spans], 0.0)
         return md.Design(self.spec, self.assoc.features, self.covariates, s, weights=wq)
 
     def _log_hazard(self, design: md.Design, th, rows=None):
@@ -544,9 +546,10 @@ def sample_random_effects(history: md.SubjectHistory, theta: md.Parameters,
     every first-sweep candidate is a NumericError.
     """
     cdata = _ConditionData(spec, assoc, [history])
-    return _re_mh_draws(cdata, ThetaBatch.from_parameters(theta), posterior_mode_re(cdata, theta),
-                        [np.random.default_rng(seed)], RE_SWEEPS, n_keep=n_draws,
-                        names=["the history"])[0]
+    proposal = posterior_mode_re(cdata, theta)
+    th = ThetaBatch.from_parameters(theta, 1)
+    return _re_mh_draws(cdata, th, proposal, [np.random.default_rng(seed)], RE_SWEEPS,
+                        n_keep=n_draws, names=["the history"])[0]
 
 
 # ---------------------------------------------------------------------------
