@@ -436,7 +436,7 @@ def test_cv_dcl_is_the_mean_of_its_one_subject_scores(monkeypatch, family, varia
 def test_cv_dcl_memory_does_not_grow_with_the_draws():
     """One subject at 2,000 posterior draws x 25 random-effect draws: both
     targets run over slices within the node budget, so the traced peak stays
-    a few MB (a follow-up hazard over every draw's nodes at once took 84 MB)."""
+    a few MB (a follow-up hazard over every draw's nodes at once takes 84 MB)."""
     import tracemalloc
 
     spec, assoc, samples, dataset = _cv_cohort(GAUSSIAN, "current_value")
