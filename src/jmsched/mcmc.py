@@ -13,6 +13,7 @@ parameters.  Step sizes adapt during burn-in only.
 from __future__ import annotations
 
 import copy
+import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -599,44 +600,52 @@ class _FitData:
                 f"(the random-effect dimension), got {assoc.n_params}"
             )
 
-        self.W = np.array([s.covariate_row(spec.hazard_covariates) for s in dataset.subjects]
-                          ).reshape(self.n, self.pw)
-        self.delta = np.array([s.event for s in dataset.subjects], dtype=float)
-        self.T = np.array([s.event_time for s in dataset.subjects])
+        subjects = dataset.subjects
+        self.W = md._covariate_rows([s.covariates for s in subjects], spec.hazard_covariates)
+        covs = md._covariate_rows([s.covariates for s in subjects], lspec.covariates)
+        self.delta = np.array([s.event for s in subjects], dtype=float)
+        self.T = np.array([s.event_time for s in subjects])
 
         self.features = assoc.features
-        midx, y_all = [], []
-        node_idx, node_w = [], []
-        meas, nodes, events = [], [], []
-        for i, s in enumerate(dataset.subjects):
-            midx += [i] * s.n_obs
-            y_all.append(s.y)
-            sn, wn = span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)
-            node_idx += [i] * sn.size
-            node_w.append(wn)
-            meas.append(md.Design(spec, ("eta",), s.covariates, s.times))
-            nodes.append(md.Design(spec, self.features, s.covariates, sn))
-            events.append(md.Design(spec, self.features, s.covariates, self.T[i: i + 1]))
-
-        self.midx = np.array(midx, dtype=int)
-        self.y = np.concatenate(y_all)
+        self.midx = np.repeat(np.arange(self.n), [s.n_obs for s in subjects])
+        self.y = np.concatenate([s.y for s in subjects])
         self.family.check_response(self.y)
-        self.nidx = np.array(node_idx, dtype=int)
-        self.node_w = np.concatenate(node_w)
+        # every subject's cells of [0, T_i], split at the hazard breakpoints
+        # inside it, mapped in one call: span_nodes' nodes, subject by subject
+        bp = np.array(spec.hazard_breakpoints, dtype=float)
+        inside = (bp > 0.0) & (bp < self.T[:, None])
+        ends = np.column_stack([np.zeros(self.n), np.broadcast_to(bp, inside.shape), self.T])
+        cut = np.column_stack([np.ones(self.n, bool), inside, np.ones(self.n, bool)])
+        nodes, node_w = mapped_nodes(GK15, ends[:, :-1][cut[:, :-1], None],
+                                     ends[:, 1:][cut[:, 1:], None])
+        n_nodes = GK15.nodes.size * (1 + inside.sum(axis=1))
+        self.nidx = np.repeat(np.arange(self.n), n_nodes)
+        self.node_w = node_w.ravel()
         self.hidx = np.concatenate([self.nidx, np.arange(self.n)])
 
-        self.H = spec.baseline_matrix(np.concatenate([d.times for d in nodes + events]))
+        hazard_t = np.concatenate([nodes.ravel(), self.T])
+        self.H = spec.baseline_matrix(hazard_t)
         # the static rows of the hazard block's transposed node design
         self.HW_nT = np.ascontiguousarray(np.vstack([self.H[: -self.n].T, self.W[self.nidx].T]))
 
+        eta_h = "eta" in self.features
         self.rows = {f: self.hidx for f in self.features}
-        self.rows["eta"] = np.concatenate([self.midx] + [self.hidx] * ("eta" in self.features))
+        self.rows["eta"] = np.concatenate([self.midx] + [self.hidx] * eta_h)
+        times = {f: hazard_t for f in self.features}
+        times["eta"] = np.concatenate([s.times for s in subjects] + [hazard_t] * eta_h)
         self.X, self.ZT = {}, {}
-        for f in self.rows:
-            pairs = [d.pairs[f] for d in meas + nodes + events if f in d.features]
-            self.X[f] = np.concatenate([X for X, _ in pairs])
+        for f, rows in self.rows.items():
+            build = getattr(lspec, md.FEATURE_BUILDERS[f])
+            if f == "integral":
+                # not row-wise: a call integrates over cells split at every time
+                # it is given, so one call per subject's nodes, then per event time
+                cuts = np.concatenate([np.cumsum(n_nodes), self.nidx.size + np.arange(1, self.n)])
+                self.X[f] = np.concatenate([build(ts, covs[i]) for ts, i in zip(
+                    np.split(hazard_t, cuts), np.tile(np.arange(self.n), 2))])
+            else:
+                self.X[f] = build(times[f], covs[rows])
             # Z transposed, (q, rows): ``_z_times_b`` reads it a column of Z at a time
-            self.ZT[f] = np.ascontiguousarray(np.concatenate([Z for _, Z in pairs]).T)
+            self.ZT[f] = np.ascontiguousarray(self.X[f][:, : self.q].T)
         # the shared-random-effects association reads b itself, not beta
         self.assoc_inputs = ("alpha", "beta", "b") if self.features else ("alpha", "b")
 
@@ -723,21 +732,31 @@ class _FitData:
         b_rows = None if self.features else t.b[self.hidx]
         return self.assoc.value(alpha, **feats, b=b_rows)
 
-    def hazard_newton(self, t: _LoglikTerms, tau_h, priors, free):
-        """Newton step for the hazard block theta = (gamma_h0, gamma, alpha) at ``t``.
-
-        Given beta and b, log h = [H | W | F] theta at every hazard row (F: the
-        association at unit alpha), so the survival log likelihood is concave
-        in theta.  Returns the Newton mean and the lower Cholesky factor of the
-        precision, the prior's (tau_h K, inverse variances) included, over the
-        ``free`` coordinates; None if not positive definite.
-        """
+    def hazard_system(self, t: _LoglikTerms, tau_h, priors):
+        """The parts of the hazard block's Newton step that depend on beta, b
+        and tau_h alone: the node columns of F (the association at unit
+        alpha), the prior's precision (tau_h K, inverse variances) and the
+        event rows' delta.[H_T | W | F_T]."""
         F = np.array([self._assoc_at(t, e) for e in np.eye(self.n_alpha)])
-        F_n, F_T = F[:, : -self.n], F[:, -self.n:].T     # node columns, event columns
         prior = np.diag(np.concatenate([
             np.zeros(self.Q), np.full(self.pw, 1.0 / priors.gamma_variance),
             np.full(self.n_alpha, 1.0 / priors.alpha_variance)]))
         prior[: self.Q, : self.Q] = tau_h * self.K
+        # one product over [H | W | F] at the event times: split into a static
+        # part and F's, it sums in another order and moves the draws' bytes
+        events = self.delta @ np.hstack([self.H[-self.n:], self.W, F[:, -self.n:].T])
+        return F[:, : -self.n], prior, events
+
+    def hazard_newton(self, t: _LoglikTerms, tau_h, priors, free, system=None):
+        """Newton step for the hazard block theta = (gamma_h0, gamma, alpha) at ``t``.
+
+        Given beta and b, log h = [H | W | F] theta at every hazard row, so the
+        survival log likelihood is concave in theta.  Returns the Newton mean
+        and the lower Cholesky factor of the precision, the prior's included,
+        over the ``free`` coordinates; None if not positive definite.
+        ``system``: ``hazard_system`` at terms of t's beta and b, and tau_h.
+        """
+        F_n, prior, events = system or self.hazard_system(t, tau_h, priors)
         theta = np.concatenate([t.gamma_h0, t.gamma, t.alpha])
         # the weighted Gram matrix by blocks, which never copies the static rows;
         # the held rate is of the clipped log hazard, but the Newton step runs
@@ -750,10 +769,7 @@ class _FitData:
         prec[s:, :s] = prec[:s, s:].T
         prec[s:, s:] = Fr @ F_n.T
         prec += prior
-        # one product over [H | W | F] at the event times: split into a static
-        # part and F's, it sums in another order and moves the draws' bytes
-        grad = (self.delta @ np.hstack([self.H[-self.n:], self.W, F_T])
-                - np.concatenate([Sr.sum(1), Fr.sum(1)]) - prior @ theta)
+        grad = events - np.concatenate([Sr.sum(1), Fr.sum(1)]) - prior @ theta
         chol, info = dpotrf(prec[free][:, free], lower=1)
         if info != 0:
             return None
@@ -925,13 +941,26 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     kept = {name: [] for name in
             ("beta", "gamma", "alpha", "gamma_h0", "phi", "tau_h", "tau_hdelta", "D", "b", "iteration")}
 
+    # a prior term of a block, held with the array it came from: the last two
+    # arrays of each block, as a move compares a candidate with the current state
+    terms_of = {}
+
+    def prior_term(name, x):
+        pairs = terms_of.get(name, [])
+        for y, value in pairs:
+            if y is x:
+                return value
+        value = (float(x @ fd.K @ x) if name == "gamma_h0" else
+                 md._normal_prior_logpdf(x, getattr(priors, f"{name}_variance")))
+        terms_of[name] = [(x, value)] + pairs[:1]
+        return value
+
     def log_post(terms, s):
         """Log likelihood plus the log priors the Metropolis moves change, at ``s``."""
-        g, tau = s["gamma_h0"], s["tau_h"]
+        tau = s["tau_h"]
         return (float(terms.value.sum()) + (priors.tau_shape - 1.0 + 0.5 * fd.rho) * math.log(tau)
-                - tau * (s["tau_hdelta"] + 0.5 * float(g @ fd.K @ g))
-                + sum(md._normal_prior_logpdf(s[n], getattr(priors, f"{n}_variance"))
-                      for n in ("beta", "gamma", "alpha")))
+                - tau * (s["tau_hdelta"] + 0.5 * prior_term("gamma_h0", s["gamma_h0"]))
+                + sum(prior_term(n, s[n]) for n in ("beta", "gamma", "alpha")))
 
     # ``log_post`` of the current state, with ``cur`` and the state's objects it
     # read: a move recomputes it only after something replaced one of them
@@ -963,7 +992,8 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
     hazard_names = [n for n in hazard if n not in frozen and state[n].size]
     hazard_cuts = np.cumsum([state[n].size for n in hazard_names])[:-1]
 
-    newton = lambda terms: fd.hazard_newton(terms, state["tau_h"], priors, hazard_free)
+    newton = lambda terms, system: fd.hazard_newton(terms, state["tau_h"], priors,
+                                                   hazard_free, system)
     def newton_log_density(x, mean, chol):
         return float(np.sum(np.log(np.diag(chol))) - 0.5 * np.sum((chol.T @ (x - mean)) ** 2))
 
@@ -1003,15 +1033,19 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             beta_prop.record(accept(loglik(beta=beta_cand), beta=beta_cand), state["beta"])
 
         # --- hazard block: Metropolis-Hastings with the Newton proposal; the
-        # reverse step is taken at the candidate with the same beta and b
-        forward = newton(cur) if hazard_names else None
+        # reverse step is taken at the candidate with the same beta, b and
+        # tau_h, so both steps share one ``hazard_system``
+        forward = None
+        if hazard_names:
+            system = fd.hazard_system(cur, state["tau_h"], priors)
+            forward = newton(cur, system)
         if forward is not None:
             mean, chol = forward
             x = np.concatenate([state[n] for n in hazard_names])
             x_cand = mean + dtrtrs(chol, rng.standard_normal(mean.size), lower=1, trans=1)[0]
             over = dict(zip(hazard_names, np.split(x_cand, hazard_cuts)))
             cand = loglik(**over)
-            reverse = newton(cand) if np.all(np.isfinite(cand.value)) else None
+            reverse = newton(cand, system) if np.all(np.isfinite(cand.value)) else None
             accept(cand, -np.inf if reverse is None else
                    newton_log_density(x, *reverse) - newton_log_density(x_cand, mean, chol),
                    **over)
@@ -1062,8 +1096,7 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
             chol_D = np.linalg.cholesky(state["D"])
             re_i = fd.re_log_prior(state["b"], chol_D)
         if "tau_h" not in frozen:
-            g = state["gamma_h0"]
-            rate = state["tau_hdelta"] + 0.5 * float(g @ fd.K @ g)
+            rate = state["tau_hdelta"] + 0.5 * prior_term("gamma_h0", state["gamma_h0"])
             state["tau_h"] = float(rng.gamma(priors.tau_shape + 0.5 * fd.rho) / rate)
         if "tau_hdelta" not in frozen:
             rate = priors.tau_delta_rate + state["tau_h"]
@@ -1226,13 +1259,17 @@ def effective_sample_size(seqs: np.ndarray) -> float:
 
 def _write_number_table(path, samples: PosteriorSamples, names, mat) -> None:
     """One row per draw: chain, iteration, then the row of ``mat``."""
-    # ``tolist`` gives Python ints and floats, whose ``repr`` is that of
-    # ``repr(float(v))`` for a numpy float v
-    md.write_csv(path, ["chain", "iteration", *names], (
-        [chain, iteration, *map(repr, row)] for chain, iteration, row in zip(
-            np.asarray(samples.chain, dtype=int).tolist(),
-            np.asarray(samples.iteration, dtype=int).tolist(),
-            np.asarray(mat, dtype=float).tolist())))
+    # csv.writer quotes header names such as D[1,0]; a row of numbers never
+    # needs quoting, so it is joined as csv.writer would write it.  ``tolist``
+    # gives Python ints and floats, whose ``repr`` is that of ``repr(float(v))``
+    # for a numpy float v
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["chain", "iteration", *names])
+        fh.writelines(",".join(map(repr, [chain, iteration, *row])) + "\r\n"
+                      for chain, iteration, row in zip(
+                          np.asarray(samples.chain, dtype=int).tolist(),
+                          np.asarray(samples.iteration, dtype=int).tolist(),
+                          np.asarray(mat, dtype=float).tolist()))
 
 
 def _read_number_table(path):

@@ -595,6 +595,8 @@ def text_lines(path, error=DataError):
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise error(f"cannot read {path}: not UTF-8 text") from None
+    except ValueError as exc:            # open() refuses a path holding a NUL byte
+        raise error(f"cannot read {path!r}: {exc}") from None
 
 
 def key_values(lines, where, error):
@@ -638,6 +640,61 @@ def read_csv(path, header_start):
         raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
+def _float_or_nan(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+class CsvTable:
+    """The rows of a ``read_csv`` file, by column, and checks of its fields.
+
+    A check is (the faulty rows, a call raising row r's fault); ``raise_first``
+    raises the fault that a row-by-row read meets first.
+    """
+
+    def __init__(self, path, header_start):
+        rows = read_csv(path, header_start)
+        self.path, (_, self.header) = path, next(rows)
+        read, self.fault = [], None
+        try:
+            read.extend(rows)
+        except DataError as exc:     # raised after the faults of the rows read before it
+            self.fault = exc
+        self.lines = [ln for ln, _ in read]
+        self.cols = list(zip(*(row for _, row in read))) or [()] * len(self.header)
+
+    def numbers(self, j):
+        """Column j as floats, and its check: ``parse_float``'s fault at a
+        field that is no finite number."""
+        col = self.cols[j]
+        try:
+            x = np.fromiter(map(float, col), float, len(col))
+        except ValueError:
+            x = np.array([_float_or_nan(v) for v in col])
+        return x, (~np.isfinite(x),
+                   lambda r: parse_float(col[r], self.path, self.lines[r], self.header[j]))
+
+    def check(self, bad, column, message):
+        """The check of rows ``bad``, whose fault names ``column`` and says message(r)."""
+        def fail(r):
+            raise DataError(f"{self.path} line {self.lines[r]} column {column}: {message(r)}")
+        return np.asarray(bad, dtype=bool), fail
+
+    def raise_first(self, checks, rows=True) -> None:
+        """Raise the fault of the earliest faulty row (of ``rows`` alone, if
+        given), from the first of ``checks`` flagging it; else the fault met
+        reading the file."""
+        firsts = [(int(np.argmax(bad & rows)), k) for k, (bad, _) in enumerate(checks)
+                  if np.any(bad & rows)]
+        if firsts:
+            r, k = min(firsts)
+            checks[k][1](r)
+        if self.fault is not None:
+            raise self.fault
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header`` then each of ``rows`` as UTF-8 CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -665,11 +722,11 @@ class Subject:
     covariates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        times = np.array(self.times, dtype=float, ndmin=1, copy=None)
+        y = np.array(self.y, dtype=float, ndmin=1, copy=None)
         if times.shape != y.shape:
             raise DataError(f"subject {self.id}: times and values differ in length")
-        if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
+        if times.size and (times[0] < 0 or (times[1:] < times[:-1]).any()):
             raise DataError(f"subject {self.id}: measurement times must be ascending and >= 0")
         if not self.event_time > 0:
             raise DataError(f"subject {self.id}: observed time must be positive")
@@ -688,9 +745,6 @@ class Subject:
     @property
     def n_obs(self) -> int:
         return self.times.size
-
-    def covariate_row(self, names) -> np.ndarray:
-        return _covariate_row(self.covariates, names)
 
     def __eq__(self, other):
         if not isinstance(other, Subject):
@@ -767,9 +821,6 @@ class SubjectHistory:
     def from_subject(cls, subject: Subject, t: float) -> "SubjectHistory":
         keep = subject.times <= t
         return cls(dict(subject.covariates), subject.times[keep], subject.y[keep], t)
-
-    def covariate_row(self, names) -> np.ndarray:
-        return _covariate_row(self.covariates, names)
 
 
 # ---------------------------------------------------------------------------
@@ -899,15 +950,12 @@ def log_hazard_rows(design: Design, assoc: AssociationForm, gamma_h0, gamma, bet
 # Predictors
 # ---------------------------------------------------------------------------
 
-def _long_covs(spec: LongitudinalSpec, subject) -> np.ndarray:
-    return _covariate_row(subject.covariates, spec.covariates)
-
-
 def _predictor(spec: LongitudinalSpec, feature: str, subject, b, beta, t) -> float:
     """One trajectory feature at time t, from one row of the design builders."""
     beta = np.asarray(beta, dtype=float)
     b = np.asarray(b, dtype=float)
-    X, Z = _feature_rows(spec, feature, np.array([t]), _long_covs(spec, subject))
+    X, Z = _feature_rows(spec, feature, np.array([t]),
+                         _covariate_row(subject.covariates, spec.covariates))
     x, z = X[0], Z[0]
     if beta.shape != x.shape:
         raise SpecError(f"beta has length {beta.size}, design expects {x.size}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jmsched
@@ -27,6 +27,8 @@ from jmsched.cli import (
 )
 from jmsched.errors import ConfigError, DataError, JmschedError
 from jmsched.mcmc import _ConditionData, read_draws_csv
+from jmsched import model as md
+from jmsched.model import Dataset, Subject
 from jmsched.simulate import generate_dataset
 
 from test_simulate import flat_design
@@ -459,6 +461,57 @@ def test_parse_rejects_longitudinal_covariate_contradicting_survival_table(tmp_p
     with pytest.raises(DataError) as err:
         parse_dataset(lp, sp)
     assert "l.csv" in str(err.value) and "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("survival, longitudinal, where", [
+    # two faulty numbers: the earlier line, though its column comes later
+    ("a,2.0,1\nb,3.0,1\n", "a,1.0,3.0\na,1.5,oops\nb,x,3.2\n", "l.csv line 3 column value"),
+    # a bad indicator before a bad observed time
+    ("a,2.0,7\nb,inf,1\n", "", "s.csv line 2 column event_indicator"),
+    # a duplicate subject before a bad observed time, and the survival file first
+    ("a,2.0,1\na,nan,1\nb,x,1\n", "c,1.0,3.0\n", "s.csv line 3 column subject_id"),
+    # a value past the observed time before a line with too few fields
+    ("a,2.0,1\n", "a,1.0,3.0\na,2.5,3.1\na,1.0\n", "l.csv line 3 column time"),
+    # a covariate change before a descending time of another subject
+    ("a,9.0,1\nb,9.0,1\n", "a,0.0,3.0,0\na,1.0,3.1,1\nb,2.0,3.0,0\nb,1.0,3.1,0\n",
+     "l.csv line 3 column x"),
+])
+def test_parse_names_the_first_of_two_faulty_rows(tmp_path, survival, longitudinal, where):
+    """With faults on two rows, the error names the earlier line of its file."""
+    sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
+    sp.write_text("subject_id,event_time,event_indicator\n" + survival)
+    extra = ",x" if where.endswith("column x") else ""
+    lp.write_text(f"subject_id,time,value{extra}\n" + longitudinal)
+    with pytest.raises(DataError) as err:
+        parse_dataset(lp, sp)
+    assert where in str(err.value)
+
+
+def test_parse_names_a_path_holding_a_nul_byte(tmp_path):
+    """A path that open() refuses outright, not only one it cannot find, is a
+    DataError naming it."""
+    sp = tmp_path / "s.csv"
+    sp.write_text("subject_id,event_time,event_indicator\na,2.0,1\n")
+    with pytest.raises(DataError, match="cannot read 'l\\\\x00.csv'"):
+        parse_dataset("l\x00.csv", sp)
+
+
+def test_parse_merges_longitudinal_covariates(tmp_path):
+    """A covariate of the longitudinal file joins the survival table's, once per
+    subject, whatever the order of the rows; a subject without rows gets none."""
+    sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
+    sp.write_text("subject_id,event_time,event_indicator,w\n"
+                  "a,9.0,1,1.0\nb,8.0,0,0.0\nc,7.0,1,1.0\n")
+    lp.write_text("subject_id,time,value,x,w\n"
+                  "b,0.0,3.0,2.5,0.0\na,0.0,3.1,-1.0,1.0\nb,1.0,3.2,2.5,0.0\n"
+                  "a,2.0,3.3,-1.0,1.0\n")
+    dataset = parse_dataset(lp, sp)
+    assert dataset == Dataset((
+        Subject("a", [0.0, 2.0], [3.1, 3.3], 9.0, 1, {"w": 1.0, "x": -1.0}),
+        Subject("b", [0.0, 1.0], [3.0, 3.2], 8.0, 0, {"w": 0.0, "x": 2.5}),
+        Subject("c", [], [], 7.0, 1, {"w": 1.0})))
+    assert [list(s.covariates) for s in dataset.subjects] == [["w", "x"], ["w", "x"], ["w"]]
+    assert all(type(v) is float for s in dataset.subjects for v in s.covariates.values())
 
 
 # --- config and exit-code contracts ------------------------------------------------------
@@ -945,6 +998,104 @@ mcmc.iterations=6
 mcmc.burn_in=2
 """)
     _main_outcome(["fit", cfg])
+
+
+def _row_by_row_parse(longitudinal_csv, survival_csv):
+    """The dataset parse as a row-by-row read: each field converted where it
+    is met, each subject's rows checked in turn; the reference of the
+    columnar ``parse_dataset``."""
+    rows = md.read_csv(survival_csv, ["subject_id", "event_time", "event_indicator"])
+    _, header = next(rows)
+    surv = {}
+    for ln, row in rows:
+        sid = row[0]
+        if sid in surv:
+            raise DataError(f"{survival_csv} line {ln} column subject_id: "
+                            f"duplicate subject {sid!r}")
+        t_obs = md.parse_float(row[1], survival_csv, ln, "event_time")
+        ind = row[2].strip()
+        if ind not in ("0", "1"):
+            raise DataError(f"{survival_csv} line {ln} column event_indicator: "
+                            f"must be 0 or 1, got {row[2]!r}")
+        covs = {name: md.parse_float(val, survival_csv, ln, name)
+                for name, val in zip(header[3:], row[3:])}
+        surv[sid] = (t_obs, int(ind), covs)
+    meas = {sid: [] for sid in surv}
+    rows = md.read_csv(longitudinal_csv, ["subject_id", "time", "value"])
+    _, header = next(rows)
+    for ln, row in rows:
+        sid = row[0]
+        if sid not in surv:
+            raise DataError(f"{longitudinal_csv} line {ln} column subject_id: "
+                            f"subject {sid!r} missing from the survival table")
+        t = md.parse_float(row[1], longitudinal_csv, ln, "time")
+        value = md.parse_float(row[2], longitudinal_csv, ln, "value")
+        if t > surv[sid][0]:
+            raise DataError(
+                f"{longitudinal_csv} line {ln} column time: measurement at {t} is "
+                f"after the observed time {surv[sid][0]} of subject {sid!r}")
+        extras = {name: md.parse_float(val, longitudinal_csv, ln, name)
+                  for name, val in zip(header[3:], row[3:])}
+        meas[sid].append((t, value, ln, extras))
+    subjects = []
+    for sid, (t_obs, ind, covs) in surv.items():
+        rows = meas[sid]
+        times = np.array([r[0] for r in rows])
+        if times.size and np.any(np.diff(times) < 0):
+            k = int(np.nonzero(np.diff(times) < 0)[0][0]) + 1
+            raise DataError(f"{longitudinal_csv} line {rows[k][2]} column time: "
+                            f"times for subject {sid!r} are not ascending")
+        merged = dict(covs)
+        for _, _, ln, extras in rows:
+            for name, value in extras.items():
+                if merged.setdefault(name, value) != value:
+                    raise DataError(
+                        f"{longitudinal_csv} line {ln} column {name}: covariate of subject "
+                        f"{sid!r} changes from {merged[name]} to {value}; covariates "
+                        f"must be constant within a subject")
+        subjects.append(Subject(id=sid, times=times, y=np.array([r[1] for r in rows]),
+                                event_time=t_obs, event=ind, covariates=merged))
+    return Dataset(tuple(subjects))
+
+
+# the subjects' rows interleaved, a covariate of the longitudinal table alone (x)
+# and one of both tables (w)
+MERGED_LINES = ["subject_id,time,value,x,w", "a,0.0,3.1,0.5,1.0", "b,0.0,2.9,-1.0,0.0",
+                "a,1.0,3.6,0.5,1.0", "b,2.0,3.0,-1.0,0.0", "c,0.0,3.4,2.0,1.0",
+                "b,4.0,3.3,-1.0,0.0", "c,1.5,3.9,2.0,1.0"]
+
+
+def _parse_outcome(parse, tmp):
+    """The dataset and its covariates' order, or the message of the DataError raised."""
+    try:
+        dataset = parse(tmp / "longitudinal.csv", tmp / "survival.csv")
+    except DataError as exc:
+        return str(exc)
+    return dataset, [list(s.covariates) for s in dataset.subjects]
+
+
+@FUZZ
+@given(edits=st.lists(st.tuples(st.sampled_from(["survival", "longitudinal"]),
+                                st.integers(0, 7), st.integers(0, 4), FIELD_TEXT),
+                      min_size=1, max_size=2))
+# subject a's times (line 4) before subject b's covariate (line 3)
+@example(edits=[("longitudinal", 3, 1, "-3"), ("longitudinal", 2, 4, "5.0")])
+# subject b's times (line 7) before its covariate (line 5)
+@example(edits=[("longitudinal", 4, 4, "7.0"), ("longitudinal", 6, 1, "-1")])
+# a number that does not parse (line 2) before a row of too many fields (line 6)
+@example(edits=[("longitudinal", 1, 2, "oops"), ("longitudinal", 5, 3, "1,2")])
+def test_columnar_parse_is_the_row_by_row_parse(tmp_path_factory, edits):
+    """With one or two fields replaced by any text, ``parse_dataset`` returns
+    the dataset of a row-by-row read, or raises its first fault's DataError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    lines = {"survival": SURVIVAL_LINES, "longitudinal": MERGED_LINES}
+    for table, row, column, text in edits:
+        lines[table] = _replace_field(lines[table], row % len(lines[table]),
+                                      column % len(lines[table][0].split(",")), text)
+    for name, table_lines in lines.items():
+        (tmp / f"{name}.csv").write_text("\n".join(table_lines) + "\n", encoding="utf-8")
+    reference = _parse_outcome(_row_by_row_parse, tmp)
+    assert _parse_outcome(parse_dataset, tmp) == reference
 
 
 @FUZZ

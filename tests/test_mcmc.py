@@ -43,15 +43,17 @@ from jmsched.model import (
     ASSOCIATION_VARIANTS,
     AssociationForm,
     Dataset,
+    Design,
     JointModelSpec,
     LinearTime,
     LongitudinalSpec,
     Parameters,
+    SplineTime,
     Subject,
     SubjectHistory,
     flatten,
 )
-from jmsched.numerics import BSplineBasis
+from jmsched.numerics import GK15, BSplineBasis, NaturalCubicBasis, span_nodes
 
 from jmsched.simulate import SimulationDesign, generate_dataset
 
@@ -565,6 +567,74 @@ def _assert_terms_equal(terms, fd, params):
     return full
 
 
+def _per_subject_fit_rows(dataset, spec, assoc):
+    """The fit's rows built subject by subject: one ``Design`` per subject over
+    its measurements, over the nodes of [0, T_i] (``span_nodes``) and at T_i,
+    stacked as the measurements, then every subject's nodes, then every event."""
+    features = assoc.features
+    midx, nidx, node_w, meas, nodes, events = [], [], [], [], [], []
+    for i, s in enumerate(dataset.subjects):
+        sn, wn = span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)
+        midx += [i] * s.n_obs
+        nidx += [i] * sn.size
+        node_w.append(wn)
+        meas.append(Design(spec, ("eta",), s.covariates, s.times))
+        nodes.append(Design(spec, features, s.covariates, sn))
+        events.append(Design(spec, features, s.covariates, np.array([s.event_time])))
+    n = dataset.n
+    hidx = np.concatenate([nidx, np.arange(n)]).astype(int)
+    H = spec.baseline_matrix(np.concatenate([d.times for d in nodes + events]))
+    W = np.array([[s.covariates[c] for c in spec.hazard_covariates]
+                  for s in dataset.subjects]).reshape(n, -1)
+    rows = {f: hidx for f in features}
+    rows["eta"] = np.concatenate([midx] + [hidx] * ("eta" in features)).astype(int)
+    pairs = {f: [d.pairs[f] for d in meas + nodes + events if f in d.features] for f in rows}
+    return {
+        "midx": np.array(midx, dtype=int), "nidx": np.array(nidx, dtype=int), "hidx": hidx,
+        "node_w": np.concatenate(node_w), "H": H,
+        "HW_nT": np.vstack([H[:-n].T, W[np.array(nidx, dtype=int)].T]), "rows": rows,
+        "X": {f: np.concatenate([X for X, _ in pairs[f]]) for f in rows},
+        "ZT": {f: np.concatenate([Z for _, Z in pairs[f]]).T for f in rows},
+    }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("time", ["linear", "ncs"])
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_stacked_fit_rows_are_the_per_subject_rows(family_cohorts, family, time, variant):
+    """``_FitData`` builds each feature's rows in one builder call (the
+    integral's in one per subject part) and maps every subject's cells at
+    once; every array equals the per-subject build, bit for bit.  The cohort
+    gains a longitudinal covariate, a subject without measurements and one
+    observed at a breakpoint."""
+    spec, dataset = family_cohorts[family]
+    time_effect = {"linear": LinearTime(),
+                   "ncs": SplineTime(NaturalCubicBasis((0.0, 8.0), (2.0, 5.0)))}[time]
+    lspec = LongitudinalSpec(family=FAMILIES[family], time_effect=time_effect,
+                             covariates=("x",))
+    spec = dataclasses.replace(spec, longitudinal=lspec)
+    subjects = [dataclasses.replace(s, covariates={**s.covariates, "x": 0.3 * (i % 5) - 0.6})
+                for i, s in enumerate(dataset.subjects)]
+    subjects[3] = dataclasses.replace(subjects[3], times=[], y=[])
+    s = subjects[5]         # an observed time on a hazard breakpoint: no cell ends past it
+    subjects[5] = dataclasses.replace(s, times=s.times[s.times <= 3.0], y=s.y[s.times <= 3.0],
+                                      event_time=3.0)
+    dataset = Dataset(tuple(subjects))
+    assoc = _association(variant, spec)
+
+    fd = _FitData(dataset, spec, assoc)
+    ref = _per_subject_fit_rows(dataset, spec, assoc)
+    for name in ("midx", "nidx", "hidx", "node_w", "H", "HW_nT"):
+        assert np.array_equal(getattr(fd, name), ref[name]), name
+        assert getattr(fd, name).dtype == ref[name].dtype, name
+    for name in ("rows", "X", "ZT"):
+        mine = getattr(fd, name)
+        assert mine.keys() == ref[name].keys(), name
+        for f in mine:
+            assert np.array_equal(mine[f], ref[name][f]), (name, f)
+            assert mine[f].shape == ref[name][f].shape, (name, f)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
 def test_incremental_loglik_matches_full_evaluation(family_cohorts, family, variant):
@@ -698,6 +768,33 @@ def test_hazard_newton_matches_finite_differences(family_cohorts, family, varian
     sd = sd[free]
     assert np.max(np.abs(grad - fd_grad) * sd) < 1e-6
     assert np.max(np.abs(prec - fd_prec) * np.outer(sd, sd)) < 3e-5
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
+def test_hazard_newton_from_a_shared_system_is_its_own_step(family_cohorts, family, variant):
+    """A hazard move forms ``hazard_system`` once, at the current state, for
+    its forward and reverse steps; at a candidate that differs in the hazard
+    block alone, the step is that of the candidate's own system, bit for bit."""
+    spec, dataset = family_cohorts[family]
+    assoc = _association(variant, spec)
+    fd = _FitData(dataset, spec, assoc)
+    rng = np.random.default_rng(23)
+    params = {
+        "beta": np.array([3.6, 0.25]) if family == "gaussian" else np.array([-0.5, 0.2]),
+        "gamma": np.array([0.5]), "alpha": np.full(assoc.n_params, 0.2),
+        "gamma_h0": np.r_[math.log(0.1), np.zeros(fd.Q - 1)], "phi": 0.25,
+        "b": rng.normal(size=(fd.n, fd.q)) * [0.5, 0.1],
+    }
+    cur = fd.per_subject_loglik(**params)
+    over = {n: params[n] + 0.05 * rng.standard_normal(params[n].size) for n in HAZARD_BLOCKS}
+    cand = fd.per_subject_loglik(**{**params, **over}, base=cur)
+    priors, free = PriorSet(), np.ones(fd.Q + fd.pw + fd.n_alpha, dtype=bool)
+    system = fd.hazard_system(cur, 2.5, priors)
+    for t in (cur, cand):
+        shared, own = fd.hazard_newton(t, 2.5, priors, free, system), fd.hazard_newton(
+            t, 2.5, priors, free)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, own))
 
 
 @pytest.mark.parametrize("family, variant, extra",

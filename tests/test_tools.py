@@ -111,3 +111,62 @@ def test_compare_needs_two_output_directories(pipeline_outputs, tmp_path):
     with pytest.raises(SystemExit) as exc:
         pipeline_outputs.main(["--compare", str(tmp_path / "none"), str(tmp_path / "none")])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def trace_summary():
+    spec = importlib.util.spec_from_file_location("trace_summary", TOOLS / "trace_summary.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# two predicts and a score: (id, parent, name, start, end); self times follow
+SPANS = [
+    (0, -1, "cli.parse", 0.000, 0.001),
+    (1, -1, "cli.run", 0.001, 0.021),
+    (2, 1, "cli.parse", 0.002, 0.010),
+    (3, 1, "mcmc.mode", 0.010, 0.012),
+    (4, 1, "mcmc.re_mh", 0.012, 0.018),
+    (5, -1, "cli.run", 0.030, 0.040),
+    (6, 5, "cli.parse", 0.031, 0.035),
+    (7, 5, "mcmc.re_mh", 0.035, 0.036),
+    (8, 7, "mcmc.mode", 0.0352, 0.0355),
+    (9, -1, "cli.run", 0.050, 0.100),
+    (10, 9, "mcmc.dic", 0.051, 0.081),
+    (11, 10, "mcmc.fitdata", 0.052, 0.072),
+    (12, 9, "dynpred.cvdcl", 0.081, 0.091),
+    (13, 12, "mcmc.mode", 0.082, 0.083),
+]
+
+
+def _write_trace(path):
+    own = {i: end - start for i, _, _, start, end in SPANS}
+    for i, parent, _, start, end in SPANS:
+        if parent >= 0:
+            own[parent] -= end - start
+    path.write_text("id,parent,name,start_s,end_s,self_s\n" + "".join(
+        f"{i},{parent},{name},{start!r},{end!r},{own[i]!r}\n"
+        for i, parent, name, start, end in SPANS))
+    return path
+
+
+def test_trace_summary_splits_each_command_by_direct_child(trace_summary, tmp_path, capsys):
+    """Each cli.run is named by the spans below it and split by its direct
+    children, averaged over the runs of the command; nested spans stay in
+    their parent's time."""
+    out = trace_summary.summarize(trace_summary.read_spans(_write_trace(tmp_path / "t.csv")))
+    assert list(out) == ["predict", "score"]
+    predict, score = out["predict"], out["score"]
+    assert predict["runs"] == 2 and score["runs"] == 1
+    assert predict["total"] == pytest.approx(15.0)
+    assert predict["children"] == pytest.approx({"cli.parse": 6.0, "mcmc.re_mh": 3.5,
+                                                 "mcmc.mode": 1.0})
+    assert list(predict["children"]) == ["cli.parse", "mcmc.re_mh", "mcmc.mode"]
+    assert predict["self"] == pytest.approx(4.5)
+    assert score["children"] == pytest.approx({"mcmc.dic": 30.0, "dynpred.cvdcl": 10.0})
+    assert score["self"] == pytest.approx(10.0)
+    assert trace_summary.main([str(tmp_path / "t.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["predict: 2 runs, 15.0 ms", "  cli.parse: 6.0 ms"]
+    assert lines[-1] == "  (self): 10.0 ms"
