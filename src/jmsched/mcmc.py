@@ -962,28 +962,14 @@ def _run_chain(fd: _FitData, priors: PriorSet, config: McmcConfig, chain_idx: in
                 - tau * (s["tau_hdelta"] + 0.5 * prior_term("gamma_h0", s["gamma_h0"]))
                 + sum(prior_term(n, s[n]) for n in ("beta", "gamma", "alpha")))
 
-    # ``log_post`` of the current state, with ``cur`` and the state's objects it
-    # read: a move recomputes it only after something replaced one of them
-    post_inputs = ("gamma_h0", "tau_h", "tau_hdelta", "beta", "gamma", "alpha")
-    post_key = lambda: (cur, *(state[n] for n in post_inputs))
-    held = None
-
-    def current_log_post():
-        nonlocal held
-        if held is None or any(a is not b for a, b in zip(post_key(), held[0])):
-            held = post_key(), log_post(cur, state)
-        return held[1]
-
     def accept(cand, log_q=0.0, **over):
         """MH step to state ``over`` with terms ``cand``; ``log_q``: proposal terms."""
-        nonlocal cur, held
-        cand_post = log_post(cand, {**state, **over})
-        delta = cand_post - current_log_post() + log_q
+        nonlocal cur
+        delta = log_post(cand, {**state, **over}) - log_post(cur, state) + log_q
         acc_prob = math.exp(min(delta, 0.0)) if np.isfinite(delta) else 0.0
         if rng.random() < acc_prob:
             state.update(over)
             cur = cand
-            held = post_key(), cand_post
         return acc_prob
 
     # the hazard block moves as one vector; frozen blocks stay put
