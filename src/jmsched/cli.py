@@ -199,67 +199,49 @@ def build_model(cfg, observed_times=None, association=None):
 def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
     """Join the two CSVs on subject_id and validate every subject.
 
-    Each file is read once and checked column by column.  A fault is named at
-    its file, line and column, in the order of a row-by-row read: the
-    survival file, then the longitudinal one, then subject by subject.
+    Each file is read once and checked by column.  Files with a fault are
+    parsed again row by row, which names the first fault at its file, line
+    and column.
     """
-    surv = md.CsvTable(survival_csv, SURV_HEADER)
-    ids, _, ind = surv.cols[:3]
-    index = {}
-    dup = [index.setdefault(sid, i) != i for i, sid in enumerate(ids)]
-    t_obs, t_check = surv.numbers(1)
-    covs = [surv.numbers(j) for j in range(3, len(surv.header))]
-    surv.raise_first([
-        surv.check(dup, "subject_id", lambda r: f"duplicate subject {ids[r]!r}"),
-        t_check,
-        surv.check([v.strip() not in ("0", "1") for v in ind], "event_indicator",
-                   lambda r: f"must be 0 or 1, got {ind[r]!r}"),
-        *[check for _, check in covs]])
+    try:
+        return _parse_columns(longitudinal_csv, survival_csv)
+    except (DataError, KeyError, ValueError):
+        return _parse_rows(longitudinal_csv, survival_csv)
 
-    long = md.CsvTable(longitudinal_csv, LONG_HEADER)
-    sids = long.cols[0]
-    sidx = np.array([index.get(sid, -1) for sid in sids], dtype=int)
-    t, t_check = long.numbers(1)
-    y, y_check = long.numbers(2)
-    extras = [long.numbers(j) for j in range(3, len(long.header))]
-    observed = np.append(t_obs, math.nan)[sidx]
-    long.raise_first([
-        long.check(sidx < 0, "subject_id",
-                   lambda r: f"subject {sids[r]!r} missing from the survival table"),
-        t_check, y_check,
-        long.check(t > observed, "time", lambda r: (
-            f"measurement at {float(t[r])} is after the observed time "
-            f"{float(observed[r])} of subject {sids[r]!r}")),
-        *[check for _, check in extras]])
 
+def _finite(column) -> np.ndarray:
+    x = np.fromiter(map(float, column), float, len(column))
+    if not np.isfinite(x).all():
+        raise ValueError("a field is no finite number")
+    return x
+
+
+def _parse_columns(longitudinal_csv, survival_csv) -> md.Dataset:
+    """``_parse_rows``' dataset from the files' columns; any fault raises."""
+    (_, s_header), *s_rows = md.read_csv(survival_csv, SURV_HEADER)
+    (_, l_header), *l_rows = md.read_csv(longitudinal_csv, LONG_HEADER)
+    ids, t_obs, ind, *covs = list(zip(*(row for _, row in s_rows))) or [()] * len(s_header)
+    sids, t, y, *extras = list(zip(*(row for _, row in l_rows))) or [()] * len(l_header)
+    index = {sid: i for i, sid in enumerate(ids)}
+    sidx = np.array([index[sid] for sid in sids], dtype=int)
+    t_obs, t, y = _finite(t_obs), _finite(t), _finite(y)
+    covs = {name: _finite(x) for name, x in zip(s_header[3:], covs)}
+    extras = {name: _finite(x) for name, x in zip(l_header[3:], extras)}
     # each subject's rows in file order, the subjects in the survival table's
     order = np.argsort(sidx, kind="stable")
     counts = np.bincount(sidx, minlength=len(ids))
     starts = np.cumsum(counts) - counts
     first = order[starts[sidx]]                   # the first row of each row's subject
-    desc = np.zeros(sidx.size, dtype=bool)        # the later row of a descending pair
-    desc[order[1:]] = (t[order[1:]] < t[order[:-1]]) & (sidx[order[1:]] == sidx[order[:-1]])
     # a covariate of the longitudinal table holds on every row the survival
-    # table's value, or else the subject's first row's (the last column of a name)
-    covs = {name: x for name, (x, _) in zip(surv.header[3:], covs)}
-    extras = {name: x for name, (x, _) in zip(long.header[3:], extras)}
-    held = {name: covs[name][sidx] if name in covs else x[first] for name, x in extras.items()}
-    ascending = [long.check(desc, "time",
-                            lambda r: f"times for subject {sids[r]!r} are not ascending")]
-    constant = [long.check(x != held[name], name, lambda r, x=x, name=name: (
-        f"covariate of subject {sids[r]!r} changes from {float(held[name][r])} to "
-        f"{float(x[r])}; covariates must be constant within a subject"))
-        for name, x in extras.items()]
-    bad = np.zeros(len(ids), dtype=bool)
-    for m, _ in ascending + constant:
-        bad[sidx[m]] = True
-
+    # table's value, or else the subject's first row's; ``md.Subject`` checks
+    # the times
+    if (len(index) < len(ids) or not {v.strip() for v in ind} <= {"0", "1"}
+            or any(np.any(x != (covs[name][sidx] if name in covs else x[first]))
+                   for name, x in extras.items())):
+        raise ValueError("a check failed")
     values = {name: x.tolist() for name, x in covs.items()}
     subjects = []
     for i, sid in enumerate(ids):
-        if bad[i]:        # subject by subject, its times before its covariates
-            long.raise_first(ascending, sidx == i)
-            long.raise_first(constant, sidx == i)
         rows = order[starts[i]: starts[i] + counts[i]]
         covariates = {name: x[i] for name, x in values.items()}
         if rows.size:
@@ -267,6 +249,65 @@ def parse_dataset(longitudinal_csv, survival_csv) -> md.Dataset:
                               if name not in covariates)
         subjects.append(md.Subject(sid, t[rows], y[rows], float(t_obs[i]), int(ind[i]),
                                    covariates))
+    return md.Dataset(tuple(subjects))
+
+
+def _parse_rows(longitudinal_csv, survival_csv) -> md.Dataset:
+    """``parse_dataset`` row by row: a fault is a DataError at its file, line and column."""
+    rows = md.read_csv(survival_csv, SURV_HEADER)
+    _, header = next(rows)
+    surv = {}
+    for ln, row in rows:
+        sid = row[0]
+        if sid in surv:
+            raise DataError(f"{survival_csv} line {ln} column subject_id: "
+                            f"duplicate subject {sid!r}")
+        t_obs = md.parse_float(row[1], survival_csv, ln, "event_time")
+        ind = row[2].strip()
+        if ind not in ("0", "1"):
+            raise DataError(f"{survival_csv} line {ln} column event_indicator: "
+                            f"must be 0 or 1, got {row[2]!r}")
+        covs = {name: md.parse_float(val, survival_csv, ln, name)
+                for name, val in zip(header[3:], row[3:])}
+        surv[sid] = (t_obs, int(ind), covs)
+
+    meas = {sid: [] for sid in surv}
+    rows = md.read_csv(longitudinal_csv, LONG_HEADER)
+    _, header = next(rows)
+    for ln, row in rows:
+        sid = row[0]
+        if sid not in surv:
+            raise DataError(f"{longitudinal_csv} line {ln} column subject_id: "
+                            f"subject {sid!r} missing from the survival table")
+        t = md.parse_float(row[1], longitudinal_csv, ln, "time")
+        value = md.parse_float(row[2], longitudinal_csv, ln, "value")
+        if t > surv[sid][0]:
+            raise DataError(
+                f"{longitudinal_csv} line {ln} column time: measurement at {t} is "
+                f"after the observed time {surv[sid][0]} of subject {sid!r}")
+        extras = {name: md.parse_float(val, longitudinal_csv, ln, name)
+                  for name, val in zip(header[3:], row[3:])}
+        meas[sid].append((t, value, ln, extras))
+
+    subjects = []
+    for sid, (t_obs, ind, covs) in surv.items():
+        rows = meas[sid]
+        times = np.array([r[0] for r in rows])
+        values = np.array([r[1] for r in rows])
+        if times.size and np.any(np.diff(times) < 0):
+            k = int(np.nonzero(np.diff(times) < 0)[0][0]) + 1
+            raise DataError(f"{longitudinal_csv} line {rows[k][2]} column time: "
+                            f"times for subject {sid!r} are not ascending")
+        merged = dict(covs)
+        for _, _, ln, extras in rows:
+            for name, value in extras.items():
+                if merged.setdefault(name, value) != value:
+                    raise DataError(
+                        f"{longitudinal_csv} line {ln} column {name}: covariate of subject "
+                        f"{sid!r} changes from {merged[name]} to {value}; covariates "
+                        f"must be constant within a subject")
+        subjects.append(md.Subject(id=sid, times=times, y=values,
+                                   event_time=t_obs, event=ind, covariates=merged))
     return md.Dataset(tuple(subjects))
 
 

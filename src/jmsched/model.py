@@ -640,61 +640,6 @@ def read_csv(path, header_start):
         raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def _float_or_nan(text) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
-class CsvTable:
-    """The rows of a ``read_csv`` file, by column, and checks of its fields.
-
-    A check is (the faulty rows, a call raising row r's fault); ``raise_first``
-    raises the fault that a row-by-row read meets first.
-    """
-
-    def __init__(self, path, header_start):
-        rows = read_csv(path, header_start)
-        self.path, (_, self.header) = path, next(rows)
-        read, self.fault = [], None
-        try:
-            read.extend(rows)
-        except DataError as exc:     # raised after the faults of the rows read before it
-            self.fault = exc
-        self.lines = [ln for ln, _ in read]
-        self.cols = list(zip(*(row for _, row in read))) or [()] * len(self.header)
-
-    def numbers(self, j):
-        """Column j as floats, and its check: ``parse_float``'s fault at a
-        field that is no finite number."""
-        col = self.cols[j]
-        try:
-            x = np.fromiter(map(float, col), float, len(col))
-        except ValueError:
-            x = np.array([_float_or_nan(v) for v in col])
-        return x, (~np.isfinite(x),
-                   lambda r: parse_float(col[r], self.path, self.lines[r], self.header[j]))
-
-    def check(self, bad, column, message):
-        """The check of rows ``bad``, whose fault names ``column`` and says message(r)."""
-        def fail(r):
-            raise DataError(f"{self.path} line {self.lines[r]} column {column}: {message(r)}")
-        return np.asarray(bad, dtype=bool), fail
-
-    def raise_first(self, checks, rows=True) -> None:
-        """Raise the fault of the earliest faulty row (of ``rows`` alone, if
-        given), from the first of ``checks`` flagging it; else the fault met
-        reading the file."""
-        firsts = [(int(np.argmax(bad & rows)), k) for k, (bad, _) in enumerate(checks)
-                  if np.any(bad & rows)]
-        if firsts:
-            r, k = min(firsts)
-            checks[k][1](r)
-        if self.fault is not None:
-            raise self.fault
-
-
 def write_csv(path, header, rows) -> None:
     """Write ``header`` then each of ``rows`` as UTF-8 CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -487,6 +487,22 @@ def test_parse_names_the_first_of_two_faulty_rows(tmp_path, survival, longitudin
     assert where in str(err.value)
 
 
+@pytest.mark.parametrize("survival, longitudinal, where", [
+    ("a,2.0,1\nb,3.0,1\na,4.0,0\n", "", "s.csv line 4 column subject_id: duplicate subject"),
+    ("a,2.0,1\nb,3.0,+1\n", "", "s.csv line 3 column event_indicator: must be 0 or 1"),
+    ("a,2.0,1\n", "a,1.0,3.0\na,2.5,3.1\n", "l.csv line 3 column time: measurement at 2.5"),
+    ("a,2.0,1\n", "a,1.0,3.0\na,0.5,3.1\n", "l.csv line 3 column time: times for subject"),
+])
+def test_parse_names_the_one_fault_of_a_file(tmp_path, survival, longitudinal, where):
+    """A single fault, with every other field valid, is named at its line."""
+    sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
+    sp.write_text("subject_id,event_time,event_indicator\n" + survival)
+    lp.write_text("subject_id,time,value\n" + longitudinal)
+    with pytest.raises(DataError) as err:
+        parse_dataset(lp, sp)
+    assert where in str(err.value)
+
+
 def test_parse_names_a_path_holding_a_nul_byte(tmp_path):
     """A path that open() refuses outright, not only one it cannot find, is a
     DataError naming it."""
