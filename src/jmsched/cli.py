@@ -326,9 +326,11 @@ def write_dataset(dataset: md.Dataset, longitudinal_csv, survival_csv) -> None:
 # ---------------------------------------------------------------------------
 
 def _out_prefix(cfg) -> Path:
-    prefix = Path(_get(cfg, "out.prefix"))
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    return prefix
+    prefix = _get(cfg, "out.prefix")
+    if "\0" in prefix:         # open() and mkdir() would refuse it with a ValueError
+        raise ConfigError(f"config key 'out.prefix' holds a NUL byte: {prefix!r}")
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
+    return Path(prefix)
 
 
 def _truth_parameters(cfg, spec: md.JointModelSpec) -> md.Parameters:
@@ -515,37 +517,33 @@ def write_schedule_csv(plan: dynpred.SchedulePlan, path) -> None:
 
 def read_schedule_csv(path):
     """Rebuild the schedule report: (landmark, t_up, grid, ekl, pi, selected)."""
-    rows = [row for _, row in md.read_csv(path, SCHEDULE_HEADER)][1:]
-    landmark = float(rows[0][0])
-    t_up = landmark + float(rows[0][1])
-    grid = np.array([float(r[2]) for r in rows])
-    ekl = tuple(dynpred.EklResult(float(r[3]), float(r[4]), float(r[5])) for r in rows)
-    pi = np.array([float(r[6]) for r in rows])
-    chosen = [float(r[2]) for r in rows if r[7] == "1"]
-    return landmark, t_up, grid, ekl, pi, (chosen[0] if chosen else None)
+    rows = md.read_number_csv(path, SCHEDULE_HEADER)[2]
+    chosen = rows[rows[:, 7] == 1.0, 2]
+    return (float(rows[0, 0]), float(rows[0, 0] + rows[0, 1]), rows[:, 2],
+            tuple(dynpred.EklResult(*map(float, r[3:6])) for r in rows), rows[:, 6],
+            float(chosen[0]) if chosen.size else None)
 
 
 def read_pi_csv(path):
     """(u, pi) arrays from a conditional-survival curve report."""
-    rows = [row for _, row in md.read_csv(path, ["u", "pi"])][1:]
-    return (np.array([float(r[0]) for r in rows]),
-            np.array([float(r[1]) for r in rows]))
+    return tuple(md.read_number_csv(path, ["u", "pi"])[2][:, :2].T)
 
 
 def read_scores_csv(path):
     """Model scores: list of (model, dic, {t: cvdcl}, {t: n_at_risk})."""
-    header, *rows = [row for _, row in md.read_csv(path, ["model", "dic"])]
-    cv_cols = [(j, float(name.split("@")[1])) for j, name in enumerate(header)
-               if name.startswith("cvdcl@")]
-    n_cols = [(j, float(name.split("@")[1])) for j, name in enumerate(header)
-              if name.startswith("n@")]
+    lines = md.read_csv(path, ["model", "dic"])
+    ln, header = next(lines)
+    at = {j: md.parse_float(name.split("@", 1)[1], path, ln, name)
+          for j, name in enumerate(header) if name.startswith(("cvdcl@", "n@"))}
     out = []
-    for row in rows:
-        out.append((
-            row[0], float(row[1]),
-            {t: float(row[j]) for j, t in cv_cols},
-            {t: int(row[j]) for j, t in n_cols},
-        ))
+    for ln, row in lines:
+        value = {j: md.parse_float(row[j], path, ln, header[j]) for j in [1, *at]}
+        counts = {at[j]: value[j] for j in at if header[j].startswith("n@")}
+        if not all(n.is_integer() for n in counts.values()):
+            raise DataError(f"{path} line {ln}: the n@ columns must hold whole numbers")
+        out.append((row[0], value[1],
+                    {at[j]: value[j] for j in at if header[j].startswith("cvdcl@")},
+                    {t: int(n) for t, n in counts.items()}))
     return out
 
 

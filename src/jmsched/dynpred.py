@@ -31,7 +31,7 @@ from .mcmc import (
     posterior_mode_re,
 )
 from .model import SubjectHistory
-from .numerics import GK15, span_nodes
+from .numerics import GK15, span_cells
 
 DEFAULT_T_MAX = 5.0
 EVENT_TIME_TOL = 1e-6   # event-time Newton step, relative to max(1, T), that ends a row
@@ -201,9 +201,9 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     The subjects at risk are scored in chunks of stacked histories, one mode
     search and one proposal draw each, with as many subjects as keep its
     nodes x rows within HAZARD_NODE_BUDGET; the targets run in slices.  Each
-    subject draws on its own stream, so its value does not depend on the
-    chunks or on the other subjects.  A posterior draw whose weights are all
-    zero is a NumericError.
+    subject draws on its own stream and each design row is its own time's, so
+    a subject's value does not depend on the chunks or on the other subjects.
+    A posterior draw whose weights are all zero is a NumericError.
     """
     _check_counts(n_re_draws=n_re_draws)
     if n_theta_draws is not None:
@@ -219,8 +219,8 @@ def cv_dcl(samples: PosteriorSamples, dataset: md.Dataset, t: float, spec, assoc
     theta_hat = samples.mean_parameters(spec)
     histories = [SubjectHistory.from_subject(s, t) for s in at_risk]
     # a chunk's widest design: the nodes of some [0, T_i], or the measurements
-    width = max([span_nodes(0.0, s.event_time, spec.hazard_breakpoints, GK15)[0].size
-                 for s in at_risk] + [h.times.size for h in histories])
+    ends = span_cells(0.0, [s.event_time for s in at_risk], spec.hazard_breakpoints)
+    width = max(GK15.nodes.size * np.bincount(ends[2]).max(), *(h.times.size for h in histories))
     size = max(1, HAZARD_NODE_BUDGET // (width * th.size * n_re_draws))
 
     total = 0.0

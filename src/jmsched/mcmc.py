@@ -25,7 +25,7 @@ from scipy.special import gammaln, logsumexp
 
 from . import model as md
 from .errors import ConfigError, DataError, NumericError, SpecError
-from .numerics import GK15, mapped_nodes, span_nodes
+from .numerics import GK15, mapped_nodes, span_cells
 
 BLOCK_TARGET_RATE = 0.234
 ADAPT_WINDOW = 50     # draws between updates of a block proposal's shape
@@ -231,13 +231,12 @@ class _ConditionData:
         """Design over the Gauss-Kronrod nodes of [lower, upper]; with one
         upper per history, each history's nodes padded with zero weights to
         the longest span."""
-        spans = [span_nodes(lower, u, self.spec.hazard_breakpoints, GK15)
-                 for u in np.ravel(upper)]
-        if np.ndim(upper) == 0:
-            s, wq = spans[0]
-        else:
-            s, _ = _padded([nodes for nodes, _ in spans], lower)
-            wq, _ = _padded([weights for _, weights in spans], 0.0)
+        lo, hi, owner = span_cells(lower, upper, self.spec.hazard_breakpoints)
+        s, wq = (a.ravel() for a in mapped_nodes(GK15, lo[:, None], hi[:, None]))
+        if np.ndim(upper):
+            cuts = GK15.nodes.size * np.cumsum(np.bincount(owner, minlength=np.size(upper)))
+            s, _ = _padded(np.split(s, cuts[:-1]), lower)
+            wq, _ = _padded(np.split(wq, cuts[:-1]), 0.0)
         return md.Design(self.spec, self.assoc.features, self.covariates, s, weights=wq)
 
     def _log_hazard(self, design: md.Design, th, rows=None):
@@ -579,8 +578,9 @@ class _LoglikTerms:
 class _FitData:
     """Precomputed designs and segment indices for the whole dataset.  The
     hazard rows are every quadrature node, then every event time; each
-    trajectory feature has one stack of rows: the measurements first for
-    "eta", then the hazard rows if the association reads the feature."""
+    trajectory feature has one stack of rows from one builder call (each row
+    is its own time's): the measurements first for "eta", then the hazard
+    rows if the association reads the feature."""
 
     def __init__(self, dataset: md.Dataset, spec: md.JointModelSpec,
                  assoc: md.AssociationForm):
@@ -610,16 +610,10 @@ class _FitData:
         self.midx = np.repeat(np.arange(self.n), [s.n_obs for s in subjects])
         self.y = np.concatenate([s.y for s in subjects])
         self.family.check_response(self.y)
-        # every subject's cells of [0, T_i], split at the hazard breakpoints
-        # inside it, mapped in one call: span_nodes' nodes, subject by subject
-        bp = np.array(spec.hazard_breakpoints, dtype=float)
-        inside = (bp > 0.0) & (bp < self.T[:, None])
-        ends = np.column_stack([np.zeros(self.n), np.broadcast_to(bp, inside.shape), self.T])
-        cut = np.column_stack([np.ones(self.n, bool), inside, np.ones(self.n, bool)])
-        nodes, node_w = mapped_nodes(GK15, ends[:, :-1][cut[:, :-1], None],
-                                     ends[:, 1:][cut[:, 1:], None])
-        n_nodes = GK15.nodes.size * (1 + inside.sum(axis=1))
-        self.nidx = np.repeat(np.arange(self.n), n_nodes)
+        # every subject's knot-free cells of [0, T_i], mapped in one call
+        lo, hi, owner = span_cells(0.0, self.T, spec.hazard_breakpoints)
+        nodes, node_w = mapped_nodes(GK15, lo[:, None], hi[:, None])
+        self.nidx = np.repeat(owner, GK15.nodes.size)
         self.node_w = node_w.ravel()
         self.hidx = np.concatenate([self.nidx, np.arange(self.n)])
 
@@ -635,15 +629,7 @@ class _FitData:
         times["eta"] = np.concatenate([s.times for s in subjects] + [hazard_t] * eta_h)
         self.X, self.ZT = {}, {}
         for f, rows in self.rows.items():
-            build = getattr(lspec, md.FEATURE_BUILDERS[f])
-            if f == "integral":
-                # not row-wise: a call integrates over cells split at every time
-                # it is given, so one call per subject's nodes, then per event time
-                cuts = np.concatenate([np.cumsum(n_nodes), self.nidx.size + np.arange(1, self.n)])
-                self.X[f] = np.concatenate([build(ts, covs[i]) for ts, i in zip(
-                    np.split(hazard_t, cuts), np.tile(np.arange(self.n), 2))])
-            else:
-                self.X[f] = build(times[f], covs[rows])
+            self.X[f] = getattr(lspec, md.FEATURE_BUILDERS[f])(times[f], covs[rows])
             # Z transposed, (q, rows): ``_z_times_b`` reads it a column of Z at a time
             self.ZT[f] = np.ascontiguousarray(self.X[f][:, : self.q].T)
         # the shared-random-effects association reads b itself, not beta
@@ -1258,32 +1244,13 @@ def _write_number_table(path, samples: PosteriorSamples, names, mat) -> None:
                           np.asarray(mat, dtype=float).tolist()))
 
 
-def _read_number_table(path):
-    """Header and rows of a draws or random-effects CSV; a fault is a DataError at its line."""
-    rows = md.read_csv(path, ["chain", "iteration"])
-    _, header = next(rows)
-    lines, data = [], []
-    for ln, row in rows:
-        try:  # fast path; a non-finite sum sends the row to the field-by-field check
-            values = [float(v) for v in row]
-            if not math.isfinite(sum(values)):
-                raise ValueError
-        except ValueError:
-            values = [md.parse_float(v, path, ln, n) for n, v in zip(header, row)]
-        lines.append(ln)
-        data.append(values)
-    if not data:
-        raise DataError(f"{path}: no draws after the header")
-    return header, lines, np.array(data).reshape(len(data), len(header))
-
-
 def write_draws_csv(samples: PosteriorSamples, spec: md.JointModelSpec, path) -> None:
     """One row per draw; header names every scalar parameter."""
     _write_number_table(path, samples, *md.flatten(samples, spec.longitudinal.family.has_dispersion))
 
 
 def read_draws_csv(path, spec: md.JointModelSpec) -> PosteriorSamples:
-    header, lines, data = _read_number_table(path)
+    header, lines, data = md.read_number_csv(path, ["chain", "iteration"])
     lspec = spec.longitudinal
     sizes = (lspec.n_fixed, len(spec.hazard_covariates),
              sum(name.startswith("alpha[") for name in header), spec.n_baseline)
@@ -1322,7 +1289,7 @@ def read_ranef_csv(path, draws: PosteriorSamples, subject_ids):
     carries draw g's (chain, iteration) and q random effects; and with
     ``subject_ids`` by id: columns are taken in that order, each id must have
     columns and each column's subject be an id."""
-    header, lines, data = _read_number_table(path)
+    header, lines, data = md.read_number_csv(path, ["chain", "iteration"])
     ids = tuple(dict.fromkeys(name[2:].rpartition(",")[0] for name in header[2:]))
     n = len(ids)
     q = (len(header) - 2) // n if n else 1

@@ -30,6 +30,7 @@ from .numerics import (
     ncs_deriv_matrix,
     ncs_matrix,
     penalty_matrix,
+    span_cells,
     span_nodes,
 )
 
@@ -183,7 +184,8 @@ class SplineTime:
 
 @dataclass(frozen=True)
 class LongitudinalSpec:
-    """Design builders for the mixed model, one row per time.
+    """Design builders for the mixed model, one row per time, which depends
+    on that time and its covariates alone.
 
     The fixed row is [1, time features, covariates]; the random row is
     [1, first `random_time_terms` time features], the leading ``n_random``
@@ -237,20 +239,19 @@ class LongitudinalSpec:
         return np.asarray(self.time_effect.derivs_matrix(ts), dtype=float)
 
     def _time_integrals(self, ts) -> np.ndarray:
-        """Cumulative integrals of each time feature from 0 to every t, by the
-        composite Gauss-Kronrod rule over the cells between 0, the times and
-        the time knots."""
+        """Integral of each time feature from 0 to every t, by the composite
+        Gauss-Kronrod rule over the cells of [0, t] split at the time knots,
+        summed cell by cell into the row of t alone."""
         ts = np.asarray(ts, dtype=float)
-        edges = np.unique(np.concatenate(
-            [[0.0], ts, [c for c in self.time_breakpoints if 0.0 < c < ts.max(initial=0.0)]]))
-        edges = edges[edges >= 0.0]
-        nodes, widths = mapped_nodes(GK15, edges[:-1, None], edges[1:, None])
+        lo, hi, owner = span_cells(0.0, ts, self.time_breakpoints)
+        nodes, widths = mapped_nodes(GK15, lo[:, None], hi[:, None])
         terms = widths[..., None] * self._time_terms_matrix(nodes.ravel()).reshape(
             nodes.shape + (self.n_time_terms,))
         # node by node: .sum(axis=1) sums one time term pairwise, in other bits
         cells = sum(terms[:, k] for k in range(GK15.nodes.size))
-        cum = np.cumsum(np.concatenate([np.zeros((1, self.n_time_terms)), cells]), axis=0)
-        return cum[np.searchsorted(edges, ts)]
+        out = np.zeros((ts.size, self.n_time_terms))
+        np.add.at(out, owner, cells)
+        return out
 
     def fixed_matrix(self, ts, cov_values) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -640,6 +641,26 @@ def read_csv(path, header_start):
         raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
+def read_number_csv(path, header_start):
+    """Header, line numbers and rows, as a float matrix, of a CSV of finite
+    numbers; a fault, or no row after the header, is a ``DataError``."""
+    rows = read_csv(path, header_start)
+    _, header = next(rows)
+    lines, data = [], []
+    for ln, row in rows:
+        try:  # fast path; a non-finite sum sends the row to the field-by-field check
+            values = [float(v) for v in row]
+            if not math.isfinite(sum(values)):
+                raise ValueError
+        except ValueError:
+            values = [parse_float(v, path, ln, n) for n, v in zip(header, row)]
+        lines.append(ln)
+        data.append(values)
+    if not data:
+        raise DataError(f"{path}: no rows after the header")
+    return header, lines, np.array(data).reshape(len(data), len(header))
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header`` then each of ``rows`` as UTF-8 CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -796,7 +817,8 @@ class Design:
     has not reached yet.  With S profiles ``w`` is (S, pw), ``times`` is one
     row of K times per profile or one row for all, and ``pairs`` gain a
     leading profile axis, each feature's rows coming from one builder call
-    over all S x K times; ``H`` follows the shape of ``times``.
+    over all S x K times (a row is the row built alone); ``H`` follows the
+    shape of ``times``.
     """
 
     def __init__(self, spec: JointModelSpec, features, covariates, times,

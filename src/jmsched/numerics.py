@@ -28,6 +28,7 @@ __all__ = [
     "ncs_deriv_matrix",
     "penalty_matrix",
     "integrate",
+    "span_cells",
     "span_nodes",
 ]
 
@@ -405,11 +406,20 @@ def integrate(f, a: float, b: float, rule: QuadratureRule = GK15) -> float:
     return float(ws @ vals)
 
 
+def span_cells(a, b, breakpoints=()):
+    """(lower ends, upper ends, owning interval) of the knot-free cells of
+    every [a_i, b_i], in order, split at the sorted breakpoints strictly
+    inside it.  Each knot is clipped into [a_i, b_i], and the empty cells
+    (a knot outside, at an end or repeated; b_i <= a_i) are dropped."""
+    edges = np.minimum(np.maximum(np.concatenate([[-np.inf], breakpoints, [np.inf]]),
+                                  np.reshape(a, (-1, 1))), np.reshape(b, (-1, 1)))
+    cut = edges[:, :-1] < edges[:, 1:]
+    return edges[:, :-1][cut], edges[:, 1:][cut], np.nonzero(cut)[0]
+
+
 def span_nodes(a: float, b: float, breakpoints=(), rule: QuadratureRule = GK15):
     """Stacked mapped nodes/weights of the composite rule over [a, b], split at
     the breakpoints strictly inside it."""
-    if b <= a:
-        return np.empty(0), np.empty(0)
-    edges = np.array([a, *[c for c in sorted(set(breakpoints)) if a < c < b], b], dtype=float)
-    xs, ws = mapped_nodes(rule, edges[:-1, None], edges[1:, None])
+    lo, hi, _ = span_cells(a, b, sorted(breakpoints))
+    xs, ws = mapped_nodes(rule, lo[:, None], hi[:, None])
     return xs.ravel(), ws.ravel()

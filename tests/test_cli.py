@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import jmsched
 from jmsched.cli import (
+    SCHEDULE_HEADER,
     RunConfig,
     build_model,
     load_config,
@@ -613,6 +614,25 @@ sim.covariates=w:bernoulli:0.5
     assert err.startswith("error:") and "afile" in err
 
 
+@pytest.mark.parametrize("prefix", ["x\x00y", "d\x00ir/x"], ids=["file", "directory"])
+def test_out_prefix_holding_a_nul_byte_is_an_error(tmp_path, capsys, prefix):
+    """open() and mkdir() refuse a NUL byte with a ValueError; the prefix is a
+    config error naming its key instead."""
+    cfg = write_config(tmp_path / "c.cfg", f"""
+seed=1
+out.prefix={tmp_path}/{prefix}
+{MODEL_BLOCK}
+{TRUTH_BLOCK}
+sim.n_subjects=2
+sim.visits=0,1
+sim.covariates=w:bernoulli:0.5
+""")
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'out.prefix'" in err and "NUL byte" in err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
 def test_simulate_ends_when_event_times_outrun_float_spacing(tmp_path):
     """Event times near the cap of 1e14, where neighbouring floats lie more
     than the bisection tolerance apart, still end the inversion."""
@@ -935,6 +955,40 @@ def test_missing_report_is_an_error(tmp_path):
     with pytest.raises(DataError) as err:
         read_pi_csv(tmp_path / "nope_pi.csv")
     assert "nope_pi.csv" in str(err.value)
+
+
+SCHEDULE_ROW = "1.5,2,2.5,0.1,0,0.2,0.9,1"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_pi_csv, "u,pi\n1,1\n2,abc\n", "line 3 column pi: could not parse 'abc'"),
+    (read_pi_csv, "u,pi\n1,inf\n", "line 2 column pi: could not parse 'inf'"),
+    (read_pi_csv, "u,pi\n", "no rows after the header"),
+    (read_schedule_csv, ",".join(SCHEDULE_HEADER) + "\n", "no rows after the header"),
+    (read_schedule_csv, ",".join(SCHEDULE_HEADER) + f"\n{SCHEDULE_ROW}\n1.5,2,x,0,0,0,1,0\n",
+     "line 3 column u: could not parse 'x'"),
+    (read_scores_csv, "model,dic,cvdcl@1,n@1\nm,1,2,3.5\n", "line 2: the n@ columns"),
+    (read_scores_csv, "model,dic,cvdcl@1,n@1\nm,dic,2,3\n", "line 2 column dic: could not"),
+    (read_scores_csv, "model,dic,cvdcl@one,n@1\nm,1,2,3\n", "line 1 column cvdcl@one"),
+], ids=["pi-word", "pi-infinite", "pi-no-rows", "schedule-no-rows", "schedule-word", "scores-count",
+        "scores-dic", "scores-header-time"])
+def test_malformed_report_is_an_error(tmp_path, reader, text, message):
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        reader(path)
+    assert str(err.value).startswith(str(path)) and message in str(err.value)
+
+
+def test_reports_read_back_their_numbers(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text(",".join(SCHEDULE_HEADER) + f"\n{SCHEDULE_ROW}\n1.5,2,3,0,0,0,0.8,0\n")
+    landmark, t_up, grid, ekl, pi, chosen = read_schedule_csv(path)
+    assert (landmark, t_up, chosen) == (1.5, 3.5, 2.5)
+    assert grid.tolist() == [2.5, 3.0] and pi.tolist() == [0.9, 0.8]
+    assert ekl[0] == (0.1, 0.0, 0.2)
+    path.write_text("model,dic,cvdcl@1,n@1\nm,10.5,-2,7\n")
+    assert read_scores_csv(path) == [("m", 10.5, {1.0: -2.0}, {1.0: 7})]
 
 
 def test_config_parser_rejects_duplicates(tmp_path):

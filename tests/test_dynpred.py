@@ -433,6 +433,20 @@ def test_cv_dcl_is_the_mean_of_its_one_subject_scores(monkeypatch, family, varia
     assert whole == pytest.approx(np.mean(alone), abs=1e-10)
 
 
+def test_cumulative_cv_dcl_of_a_pair_is_the_mean_of_its_one_subject_scores():
+    """With the cumulative association, a stacked chunk's integral rows are
+    each history's own, so every pair of consecutive subjects at risk scores
+    exactly the mean of the two subjects scored alone."""
+    spec, assoc, samples, dataset = _cv_cohort(GAUSSIAN, "cumulative")
+    at_risk = [s for s in dataset.subjects if s.event_time > CV_LANDMARK]
+
+    def score(*subjects):
+        return cv_dcl(samples, Dataset(subjects), CV_LANDMARK, spec, assoc, **CV_KWARGS)
+
+    for first, second in zip(at_risk[::2], at_risk[1::2]):
+        assert score(first, second) == (score(first) + score(second)) / 2
+
+
 def test_cv_dcl_memory_does_not_grow_with_the_draws():
     """One subject at 2,000 posterior draws x 25 random-effect draws: both
     targets run over slices within the node budget, so the traced peak stays

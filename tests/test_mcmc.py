@@ -602,11 +602,10 @@ def _per_subject_fit_rows(dataset, spec, assoc):
 @pytest.mark.parametrize("time", ["linear", "ncs"])
 @pytest.mark.parametrize("variant", ASSOCIATION_VARIANTS)
 def test_stacked_fit_rows_are_the_per_subject_rows(family_cohorts, family, time, variant):
-    """``_FitData`` builds each feature's rows in one builder call (the
-    integral's in one per subject part) and maps every subject's cells at
-    once; every array equals the per-subject build, bit for bit.  The cohort
-    gains a longitudinal covariate, a subject without measurements and one
-    observed at a breakpoint."""
+    """``_FitData`` builds each feature's rows in one builder call and maps
+    every subject's cells at once; every array equals the per-subject
+    build, bit for bit.  The cohort gains a longitudinal covariate, a
+    subject without measurements and one observed at a breakpoint."""
     spec, dataset = family_cohorts[family]
     time_effect = {"linear": LinearTime(),
                    "ncs": SplineTime(NaturalCubicBasis((0.0, 8.0), (2.0, 5.0)))}[time]

@@ -211,6 +211,24 @@ def test_fixed_integral_matrix_at_unsorted_repeated_times_across_knots():
                                rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("time_key", ["linear", "poly3", "ncs"])
+def test_each_design_row_is_the_row_built_alone(time_key):
+    """A row of the fixed value, slope and integral builders depends on its
+    own time and covariates only: built in one call over times out of order,
+    repeated, at 0, on the knots and past the spline boundary, every row has
+    the bytes of the same row built alone."""
+    time_effect, _ = ROW_TIME_EFFECTS[time_key]
+    lspec = LongitudinalSpec(family=GAUSSIAN, time_effect=time_effect, covariates=("age",))
+    rng = np.random.default_rng(4)
+    ts = np.concatenate([[4.5, 0.0, 2.0, 4.0, 8.0, 9.5, 2.0], rng.uniform(0.0, 10.0, 33)])
+    covs = rng.normal(40.0, 5.0, (ts.size, 1))
+    for build in (lspec.fixed_matrix, lspec.fixed_deriv_matrix, lspec.fixed_integral_matrix):
+        rows = build(ts, covs)
+        for i in range(ts.size):
+            alone = build(ts[i:i + 1], covs[i:i + 1])
+            assert rows[i].tobytes() == alone[0].tobytes(), (build.__name__, i)
+
+
 def test_integrals_across_the_spline_boundary_match_integrate_split_there():
     """Past its upper boundary knot a natural cubic spline is linear, so a
     Gauss-Kronrod cell must end there: the time integrals and the hazard

@@ -15,6 +15,7 @@ from jmsched.numerics import (
     ncs_deriv,
     ncs_eval,
     penalty_matrix,
+    span_cells,
     span_nodes,
 )
 
@@ -265,3 +266,49 @@ def test_span_nodes_maps_each_cell_like_mapped_nodes(a, b, breakpoints, cells):
         assert np.array_equal(xs[i * k:(i + 1) * k], x)
         assert np.array_equal(ws[i * k:(i + 1) * k], w)
     assert ws.sum() == pytest.approx(b - a, rel=1e-14, abs=0.0)
+
+
+def _span_nodes_reference(a, b, breakpoints, rule=GK15):
+    """span_nodes as first written: one cell between each pair of neighbours
+    among a, the distinct breakpoints strictly inside [a, b], and b."""
+    if b <= a:
+        return np.empty(0), np.empty(0)
+    edges = np.array([a, *[c for c in sorted(set(breakpoints)) if a < c < b], b], dtype=float)
+    xs, ws = mapped_nodes(rule, edges[:-1, None], edges[1:, None])
+    return xs.ravel(), ws.ravel()
+
+
+@pytest.mark.parametrize("n_breakpoints", [0, 1, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_span_cells_give_each_interval_its_span_nodes_cells(seed, n_breakpoints):
+    """On random intervals on a coarse grid (so that some have b < a, b == a,
+    or an end on a breakpoint) and random breakpoints (repeated, outside):
+    span_nodes keeps the bytes of the reference formula, and span_cells over
+    every interval at once, given the breakpoints sorted, holds each
+    interval's cells of span_nodes, in order, owned by it."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-1.0, 6.0, 15)
+    breakpoints = rng.choice(grid, size=n_breakpoints)
+    a, b = rng.choice(grid, size=(2, 60))
+    b[:2] = a[:2]
+    assert np.any(b < a) and np.any(b == a)
+    if n_breakpoints == 6:
+        assert np.any(np.isin(b, breakpoints) & (a < b))
+        assert np.unique(breakpoints).size < breakpoints.size
+
+    lo, hi, owner = span_cells(a, b, np.sort(breakpoints))
+    assert lo.shape == hi.shape == owner.shape and np.all(np.diff(owner) >= 0)
+    for i in range(a.size):
+        xs, ws = span_nodes(a[i], b[i], tuple(breakpoints))
+        ref_xs, ref_ws = _span_nodes_reference(a[i], b[i], tuple(breakpoints))
+        assert xs.tobytes() == ref_xs.tobytes() and ws.tobytes() == ref_ws.tobytes()
+        cells = owner == i
+        x, w = mapped_nodes(GK15, lo[cells, None], hi[cells, None])
+        assert x.ravel().tobytes() == xs.tobytes() and w.ravel().tobytes() == ws.tobytes()
+
+
+def test_span_cells_broadcast_one_end():
+    lo, hi, owner = span_cells(0.0, [3.0, 0.0, 1.5, -1.0], (1.0, 2.0))
+    assert lo.tolist() == [0.0, 1.0, 2.0, 0.0, 1.0]
+    assert hi.tolist() == [1.0, 2.0, 3.0, 1.0, 1.5]
+    assert owner.tolist() == [0, 0, 0, 2, 2]
